@@ -10,15 +10,17 @@ over modes as a product of displacements ``D(i f_j / sqrt(2))``.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.special import gammainc
 
+from .eigensolver import DENSE_MAX
 from .errors import SizingError, TruncationWarning, ValidationError
 
 FOCK_DIM_CAP = 2_000_000
-WEYL_DENSE_MAX = 4096
 
 __all__ = [
     "ModeSet",
@@ -31,6 +33,8 @@ __all__ = [
     "apply_weyl",
     "displacement_1mode",
     "coherent_amplitudes_1mode",
+    "coherent_tail",
+    "mode_kron",
     "apply_displacement",
     "coherent_state",
     "coherent_weyl_overlap",
@@ -117,7 +121,7 @@ class TruncatedFock:
         return f"TruncatedFock(m={self.modes.m}, n_max={self.n_max}, dim={self.dim})"
 
 
-def _mode_kron(space: TruncatedFock, j: int, op1) -> sp.csr_matrix:
+def _embed_mode(space: TruncatedFock, j: int, op1) -> sp.csr_matrix:
     n1 = space.n_max + 1
     left = sp.identity(n1**j, format="csr")
     right = sp.identity(n1 ** (space.modes.m - 1 - j), format="csr")
@@ -128,7 +132,7 @@ def ladder(space: TruncatedFock, j: int):
     """Sparse (a_j, a_j^dagger) on the full truncated space."""
     if not 0 <= j < space.modes.m:
         raise ValidationError(f"mode index {j} out of range")
-    a = _mode_kron(space, j, space.a1())
+    a = _embed_mode(space, j, space.a1())
     return a, a.T.tocsr()
 
 
@@ -163,10 +167,13 @@ def d_gamma(space: TruncatedFock):
     )
 
 
+@lru_cache(maxsize=256, typed=True)
 def displacement_1mode(z: complex, n_max: int) -> np.ndarray:
-    """Dense single-mode displacement exp(z a^dagger - conj(z) a)."""
+    """Dense single-mode displacement exp(z a^dagger - conj(z) a), read-only."""
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-    return expm(z * a.conj().T - np.conj(z) * a)
+    d = expm(z * a.conj().T - np.conj(z) * a)
+    d.flags.writeable = False
+    return d
 
 
 def coherent_amplitudes_1mode(z: complex, n_max: int) -> np.ndarray:
@@ -178,62 +185,65 @@ def coherent_amplitudes_1mode(z: complex, n_max: int) -> np.ndarray:
     return c
 
 
-def _poisson_tail(mean: float, n_max: int) -> float:
-    """Probability mass of Poisson(mean) beyond n_max."""
-    if mean == 0.0:
-        return 0.0
-    terms = np.empty(n_max + 1)
-    terms[0] = np.exp(-mean)
-    for n in range(1, n_max + 1):
-        terms[n] = terms[n - 1] * mean / n
-    return max(0.0, 1.0 - float(terms.sum()))
+def coherent_tail(z, n_max: int):
+    """Weight a truncation at n_max cuts from |z>: the Poisson(|z|^2) tail.
 
-
-def apply_displacement(space: TruncatedFock, z, vec, out_of=None):
-    """Apply the product displacement prod_j D(z_j) without materializing it.
-
-    Per mode this is one dense (n_max+1)^2 contraction over the mode axis.
+    Elementwise in z; the incomplete gamma function keeps tiny tails exact.
     """
-    z = np.asarray(z, dtype=complex)
+    return gammainc(n_max + 1, np.abs(z) ** 2)
+
+
+def mode_kron(factors):
+    """Kronecker product of per-mode vectors or matrices, mode 0 slowest."""
+    out = np.ones((1,) * np.ndim(factors[0]), dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def apply_displacement(space: TruncatedFock, z, block):
+    """Apply prod_j D(z_j) to a vector or to each row of a (k, dim) stack.
+
+    Per mode with z_j != 0 this is one dense (n_max+1)^2 contraction.
+    """
+    z = np.asarray(z)
     if z.shape != (space.modes.m,):
         raise ValidationError("z must assign one displacement per mode")
-    t = np.asarray(vec, dtype=complex).reshape(space.shape)
+    shape = np.shape(block)
+    t = np.reshape(block, shape[:-1] + space.shape)
     for j in range(space.modes.m):
         if z[j] == 0:
             continue
         d = displacement_1mode(z[j], space.n_max)
-        t = np.moveaxis(np.tensordot(d, t, axes=([1], [j])), 0, j)
-    return t.reshape(space.dim)
+        ax = len(shape) - 1 + j
+        t = np.moveaxis(np.tensordot(d, t, axes=([1], [ax])), 0, ax)
+    return t.reshape(shape)
 
 
 def weyl(space: TruncatedFock, f, tail_bound: float = 1e-8):
     """Unitary W(f) = exp(i phi(f)) as a dense matrix.
 
-    Refuses dimensions above 4096 (use :func:`apply_weyl` there).  When the
-    displaced-vacuum tail mass beyond the truncation exceeds ``tail_bound``
-    a :class:`TruncationWarning` reports the estimate; the matrix is still
-    returned since unitarity of the per-mode factors is exact.
+    Refuses dimensions above ``DENSE_MAX`` (use :func:`apply_weyl` there).
+    When the displaced-vacuum tail mass beyond the truncation exceeds
+    ``tail_bound`` a :class:`TruncationWarning` reports the estimate; the
+    matrix is still returned since the per-mode factors are exactly unitary.
     """
-    if space.dim > WEYL_DENSE_MAX:
+    if space.dim > DENSE_MAX:
         raise SizingError(
-            f"dense Weyl matrix at dim {space.dim} > {WEYL_DENSE_MAX}; "
+            f"dense Weyl matrix at dim {space.dim} > {DENSE_MAX}; "
             "use apply_weyl"
         )
+    u = _weyl_displacement(space, f, tail_bound)
+    return mode_kron([displacement_1mode(uj, space.n_max) for uj in u])
+
+
+def _weyl_displacement(space, f, tail_bound):
+    """Per-mode displacements i f / sqrt 2 of W(f), tail-checked."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (space.modes.m,):
         raise ValidationError("f must assign one amplitude per mode")
-    _warn_weyl_tail(space, f, tail_bound)
     u = 1j * f / np.sqrt(2.0)
-    out = np.ones((1, 1), dtype=complex)
-    for j in range(space.modes.m):
-        out = np.kron(out, displacement_1mode(u[j], space.n_max))
-    return out
-
-
-def _warn_weyl_tail(space, f, tail_bound):
-    tail = 0.0
-    for j in range(space.modes.m):
-        tail += _poisson_tail(abs(f[j]) ** 2 / 2.0, space.n_max)
+    tail = float(coherent_tail(u, space.n_max).sum())
     if tail > tail_bound:
         warnings.warn(
             f"Weyl displacement tail mass {tail:.3e} exceeds bound "
@@ -241,16 +251,13 @@ def _warn_weyl_tail(space, f, tail_bound):
             TruncationWarning,
             stacklevel=3,
         )
-    return tail
+    return u
 
 
 def apply_weyl(space: TruncatedFock, f, vec, tail_bound: float = 1e-8):
-    """Matrix-free W(f) @ vec via per-mode displacements."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (space.modes.m,):
-        raise ValidationError("f must assign one amplitude per mode")
-    _warn_weyl_tail(space, f, tail_bound)
-    return apply_displacement(space, 1j * f / np.sqrt(2.0), vec)
+    """Matrix-free W(f) @ vec (or on each row of a (k, dim) stack)."""
+    u = _weyl_displacement(space, f, tail_bound)
+    return apply_displacement(space, u, vec)
 
 
 def coherent_state(space: TruncatedFock, z, tail_bound: float = 1e-8):
@@ -263,9 +270,7 @@ def coherent_state(space: TruncatedFock, z, tail_bound: float = 1e-8):
     z = np.asarray(z, dtype=complex)
     if z.shape != (space.modes.m,):
         raise ValidationError("z must assign one amplitude per mode")
-    vec = np.ones(1, dtype=complex)
-    for j in range(space.modes.m):
-        vec = np.kron(vec, coherent_amplitudes_1mode(z[j], space.n_max))
+    vec = mode_kron([coherent_amplitudes_1mode(zj, space.n_max) for zj in z])
     nrm2 = float(np.vdot(vec, vec).real)
     trunc = max(0.0, 1.0 - nrm2)
     if trunc > tail_bound:

@@ -171,12 +171,16 @@ def validate_config(cfg):
     coup = cfg.get("coupling", {})
     if not _is_num(coup.get("alpha")):
         errs.append("coupling.alpha must be a number")
-    grid = coup.get("alpha_grid", {})
-    if grid:
-        if not all(_is_num(grid.get(k)) for k in ("start", "stop", "step")):
-            errs.append("coupling.alpha_grid needs numeric start, stop, step")
-        elif grid["step"] <= 0 or grid["stop"] <= grid["start"]:
-            errs.append("coupling.alpha_grid must advance: step > 0, stop > start")
+    grid = coup.get("alpha_grid")
+    if isinstance(grid, list):
+        if not grid or not all(_is_num(a) for a in grid):
+            errs.append("coupling.alpha_grid as a list needs one or more numbers")
+    elif not isinstance(grid, dict) or not all(
+        _is_num(grid.get(k)) for k in ("start", "stop", "step")
+    ):
+        errs.append("coupling.alpha_grid needs numeric start, stop, step or a list")
+    elif grid["step"] <= 0 or grid["stop"] <= grid["start"]:
+        errs.append("coupling.alpha_grid must advance: step > 0, stop > start")
     modes = cfg.get("modes", {})
     beta = modes.get("beta")
     if not _is_num(beta) or beta <= 0:

@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AmbiguousDegeneracyError, IterationLimitError, ValidationError
 
+# Dense/sparse crossover for assembly, eigensolves and dense operators.
 DENSE_MAX = 4096
 
 __all__ = ["eigensolve", "ground_space", "GroundSpaceReport"]
@@ -49,9 +50,10 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     """Lowest ``k`` eigenpairs of a Hermitian matrix or linear operator.
 
     Returns ``(vals, vecs)`` with eigenvalues ascending and eigenvectors in
-    columns.  Dense input (or sparse of dimension <= 4096) is solved in full
-    by a direct method and truncated; larger sparse input and linear
-    operators use shift-free Lanczos on the small end of the spectrum.
+    columns.  Dense input (or sparse of dimension <= ``DENSE_MAX``) is
+    solved in full by a direct method and truncated; larger sparse input and
+    linear operators use shift-free Lanczos on the small end of the
+    spectrum.
     """
     dim = h.shape[0]
     if h.shape[0] != h.shape[1]:

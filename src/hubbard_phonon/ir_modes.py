@@ -329,9 +329,7 @@ def weyl_state(model: CoupledModel, a_e, f, psi_e=None, method: str = "pairwise"
         return complex(val)
     if method == "matrix":
         vec = state.vector().reshape(model.basis.dim, model.fock.dim)
-        wv = np.empty_like(vec)
-        for ci in range(model.basis.dim):
-            wv[ci] = apply_weyl(model.fock, f, vec[ci])
+        wv = apply_weyl(model.fock, f, vec)
         return complex(np.vdot(vec.reshape(-1), (a_e @ wv).reshape(-1)))
     raise ValidationError("method must be 'pairwise' or 'matrix'")
 

@@ -28,19 +28,21 @@ from .boson_fock import (
     ModeSet,
     TruncatedFock,
     annihilator,
+    apply_displacement,
     coherent_amplitudes_1mode,
+    coherent_tail,
     displacement_1mode,
     field,
+    mode_kron,
 )
-from .eigensolver import eigensolve, ground_space
+from .eigensolver import DENSE_MAX, eigensolve, ground_space
 from .errors import SizingError, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     SectorBasis,
-    apply_c,
-    apply_c_dagger,
     build_hubbard,
     build_sector_basis,
+    hopping_moves,
 )
 
 COUPLED_DIM_CAP = 2_000_000
@@ -150,7 +152,7 @@ class CoupledModel:
     # -- block application of V -------------------------------------------
 
     def apply_unitary(self, vec, inverse: bool = False):
-        """V @ vec (or its inverse) using per-configuration displacements."""
+        """V @ vec (or its inverse): one displacement per distinct row of z."""
         z = self.z_table()
         if inverse:
             z = -z
@@ -158,11 +160,10 @@ class CoupledModel:
         out = np.zeros(
             t.shape, dtype=np.result_type(t.dtype, np.float64)
         )
-        for ci in range(self.basis.dim):
-            row = t[ci]
-            if not np.any(row):
-                continue
-            out[ci] = _apply_disp_row(self.fock, z[ci], row)
+        rows, group = np.unique(z, axis=0, return_inverse=True)
+        for gi, zg in enumerate(rows):
+            idx = np.flatnonzero(group.ravel() == gi)
+            out[idx] = apply_displacement(self.fock, zg, t[idx])
         return out.reshape(self.dim)
 
     # -- direct Hamiltonian -----------------------------------------------
@@ -217,40 +218,17 @@ class CoupledModel:
 
 def _adaptive_n_max(modes: ModeSet, couplings, alpha: float, tail_bound: float) -> int:
     """Smallest n_max whose worst-case coherent tail stays under the bound."""
-    from .boson_fock import _poisson_tail
-
     lam = np.asarray(couplings, dtype=float)
     g = lam / modes.freqs
     # doubly occupied site doubles the displacement
-    zmax = np.abs(alpha / np.sqrt(2.0) * 2.0 * g)
-    means = (zmax**2).ravel()
+    zmax = alpha / np.sqrt(2.0) * 2.0 * g
     n_max = 10
     while n_max < 64:
-        tail = sum(_poisson_tail(m, n_max) for m in means)
+        tail = coherent_tail(zmax, n_max).sum()
         if tail < tail_bound:
             break
         n_max += 2
     return n_max
-
-
-def _apply_disp_row(fock: TruncatedFock, z, row):
-    t = row.reshape(fock.shape)
-    for j in range(fock.modes.m):
-        if z[j] == 0:
-            continue
-        d = displacement_1mode(z[j], fock.n_max)
-        t = np.moveaxis(np.tensordot(d, t, axes=([1], [j])), 0, j)
-    return t.reshape(fock.dim)
-
-
-def _apply_disp_batch(fock: TruncatedFock, d_per_mode, block):
-    """Apply cached per-mode displacement matrices to a (k, B) stack."""
-    t = block.reshape((block.shape[0],) + fock.shape)
-    for j, d in enumerate(d_per_mode):
-        if d is None:
-            continue
-        t = np.moveaxis(np.tensordot(d, t, axes=([1], [j + 1])), 0, j + 1)
-    return t.reshape(block.shape[0], fock.dim)
 
 
 def build_generator(model: CoupledModel) -> sp.csr_matrix:
@@ -269,7 +247,7 @@ def unitary_V(model: CoupledModel, method: str = "displacement"):
     ``expm`` exponentiates the generator and exists as an independent
     oracle for it.
     """
-    if model.dim > 4096:
+    if model.dim > DENSE_MAX:
         raise SizingError(
             f"dense unitary at dim {model.dim}; use CoupledModel.apply_unitary"
         )
@@ -278,15 +256,11 @@ def unitary_V(model: CoupledModel, method: str = "displacement"):
         return expm(1j * model.alpha * s)
     if method != "displacement":
         raise ValidationError("method must be 'displacement' or 'expm'")
-    z = model.z_table()
-    blocks = []
-    for ci in range(model.basis.dim):
-        d = np.ones((1, 1), dtype=complex)
-        for j in range(model.fock.modes.m):
-            d = np.kron(d, displacement_1mode(z[ci, j], model.fock.n_max))
-        blocks.append(d)
-    out = sp.block_diag(blocks).toarray()
-    return out
+    blocks = [
+        mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in zc])
+        for zc in model.z_table()
+    ]
+    return sp.block_diag(blocks).toarray()
 
 
 # -- dressed states ---------------------------------------------------------
@@ -317,10 +291,9 @@ class DressedState:
         for ci, w in enumerate(self.weights):
             if w == 0:
                 continue
-            amp = np.ones(1, dtype=complex)
-            for j in range(fock.modes.m):
-                amp = np.kron(amp, coherent_amplitudes_1mode(self.z[ci, j], fock.n_max))
-            out[ci] = w * amp
+            out[ci] = w * mode_kron(
+                [coherent_amplitudes_1mode(zj, fock.n_max) for zj in self.z[ci]]
+            )
         return out.reshape(self.model.dim)
 
     def config_norms_sq(self) -> np.ndarray:
@@ -336,18 +309,9 @@ def dress_state(model: CoupledModel, psi_e) -> DressedState:
     if abs(nrm - 1.0) > 1e-10:
         raise ValidationError(f"psi_e must be normalized; got ||psi|| = {nrm}")
     z = model.z_table()
-    # captured coherent mass per configuration from per-mode Poisson sums
-    from .boson_fock import _poisson_tail
-
-    lost = 0.0
-    for ci in range(model.basis.dim):
-        w2 = abs(psi[ci]) ** 2
-        if w2 == 0:
-            continue
-        kept = 1.0
-        for j in range(model.fock.modes.m):
-            kept *= 1.0 - _poisson_tail(abs(z[ci, j]) ** 2, model.fock.n_max)
-        lost += w2 * (1.0 - kept)
+    # captured coherent mass per configuration from per-mode tails
+    kept = np.prod(1.0 - coherent_tail(z, model.fock.n_max), axis=1)
+    lost = float(np.sum(np.abs(psi) ** 2 * (1.0 - kept)))
     return DressedState(weights=psi, z=z, truncation_error=lost, model=model)
 
 
@@ -384,10 +348,7 @@ def verify_transform_hb(model: CoupledModel, n_trials: int = 4, rng=None) -> flo
     for _ in range(n_trials):
         psi = _random_interior_full(model, rng)
         t = psi.reshape(model.basis.dim, fock.dim)
-        lhs = model.apply_unitary(
-            (model.apply_unitary(psi, inverse=True).reshape(t.shape) * hb)
-            .reshape(-1)
-        )
+        lhs = _conjugate_boson_diag(model, hb, psi)
         rhs = (t * hb).astype(complex)
         for x in range(model.basis.n_sites):
             rhs += model.alpha * model.nu[:, x, None] * (fields[x] @ t.T).T
@@ -396,10 +357,15 @@ def verify_transform_hb(model: CoupledModel, n_trials: int = 4, rng=None) -> flo
     return worst
 
 
+def _conjugate_boson_diag(model: CoupledModel, diag, psi):
+    """V (1 x diag(diag)) V^{-1} psi for a diagonal boson operator."""
+    t = model.apply_unitary(psi, inverse=True).reshape(model.basis.dim, model.fock.dim)
+    return model.apply_unitary((t * diag).reshape(-1))
+
+
 def _random_interior_full(model: CoupledModel, rng, occ_cap: int = 2):
     """Random normalized vector with every mode occupation <= occ_cap."""
-    cap = min(occ_cap, model.fock.n_max - 1)
-    mask = np.all(model.fock.occupations() <= cap, axis=1)
+    mask = model.fock.interior_mask(max(model.fock.n_max - occ_cap, 1))
     v = rng.standard_normal((model.basis.dim, model.fock.dim)) * mask
     v = v + 1j * (rng.standard_normal((model.basis.dim, model.fock.dim)) * mask)
     v = v.reshape(-1)
@@ -437,10 +403,7 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
     for _ in range(n_trials):
         psi = _random_interior_full(model, rng)
         t = psi.reshape(model.basis.dim, fock.dim)
-        lhs = model.apply_unitary(
-            (model.apply_unitary(psi, inverse=True).reshape(t.shape) * nb)
-            .reshape(-1)
-        )
+        lhs = _conjugate_boson_diag(model, nb, psi)
         k1psi = np.zeros_like(t, dtype=complex)
         for x in range(model.basis.n_sites):
             k1psi += model.nu[:, x, None] * (fields_g[x] @ t.T).T
@@ -489,44 +452,21 @@ class EffectiveHamiltonians:
                          fock.hb_diag())
         )
         # move table for the dressed hopping, grouped by (x, y) pairs
-        t = model.hopping.mat
         moves = {}
-        for ci, w in enumerate(model.basis.states):
-            for x in range(model.basis.n_sites):
-                for y in range(model.basis.n_sites):
-                    if x == y or t[x, y] == 0.0:
-                        continue
-                    for s_ in (0, 1):
-                        hop = apply_c(w, y, s_, model.basis.n_sites)
-                        if hop is None:
-                            continue
-                        w1, sg1 = hop
-                        made = apply_c_dagger(w1, x, s_, model.basis.n_sites)
-                        if made is None:
-                            continue
-                        w2, sg2 = made
-                        cj = model.basis.index[w2]
-                        moves.setdefault((x, y), []).append(
-                            (ci, cj, t[x, y] * sg1 * sg2)
-                        )
-        self._moves = {}
+        for x, y, src, dst, amp in hopping_moves(model.basis, model.hopping):
+            moves.setdefault((x, y), []).append((src, dst, amp))
+        self._moves = []
         for (x, y), entries in moves.items():
             zdiff = (model.alpha / np.sqrt(2.0)) * (model.g[x] - model.g[y])
-            ds = [
-                displacement_1mode(zj, fock.n_max) if zj != 0 else None
-                for zj in zdiff
-            ]
-            src = np.array([e[0] for e in entries])
-            dst = np.array([e[1] for e in entries])
-            amp = np.array([e[2] for e in entries])
-            self._moves[(x, y)] = (src, dst, amp, ds)
+            src, dst, amp = (np.array(col) for col in zip(*entries))
+            self._moves.append((src, dst, amp, zdiff))
 
     def transformed_matvec(self, vec):
         model = self.model
         t = np.asarray(vec).reshape(model.basis.dim, model.fock.dim)
         out = self.diag * t
-        for src, dst, amp, ds in self._moves.values():
-            moved = _apply_disp_batch(model.fock, ds, t[src])
+        for src, dst, amp, zdiff in self._moves:
+            moved = apply_displacement(model.fock, zdiff, t[src])
             np.add.at(out, dst, amp[:, None] * moved)
         return out.reshape(-1)
 
@@ -657,9 +597,7 @@ def overlap_formula(model: CoupledModel, state: DressedState, fs, psi_e) -> Over
 
     # numeric: matrix route on the truncated space
     ref = np.zeros((model.basis.dim, model.fock.dim), dtype=complex)
-    vac = np.zeros(model.fock.dim, dtype=complex)
-    vac[0] = 1.0
-    ref += psi[:, None] * vac[None, :]
+    ref[:, 0] = psi  # psi_e x vacuum
     ref = ref.reshape(-1)
     for fi in fs:
         adag = annihilator(model.fock, fi).conj().T.tocsr()

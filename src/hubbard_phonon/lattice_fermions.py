@@ -12,10 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 from itertools import combinations
 
+from .eigensolver import DENSE_MAX
 from .errors import SizingError, ValidationError
 
-# Dense assembly up to this dimension, CSR above it.
-DENSE_MAX = 4096
 # Hard cap on sector dimension; beyond this exact diagonalization is hopeless
 # on one node anyway.
 DIM_CAP = 200_000
@@ -27,6 +26,7 @@ __all__ = [
     "apply_c_dagger",
     "apply_c",
     "fock_operator",
+    "hopping_moves",
     "build_hubbard",
     "number_operators",
     "build_spin_operators",
@@ -102,13 +102,19 @@ class SectorBasis:
         self.index = {w: i for i, w in enumerate(states)}
         self.dim = len(states)
 
+    def spin_occupations(self):
+        """Up and down occupation tables, each shape (dim, n_sites), in {0,1}."""
+        # bit words beyond 63 bits stay exact as Python integers
+        dtype = np.int64 if 2 * self.n_sites < 63 else object
+        w = np.array(self.states, dtype=dtype).reshape(-1, 1)
+        p = 2 * np.arange(self.n_sites)
+        up, dn = (w >> p) & 1, (w >> (p + 1)) & 1
+        return up.astype(np.int64), dn.astype(np.int64)
+
     def occupations(self):
         """Site occupation table, shape (dim, n_sites), entries in {0,1,2}."""
-        occ = np.zeros((self.dim, self.n_sites), dtype=np.int64)
-        for i, w in enumerate(self.states):
-            for x in range(self.n_sites):
-                occ[i, x] = ((w >> (2 * x)) & 1) + ((w >> (2 * x + 1)) & 1)
-        return occ
+        up, dn = self.spin_occupations()
+        return up + dn
 
     def __repr__(self):
         return f"SectorBasis(n_sites={self.n_sites}, n_e={self.n_e}, dim={self.dim})"
@@ -178,6 +184,30 @@ def fock_operator(n_sites: int, x: int, s: int, dagger: bool = True):
     return m
 
 
+def hopping_moves(basis: SectorBasis, hopping: HoppingMatrix):
+    """Every nonzero term of sum_{x != y, s} t_xy c+_xs c_ys on the sector.
+
+    Yields ``(x, y, src, dst, amp)``: the move takes basis state ``src`` to
+    ``dst`` with amplitude ``t_xy`` times the fermionic sign.  Moves come in
+    the order (src, x, y, spin).
+    """
+    t = hopping.mat
+    n = basis.n_sites
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y and t[x, y] != 0.0]
+    for i, w in enumerate(basis.states):
+        for x, y in pairs:
+            for s in (0, 1):
+                hop = apply_c(w, y, s, n)
+                if hop is None:
+                    continue
+                w1, sgn1 = hop
+                created = apply_c_dagger(w1, x, s, n)
+                if created is None:
+                    continue
+                w2, sgn2 = created
+                yield x, y, i, basis.index[w2], t[x, y] * sgn1 * sgn2
+
+
 def _assemble(dim, rows, cols, vals):
     if dim <= DENSE_MAX:
         m = np.zeros((dim, dim))
@@ -192,40 +222,24 @@ def build_hubbard(basis: SectorBasis, hopping: HoppingMatrix, u: float):
     """Sector Hamiltonian sum_{xys} t_xy c+_xs c_ys + u sum_x n_x+ n_x-.
 
     Diagonal hopping amplitudes t_xx enter as site potentials t_xx * n_x.
-    Returns a dense array up to dimension 4096 and CSR above.
+    Returns a dense array up to dimension ``DENSE_MAX`` and CSR above.
     """
     if hopping.n_sites != basis.n_sites:
         raise ValidationError(
             f"hopping is {hopping.n_sites}-site but basis has {basis.n_sites} sites"
         )
     t = hopping.mat
-    rows, cols, vals = [], [], []
-    for i, w in enumerate(basis.states):
-        diag = 0.0
-        for x in range(basis.n_sites):
-            up = w >> (2 * x) & 1
-            dn = w >> (2 * x + 1) & 1
-            diag += t[x, x] * (up + dn) + u * up * dn
-        if diag != 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-        for x in range(basis.n_sites):
-            for y in range(basis.n_sites):
-                if x == y or t[x, y] == 0.0:
-                    continue
-                for s in (0, 1):
-                    hop = apply_c(w, y, s, basis.n_sites)
-                    if hop is None:
-                        continue
-                    w1, sgn1 = hop
-                    created = apply_c_dagger(w1, x, s, basis.n_sites)
-                    if created is None:
-                        continue
-                    w2, sgn2 = created
-                    rows.append(basis.index[w2])
-                    cols.append(i)
-                    vals.append(t[x, y] * sgn1 * sgn2)
+    up, dn = basis.spin_occupations()
+    diag = np.zeros(basis.dim)
+    for x in range(basis.n_sites):
+        diag += t[x, x] * (up[:, x] + dn[:, x]) + u * up[:, x] * dn[:, x]
+    # zero diagonal entries stay out of the sparse pattern
+    nz = np.flatnonzero(diag)
+    rows, cols, vals = list(nz), list(nz), list(diag[nz])
+    for _, _, src, dst, amp in hopping_moves(basis, hopping):
+        rows.append(dst)
+        cols.append(src)
+        vals.append(amp)
     return _assemble(basis.dim, rows, cols, vals)
 
 
@@ -237,15 +251,8 @@ def number_operators(basis: SectorBasis):
     operators are diagonal in the occupation basis, so the diagonals carry
     the full matrices.
     """
-    occ = np.zeros((basis.n_sites, basis.dim))
-    docc = np.zeros(basis.dim)
-    for i, w in enumerate(basis.states):
-        for x in range(basis.n_sites):
-            up = w >> (2 * x) & 1
-            dn = w >> (2 * x + 1) & 1
-            occ[x, i] = up + dn
-            docc[i] += up * dn
-    return occ, docc
+    up, dn = basis.spin_occupations()
+    return (up + dn).T.astype(float), (up * dn).sum(axis=1).astype(float)
 
 
 def build_spin_operators(basis: SectorBasis):
@@ -254,14 +261,10 @@ def build_spin_operators(basis: SectorBasis):
     Returns ``(sx, sy, sz, s_squared)``.  S^2 is assembled in ladder form
     S- S+ + Sz^2 + Sz, which keeps it real; sy is the only complex matrix.
     """
-    dim = basis.dim
     rows, cols, vals = [], [], []
-    sz_diag = np.zeros(dim)
+    up, dn = basis.spin_occupations()
+    sz_diag = 0.5 * (up - dn).sum(axis=1)
     for i, w in enumerate(basis.states):
-        m = 0.0
-        for x in range(basis.n_sites):
-            m += 0.5 * ((w >> (2 * x) & 1) - (w >> (2 * x + 1) & 1))
-        sz_diag[i] = m
         # S+ = sum_x c+_{x,up} c_{x,down}
         for x in range(basis.n_sites):
             lowered = apply_c(w, x, 1, basis.n_sites)
@@ -275,19 +278,17 @@ def build_spin_operators(basis: SectorBasis):
             rows.append(basis.index[w2])
             cols.append(i)
             vals.append(float(sgn1 * sgn2))
-    splus = _assemble(dim, rows, cols, vals)
+    splus = _assemble(basis.dim, rows, cols, vals)
     if sp.issparse(splus):
         sminus = splus.T.tocsr()
         sz = sp.diags(sz_diag).tocsr()
         s_squared = (sminus @ splus + sp.diags(sz_diag**2 + sz_diag)).tocsr()
-        sx = 0.5 * (splus + sminus)
-        sy = -0.5j * (splus - sminus)
     else:
         sminus = splus.T
         sz = np.diag(sz_diag)
         s_squared = sminus @ splus + np.diag(sz_diag**2 + sz_diag)
-        sx = 0.5 * (splus + sminus)
-        sy = -0.5j * (splus - sminus)
+    sx = 0.5 * (splus + sminus)
+    sy = -0.5j * (splus - sminus)
     return sx, sy, sz, s_squared
 
 

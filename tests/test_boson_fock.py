@@ -20,6 +20,7 @@ from hubbard_phonon.boson_fock import (
     apply_weyl,
     coherent_amplitudes_1mode,
     coherent_state,
+    coherent_tail,
     coherent_weyl_overlap,
     d_gamma,
     displacement_1mode,
@@ -173,6 +174,50 @@ def test_displacement_1mode_unitary():
     assert np.max(np.abs(d.conj().T @ d - np.eye(26))) < 1e-12
     # first column is the coherent amplitude vector
     assert np.max(np.abs(d[:, 0] - coherent_amplitudes_1mode(0.6 - 0.2j, 25))) < 1e-12
+
+
+def test_displacement_stack_matches_rows():
+    space = _space([1.0, 0.5, 2.0], 5)
+    rng = np.random.default_rng(41)
+    z = np.array([0.4, 0.0, -0.3])
+    shape = (3, space.dim)
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stacked = apply_displacement(space, z, block)
+    for row, got in zip(block, stacked):
+        assert np.max(np.abs(apply_displacement(space, z, row) - got)) < 1e-15
+
+
+def test_displacement_1mode_cached_read_only():
+    d = displacement_1mode(0.3, 7)
+    assert displacement_1mode(0.3, 7) is d
+    assert not d.flags.writeable
+    assert not np.iscomplexobj(d)  # real amplitude, real matrix
+    assert np.iscomplexobj(displacement_1mode(0.3 + 0j, 7))
+
+
+@pytest.mark.parametrize("mean", [0.3, 1.0, 2.5, 6.0])
+@pytest.mark.parametrize("n_max", [2, 6, 12])
+def test_coherent_tail_matches_poisson_sum(mean, n_max):
+    n = np.arange(n_max + 1)
+    kept = np.sum(np.exp(-mean) * mean**n / factorial(n))
+    direct = 1.0 - kept
+    got = coherent_tail(np.sqrt(mean) * np.exp(0.7j), n_max)
+    # 1 - sum carries an absolute rounding error of a few machine epsilons
+    assert abs(got - direct) < 1e-12 * direct + 1e-15
+
+
+def test_coherent_tail_resolves_tiny_tails():
+    # Poisson(0.01) above 12: the series starts at e^-0.01 0.01^13 / 13!,
+    # far below the 1e-16 floor of 1 - sum(head)
+    mean, n_max = 0.01, 12
+    n = np.arange(n_max + 1, n_max + 8)
+    want = np.sum(np.exp(-mean) * mean**n / factorial(n))
+    got = coherent_tail(np.sqrt(mean), n_max)
+    assert 0.0 < got < 1e-35
+    assert abs(got - want) < 1e-12 * want
+    # elementwise over an amplitude vector
+    both = coherent_tail(np.array([np.sqrt(mean), 0.0]), n_max)
+    assert both[0] == got and both[1] == 0.0
 
 
 def test_coherent_truncation_reporting():

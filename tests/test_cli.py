@@ -2,6 +2,7 @@
 
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,35 @@ def test_validate_config_collects_messages():
     assert any("n_e" in m for m in msgs)
     assert any("kappa" in m for m in msgs)
     assert any("per_site" in m for m in msgs)
+
+
+def test_defaults_match_reference_config():
+    ref = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
+    assert load_config(None) == load_config(ref)
+
+
+def test_list_alpha_grid_runs_sweep(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        TASAKI.replace(
+            "alpha_grid: {start: 1.0, stop: 1.1, step: 0.02}",
+            "alpha_grid: [0.2, 0.5, 1.0, 1.5]",
+        )
+    )
+    out = tmp_path / "runs"
+    rc = main(["--config", str(cfg), "--out", str(out), "sweep"])
+    assert rc == 0
+    _, rows = _read_csv(out / "sweep.csv")
+    assert [float(r["alpha"]) for r in rows] == [0.2, 0.5, 1.0, 1.5]
+
+
+@pytest.mark.parametrize("grid", ["[]", "[0.2, fast]", "[true]", "fast", "0.5", "null"])
+def test_malformed_alpha_grid_exits_2(tmp_path, capsys, grid):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"coupling:\n  alpha_grid: {grid}\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
+    assert rc == 2
+    assert "config error: coupling.alpha_grid" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

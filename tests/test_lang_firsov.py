@@ -72,6 +72,19 @@ def test_unitary_routes_agree():
     assert np.max(np.abs(v_disp.conj().T @ v_disp - np.eye(m.dim))) < 1e-12
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_apply_unitary_matches_expm(inverse):
+    m = reference_model(n_max=3)
+    v_expm = unitary_V(m, method="expm")
+    if inverse:
+        v_expm = v_expm.conj().T
+    rng = np.random.default_rng(43)
+    v = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+    v /= np.linalg.norm(v)
+    got = m.apply_unitary(v, inverse=inverse)
+    assert np.max(np.abs(got - v_expm @ v)) < 1e-12
+
+
 def test_commutator_ladder():
     """The algebra that closes the dressing series after two steps.
 

@@ -44,6 +44,15 @@ def test_sector_occupations_sum():
     assert np.all(occ.sum(axis=1) == 4)
 
 
+def test_occupations_beyond_64_bit_words():
+    # 40 sites take 80-bit words; occupation tables must not overflow
+    basis = build_sector_basis(40, 2)
+    up, dn = basis.spin_occupations()
+    assert np.all(up.sum(axis=1) + dn.sum(axis=1) == 2)
+    # the largest word fills orbitals 78 and 79: site 39, both spins
+    assert up[-1, 39] == 1 and dn[-1, 39] == 1
+
+
 def test_sector_cap():
     with pytest.raises(SizingError):
         build_sector_basis(12, 12)  # C(24,12) ~ 2.7e6
