@@ -148,8 +148,18 @@ def validate_config(cfg):
         errs.append("lattice.hopping.kind must be one of chain, matrix, rank_one")
     elif kind == "matrix":
         m = hop.get("matrix")
-        if not isinstance(m, list) or n_sites is not None and len(m) != n_sites:
-            errs.append("lattice.hopping.matrix must be an n_sites x n_sites table")
+        if not isinstance(m, list) or n_sites is not None and not (
+            len(m) == n_sites
+            and all(
+                isinstance(row, list)
+                and len(row) == n_sites
+                and all(_is_num(v) for v in row)
+                for row in m
+            )
+        ):
+            errs.append(
+                "lattice.hopping.matrix must be an n_sites x n_sites table of numbers"
+            )
     elif kind == "rank_one":
         amps = hop.get("amplitudes")
         if not isinstance(amps, list) or (
@@ -207,6 +217,9 @@ def validate_config(cfg):
     sol = cfg.get("solver", {})
     if not _is_num(sol.get("cluster_tol")) or sol.get("cluster_tol") <= 0:
         errs.append("solver.cluster_tol must be a positive number")
+    levels = sol.get("levels")
+    if not isinstance(levels, int) or levels < 1:
+        errs.append("solver.levels must be an integer >= 1")
     for name, val in cfg.get("tolerances", {}).items():
         if not _is_num(val) or val <= 0:
             errs.append(f"tolerances.{name} must be a positive number")

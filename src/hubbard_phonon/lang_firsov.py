@@ -17,6 +17,7 @@ structure instead of materializing V.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .boson_fock import (
     mode_kron,
 )
 from .eigensolver import DENSE_MAX, eigensolve, ground_space
-from .errors import SizingError, ValidationError
+from .errors import SizingError, TruncationWarning, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     SectorBasis,
@@ -217,17 +218,27 @@ class CoupledModel:
 
 
 def _adaptive_n_max(modes: ModeSet, couplings, alpha: float, tail_bound: float) -> int:
-    """Smallest n_max whose worst-case coherent tail stays under the bound."""
+    """Smallest n_max whose worst-case coherent tail stays under the bound.
+
+    The search stops at n_max = 64; a tail still above the bound there is
+    reported with a :class:`TruncationWarning`.
+    """
     lam = np.asarray(couplings, dtype=float)
     g = lam / modes.freqs
     # doubly occupied site doubles the displacement
     zmax = alpha / np.sqrt(2.0) * 2.0 * g
     n_max = 10
-    while n_max < 64:
-        tail = coherent_tail(zmax, n_max).sum()
-        if tail < tail_bound:
-            break
+    tail = coherent_tail(zmax, n_max).sum()
+    while tail >= tail_bound and n_max < 64:
         n_max += 2
+        tail = coherent_tail(zmax, n_max).sum()
+    if tail >= tail_bound:
+        warnings.warn(
+            f"automatic n_max stopped at {n_max} with coherent tail "
+            f"{tail:.3e} above the bound {tail_bound:.1e}",
+            TruncationWarning,
+            stacklevel=3,
+        )
     return n_max
 
 

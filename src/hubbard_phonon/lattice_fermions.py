@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from itertools import combinations
 
 from .eigensolver import DENSE_MAX
@@ -69,20 +70,9 @@ class HoppingMatrix:
 
     @property
     def connected(self) -> bool:
-        n = self.n_sites
-        if n == 1:
-            return True
-        adj = np.abs(self.mat) > 0
-        np.fill_diagonal(adj, False)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in np.nonzero(adj[x])[0]:
-                if y not in seen:
-                    seen.add(int(y))
-                    stack.append(int(y))
-        return len(seen) == n
+        # diagonal entries are self-loops and join nothing
+        n, _ = connected_components(sp.csr_matrix(self.mat != 0), directed=False)
+        return n == 1
 
     def __repr__(self):
         return f"HoppingMatrix(n_sites={self.n_sites})"

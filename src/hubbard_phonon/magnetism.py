@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import GroundSpaceReport, ground_space
-from .errors import ValidationError
+from .errors import AmbiguousDegeneracyError, IterationLimitError, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
@@ -221,7 +221,8 @@ def sweep_alpha(
     energies of the effective electronic Hamiltonian whose kinetic diagonal
     is lowered by (alpha*b)**2/2 per electron.  Grid points that fail to
     classify (ambiguous clustering, solver breakdown) are kept in the output
-    with classification "Error" and the message in ``residual_flags``.
+    with classification "Error" and the message in ``residual_flags``; any
+    other exception propagates.
     """
     basis = build_sector_basis(hopping.n_sites, n_e)
     h0 = build_hubbard(basis, hopping, 0.0)
@@ -249,7 +250,11 @@ def sweep_alpha(
                 s_tot=rep.s_tot,
                 classification=classify(rep, n_e, hopping.n_sites),
             )
-        except Exception as exc:  # noqa: BLE001 - sweep must not die mid-grid
+        except (
+            AmbiguousDegeneracyError,
+            IterationLimitError,
+            np.linalg.LinAlgError,
+        ) as exc:  # the solver's own failures; anything else is a bug
             return SweepRecord(
                 alpha=float(alpha),
                 kappa=float(kappa),

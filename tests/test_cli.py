@@ -85,6 +85,27 @@ def test_malformed_alpha_grid_exits_2(tmp_path, capsys, grid):
     assert "config error: coupling.alpha_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("solver:\n  levels: abc\n", "solver.levels"),
+        ("solver:\n  levels: 2.5\n", "solver.levels"),
+        (
+            "lattice:\n  n_sites: 2\n  hopping:\n    kind: matrix\n"
+            "    matrix: [[0, -1], [-1]]\n",
+            "lattice.hopping.matrix",
+        ),
+    ],
+    ids=["levels-string", "levels-fraction", "ragged-matrix"],
+)
+def test_bad_levels_and_ragged_matrix_exit_2(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "spectrum"])
+    assert rc == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("electrons:\n  n_e: 99\n")

@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubbard_phonon.eigensolver import eigensolve, ground_space
 from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
+from hubbard_phonon.lang_firsov import effective_hamiltonians, reference_model
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
 )
+from hubbard_phonon.magnetism import build_tasaki_hopping
 
 
 def _random_sparse_sym(dim, density, seed):
@@ -113,3 +119,84 @@ def test_spectrum_head_recorded():
     rep = ground_space(h)
     assert rep.spectrum_head[0] == 0.0
     assert len(rep.spectrum_head) == 10
+
+
+# -- block-wise dense solves against an unsplit np.linalg.eigh ----------------
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    repeat=st.booleans(),
+    hermitian=st.booleans(),
+    sparse_input=st.booleans(),
+)
+def test_blockwise_matches_unsplit_eigh(sizes, seed, repeat, hermitian, sparse_input):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n in sizes:
+        a = rng.standard_normal((n, n))
+        if hermitian:
+            a = a + 1j * rng.standard_normal((n, n))
+        blocks.append(a + a.conj().T)
+    if repeat:
+        blocks.append(blocks[0])  # exact degeneracy across blocks
+    h = sla.block_diag(*blocks)
+    perm = rng.permutation(h.shape[0])
+    h = h[np.ix_(perm, perm)]
+    dim = h.shape[0]
+
+    vals, vecs = eigensolve(sp.csr_matrix(h) if sparse_input else h, k=dim)
+    ref = np.linalg.eigh(h)[0]
+    scale = max(1.0, np.linalg.norm(h, 2))
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-12
+    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    assert np.max(residual) <= 1e-10 * scale
+
+
+def test_single_block_is_bitwise_eigh():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((60, 60))
+    h = a + a.T
+    ref_vals, ref_vecs = np.linalg.eigh(h)
+    for arg in (h, sp.csr_matrix(h)):
+        vals, vecs = eigensolve(arg, k=60)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
+
+def test_rank_one_ground_space_matches_unsplit():
+    # 6 sites, n_e 5: the S_z blocks are 6, 90, 300, 300, 90, 6 states
+    amps = np.random.default_rng(7).uniform(0.5, 1.5, 6) * [1, -1, 1, 1, -1, 1]
+    basis = build_sector_basis(6, 5)
+    h = build_hubbard(basis, build_tasaki_hopping(1.0, amps), 1.0)
+    *_, s2 = build_spin_operators(basis)
+    rep = ground_space(h, s_squared=s2)
+    assert rep.degeneracy == 6 and rep.s_tot == 2.5
+
+    dense = h.toarray() if sp.issparse(h) else h
+    vals, vecs = np.linalg.eigh(dense)
+    deg = int(np.sum(vals - vals[0] <= 1e-8 * max(1.0, abs(vals[0]))))
+    s2_ground = np.einsum("ij,ij->j", vecs[:, :deg], s2 @ vecs[:, :deg])
+    assert deg == rep.degeneracy
+    assert np.allclose(s2_ground, 2.5 * 3.5, atol=1e-8)
+    assert abs(rep.e0 - vals[0]) <= 1e-12
+
+
+# -- Hermiticity probe of linear operators ------------------------------------
+
+
+def test_non_hermitian_operator_rejected():
+    a = np.triu(np.random.default_rng(16).standard_normal((30, 30)))
+    op = spla.LinearOperator((30, 30), matvec=lambda x: a @ x, dtype=float)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        eigensolve(op, k=2)
+
+
+def test_transformed_operator_passes_probe():
+    ha = effective_hamiltonians(reference_model(n_max=3))
+    vals, _ = eigensolve(ha.transformed, k=3, tol=1e-12)
+    # the two routes differ by truncation only, ~2e-3 at n_max 3
+    assert np.max(np.abs(vals - ha.direct_lowest(3, tol=1e-12))) < 1e-2

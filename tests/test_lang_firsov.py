@@ -5,15 +5,18 @@ The displacement-block route is the production path; the matrix-exponential
 route and the commutator ladder below are its independent oracles.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from hubbard_phonon.boson_fock import field
-from hubbard_phonon.errors import SizingError, ValidationError
-from hubbard_phonon.ir_modes import CutoffFamily
+from hubbard_phonon.errors import SizingError, TruncationWarning, ValidationError
+from hubbard_phonon.ir_modes import CutoffFamily, discretize
 from hubbard_phonon.lang_firsov import (
     CoupledModel,
+    _adaptive_n_max,
     annihilation_residual,
     build_generator,
     dress_state,
@@ -260,3 +263,14 @@ def test_adaptive_truncation_choice():
     assert m.fock.n_max >= 8
     st, _ = dressed_ground(m)
     assert st.truncation_error < 1e-6
+
+
+def test_adaptive_n_max_warns_when_bound_missed():
+    disc = discretize(CutoffFamily(beta=0.5, big_k=1.0), 0.1, 2, n_sites=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        assert _adaptive_n_max(disc.modes, disc.couplings, 0.5, 1e-8) < 64
+    with pytest.warns(TruncationWarning, match="stopped at 64") as rec:
+        assert _adaptive_n_max(disc.modes, disc.couplings, 20.0, 1e-8) == 64
+    # the message carries the tail that was reached
+    assert "coherent tail" in str(rec[0].message)

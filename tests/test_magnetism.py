@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hubbard_phonon import magnetism
 from hubbard_phonon.errors import ValidationError
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
@@ -159,3 +160,13 @@ def test_sweep_captures_point_failures():
     assert labels[0] == "Ferromagnetic"
     assert labels[1] == "Error" and recs[1].residual_flags
     assert labels[2] == "UniqueSinglet"
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the solver path")
+
+    monkeypatch.setattr(magnetism, "ground_space", broken)
+    hop = build_tasaki_hopping(1.0, [1.0, 1.0, 1.0])
+    with pytest.raises(TypeError, match="bug in the solver path"):
+        sweep_alpha(hop, 2, 1.0, B_REF, [0.5, 1.5])
