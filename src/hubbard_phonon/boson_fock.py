@@ -137,8 +137,9 @@ def ladder(space: TruncatedFock, j: int):
 
 
 def annihilator(space: TruncatedFock, f) -> sp.csr_matrix:
-    """a(f) = sum_j conj(f_j) a_j (antilinear in f)."""
-    f = np.asarray(f, dtype=complex)
+    """a(f) = sum_j conj(f_j) a_j (antilinear in f); real for real f."""
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f.dtype, np.float64))
     if f.shape != (space.modes.m,):
         raise ValidationError("f must assign one amplitude per mode")
     out = None
@@ -149,7 +150,7 @@ def annihilator(space: TruncatedFock, f) -> sp.csr_matrix:
         term = np.conj(f[j]) * a
         out = term if out is None else out + term
     if out is None:
-        out = sp.csr_matrix((space.dim, space.dim))
+        out = sp.csr_matrix((space.dim, space.dim), dtype=f.dtype)
     return out.tocsr()
 
 
@@ -204,19 +205,30 @@ def mode_kron(factors):
 def apply_displacement(space: TruncatedFock, z, block):
     """Apply prod_j D(z_j) to a vector or to each row of a (k, dim) stack.
 
-    Per mode with z_j != 0 this is one dense (n_max+1)^2 contraction.
+    Per mode with z_j != 0 this is one matrix product: ``D @ t`` on the
+    (n_max+1, rest) slices of the mode's axis, or ``t @ D.T`` on the last
+    mode.  A complex block under a real D is contracted as its interleaved
+    real and imaginary parts, so every product runs on real BLAS.
     """
     z = np.asarray(z)
-    if z.shape != (space.modes.m,):
+    m = space.modes.m
+    if z.shape != (m,):
         raise ValidationError("z must assign one displacement per mode")
     shape = np.shape(block)
-    t = np.reshape(block, shape[:-1] + space.shape)
-    for j in range(space.modes.m):
+    n = space.n_max + 1
+    t = np.asarray(block)
+    for j in range(m):
         if z[j] == 0:
             continue
         d = displacement_1mode(z[j], space.n_max)
-        ax = len(shape) - 1 + j
-        t = np.moveaxis(np.tensordot(d, t, axes=([1], [ax])), 0, ax)
+        post = n ** (m - 1 - j)
+        if post == 1:
+            t = t.reshape(-1, n) @ d.T
+        elif np.iscomplexobj(t) and not np.iscomplexobj(d):
+            re_im = np.ascontiguousarray(t).reshape(-1, n, post).view(np.float64)
+            t = np.matmul(d, re_im).view(t.dtype)
+        else:
+            t = np.matmul(d, t.reshape(-1, n, post))
     return t.reshape(shape)
 
 

@@ -146,6 +146,9 @@ def validate_config(cfg):
     kind = hop.get("kind")
     if kind not in ("chain", "matrix", "rank_one"):
         errs.append("lattice.hopping.kind must be one of chain, matrix, rank_one")
+    elif kind == "chain":
+        if not _is_num(hop.get("t", -1.0)):
+            errs.append("lattice.hopping.t must be a number")
     elif kind == "matrix":
         m = hop.get("matrix")
         if not isinstance(m, list) or n_sites is not None and not (
@@ -161,13 +164,15 @@ def validate_config(cfg):
                 "lattice.hopping.matrix must be an n_sites x n_sites table of numbers"
             )
     elif kind == "rank_one":
+        if not _is_num(hop.get("t0", 1.0)):
+            errs.append("lattice.hopping.t0 must be a number")
         amps = hop.get("amplitudes")
         if not isinstance(amps, list) or (
             n_sites is not None and len(amps) != n_sites
         ):
             errs.append("lattice.hopping.amplitudes must list one value per site")
-        elif any(a == 0 for a in amps):
-            errs.append("lattice.hopping.amplitudes must be nonzero site amplitudes")
+        elif not all(_is_num(a) and a != 0 for a in amps):
+            errs.append("lattice.hopping.amplitudes must be nonzero numbers")
     n_e = cfg.get("electrons", {}).get("n_e")
     if not isinstance(n_e, int) or n_e < 0:
         errs.append("electrons.n_e must be a nonnegative integer")

@@ -18,12 +18,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AmbiguousDegeneracyError, IterationLimitError, ValidationError
+from .errors import (
+    AccuracyError,
+    AmbiguousDegeneracyError,
+    IterationLimitError,
+    ValidationError,
+)
 
 # Dense/sparse crossover for assembly, eigensolves and dense operators.
 DENSE_MAX = 4096
 
-__all__ = ["eigensolve", "ground_space", "GroundSpaceReport"]
+__all__ = ["eigensolve", "multiplet_levels", "ground_space", "GroundSpaceReport"]
 
 
 def _is_operator(h) -> bool:
@@ -35,21 +40,18 @@ HERMITIAN_TOL = 1e-12
 
 
 def _check_hermitian(h) -> None:
+    """Hermiticity of a sparse matrix or, by probe, of a linear operator."""
     if _is_operator(h):
         _probe_hermitian(h)
         return
-    if sp.issparse(h):
-        d = h - h.conj().T
-        asym = np.max(np.abs(d.data)) if d.nnz else 0.0
-        scale = np.max(np.abs(h.data)) if h.nnz else 0.0
-    else:
-        if np.iscomplexobj(h):
-            d = np.abs(h - np.conj(h.T))
-        else:
-            d = h - h.T  # real input: no conjugate copy, abs in place
-            np.abs(d, out=d)
-        asym = np.max(d) if h.size else 0.0
-        scale = np.max(np.abs(h)) if h.size else 0.0
+    d = h - h.conj().T
+    _require_hermitian(
+        np.max(np.abs(d.data)) if d.nnz else 0.0,
+        np.max(np.abs(h.data)) if h.nnz else 0.0,
+    )
+
+
+def _require_hermitian(asym, scale) -> None:
     if asym > HERMITIAN_TOL * max(1.0, scale):
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:g}")
 
@@ -74,10 +76,19 @@ def _blockwise_eigh(dense, labels):
     are merged by a stable ascending sort and each block's eigenvectors
     land, zero-padded, in their sorted columns.  A single block returns
     exactly what ``np.linalg.eigh`` does.
+
+    Hermiticity is checked on the blocks: every nonzero and its transpose
+    partner lie in one block, so the blocks' largest asymmetry and entry
+    are the whole matrix's.
     """
     by_label = np.argsort(labels, kind="stable")
     blocks = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
-    parts = [np.linalg.eigh(dense[np.ix_(idx, idx)]) for idx in blocks]
+    subs = [dense[np.ix_(idx, idx)] for idx in blocks]
+    _require_hermitian(
+        max(np.max(np.abs(b - b.conj().T), initial=0.0) for b in subs),
+        max(np.max(np.abs(b), initial=0.0) for b in subs),
+    )
+    parts = [np.linalg.eigh(b) for b in subs]
     vals = np.concatenate([w for w, _ in parts])
     order = np.argsort(vals, kind="stable")
     column = np.empty_like(order)
@@ -112,7 +123,6 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     if k < 1:
         raise ValidationError("k must be >= 1")
     k = min(k, dim)
-    _check_hermitian(h)
 
     if isinstance(h, np.ndarray) or (
         sp.issparse(h) and (dim <= DENSE_MAX or k >= dim - 1)
@@ -123,6 +133,7 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
         vals, vecs = _blockwise_eigh(dense, labels)
         return vals[:k], vecs[:, :k]
 
+    _check_hermitian(h)
     if _is_operator(h) and k >= dim - 1:
         raise ValidationError(
             f"k = {k} too close to dim = {dim} for the iterative path"
@@ -163,21 +174,87 @@ class GroundSpaceReport:
     spectrum_head: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+def snap_spin(q: float, tol_spin: float):
+    """The half-integer s with |q - s(s+1)| <= tol_spin, or None."""
+    s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * q)))
+    s_half = round(2.0 * s) / 2.0
+    if abs(q - s_half * (s_half + 1.0)) > tol_spin:
+        return None
+    return s_half
+
+
 def _spin_label(vectors, s_squared, tol_spin):
-    qs = []
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j]
-        q = np.vdot(v, s_squared @ v).real
-        qs.append(q)
-    qs = np.asarray(qs)
+    qs = np.array([np.vdot(v, s_squared @ v).real for v in vectors.T])
     if np.max(np.abs(qs - qs[0])) > tol_spin:
         return "mixed"
-    # invert q = s(s+1) and snap to the nearest half integer
-    s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * qs[0])))
-    s_half = round(2.0 * s) / 2.0
-    if abs(qs[0] - s_half * (s_half + 1.0)) > tol_spin:
-        return "mixed"
-    return s_half
+    s = snap_spin(qs[0], tol_spin)
+    return "mixed" if s is None else s
+
+
+# Relative gap below which two Ritz values of one S_z sector count as one
+# level (the default ground-space clustering tolerance).
+MULTIPLET_TOL = 1e-8
+
+
+def multiplet_levels(h, s_squared, k: int, tol: float = 0.0, tol_spin=1e-6):
+    """Lowest ``k`` levels of a spin-symmetric Hamiltonian from one S_z sector.
+
+    ``h`` is the Hamiltonian restricted to the sector with the smallest
+    |S_z|, which holds exactly one member of every multiplet, and
+    ``s_squared`` is S^2 on that sector.  The sector's lowest ``k``
+    eigenpairs are solved; their Ritz values are clustered at relative
+    ``MULTIPLET_TOL``, each cluster's Gram matrix V^H S^2 V is diagonalised
+    and its eigenvalues snapped to s(s+1), and each level is repeated 2s+1
+    times.  Within a cluster the levels agree to the clustering tolerance,
+    so Ritz values and spins are paired in ascending order.
+
+    Every level the solve did not reach lies at or above the last Ritz
+    value, so the lowest ``k`` of the restored list are the full space's
+    lowest ``k`` whenever every spin used snapped.  A cluster that does not
+    snap raises :class:`AccuracyError`, except the last one of a solve that
+    did not cover the sector: its multiplet may continue past the solve, so
+    the sector ``k`` is doubled, as :func:`ground_space` does, up to what
+    the solver takes.
+    """
+    dim = h.shape[0]
+    k_max = dim - 2 if _is_operator(h) else dim
+    k_sec = min(k, k_max)
+    while True:
+        vals, vecs = eigensolve(h, k=k_sec, tol=tol)
+        levels = _restore_multiplets(
+            vals, vecs, s_squared, k, k_sec == dim, tol_spin
+        )
+        if levels is not None:
+            return levels
+        if k_sec >= k_max:
+            raise AccuracyError(
+                f"the multiplet completing {k} levels runs past the {k_sec} "
+                "sector levels the solver can compute"
+            )
+        k_sec = min(2 * k_sec, k_max)
+
+
+def _restore_multiplets(vals, vecs, s_squared, k, complete, tol_spin):
+    """The levels of :func:`multiplet_levels`, or None to ask for more pairs."""
+    gaps = np.diff(vals) > MULTIPLET_TOL * np.maximum(1.0, np.abs(vals[:-1]))
+    breaks = np.flatnonzero(gaps) + 1
+    levels = []
+    for a, b in zip(np.r_[0, breaks], np.r_[breaks, len(vals)]):
+        v = vecs[:, a:b]
+        qs = np.linalg.eigvalsh(v.conj().T @ (s_squared @ v))
+        spins = [snap_spin(q, tol_spin) for q in qs]
+        if None in spins:
+            if b == len(vals) and not complete:
+                return None
+            raise AccuracyError(
+                f"levels {vals[a]:.12g}..{vals[b - 1]:.12g}: S^2 eigenvalues "
+                f"{qs} are not s(s+1) within {tol_spin:g}"
+            )
+        for e, s in zip(vals[a:b], spins):
+            levels += [e] * int(round(2.0 * s + 1.0))
+        if len(levels) >= k:
+            break
+    return np.sort(np.asarray(levels, dtype=float))[:k]
 
 
 def ground_space(

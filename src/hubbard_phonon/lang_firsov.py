@@ -36,14 +36,16 @@ from .boson_fock import (
     field,
     mode_kron,
 )
-from .eigensolver import DENSE_MAX, eigensolve, ground_space
+from .eigensolver import DENSE_MAX, eigensolve, ground_space, multiplet_levels
 from .errors import SizingError, TruncationWarning, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     SectorBasis,
     build_hubbard,
     build_sector_basis,
+    build_spin_operators,
     hopping_moves,
+    sz_sector,
 )
 
 COUPLED_DIM_CAP = 2_000_000
@@ -182,8 +184,6 @@ class CoupledModel:
         for x in range(self.basis.n_sites):
             nx = sp.diags(self.nu[:, x])
             h = h + self.alpha * sp.kron(nx, field(self.fock, self.lam[x]), format="csr")
-        if np.iscomplexobj(h.data) and np.max(np.abs(h.data.imag)) == 0.0:
-            h = h.real
         return h.tocsr()
 
     @classmethod
@@ -452,17 +452,25 @@ class EffectiveHamiltonians:
     equivalent.  The product form H_e^eff x 1 + 1 x H_b drops the dressing
     of the hopping; its spectrum is NOT equal to the direct one in general
     and is exposed separately so the deviation can be measured.
+
+    The coupling n_x is a spin scalar, so the direct and the transformed
+    Hamiltonians commute with S^2 and S_z.  ``direct_lowest`` and
+    ``transformed_lowest`` therefore solve only the sector with the smallest
+    |S_z| (2 S_z = n_e mod 2), which holds one member of every multiplet,
+    and restore the multiplicities from S^2 (:func:`multiplet_levels`).
     """
 
     def __init__(self, model: CoupledModel):
         self.model = model
         self._direct = None
+        self._sector = None
         fock = model.fock
         self.diag = (
             np.add.outer(model.he_diagonal() - model.alpha**2 * model.r_diag(),
                          fock.hb_diag())
         )
-        # move table for the dressed hopping, grouped by (x, y) pairs
+        # dressed hopping per (x, y) pair: each distinct source configuration
+        # is displaced once, then a sparse (F, n_src) hop matrix scatters it
         moves = {}
         for x, y, src, dst, amp in hopping_moves(model.basis, model.hopping):
             moves.setdefault((x, y), []).append((src, dst, amp))
@@ -470,15 +478,16 @@ class EffectiveHamiltonians:
         for (x, y), entries in moves.items():
             zdiff = (model.alpha / np.sqrt(2.0)) * (model.g[x] - model.g[y])
             src, dst, amp = (np.array(col) for col in zip(*entries))
-            self._moves.append((src, dst, amp, zdiff))
+            usrc, col = np.unique(src, return_inverse=True)
+            hop = sp.csr_matrix((amp, (dst, col)), shape=(model.basis.dim, usrc.size))
+            self._moves.append((usrc, hop, zdiff))
 
     def transformed_matvec(self, vec):
         model = self.model
         t = np.asarray(vec).reshape(model.basis.dim, model.fock.dim)
         out = self.diag * t
-        for src, dst, amp, zdiff in self._moves:
-            moved = apply_displacement(model.fock, zdiff, t[src])
-            np.add.at(out, dst, amp[:, None] * moved)
+        for usrc, hop, zdiff in self._moves:
+            out += hop @ apply_displacement(model.fock, zdiff, t[usrc])
         return out.reshape(-1)
 
     @property
@@ -503,12 +512,27 @@ class EffectiveHamiltonians:
         return np.sort(np.partition(grid, min(k, grid.size - 1))[:k])
 
     def direct_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        vals, _ = eigensolve(self.direct, k=k, tol=tol)
-        return vals[:k]
+        sector, s2 = self._lowest_sz()
+        return multiplet_levels(sector.direct, s2, k, tol)
 
     def transformed_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        vals, _ = eigensolve(self.transformed, k=k, tol=tol)
-        return vals[:k]
+        sector, s2 = self._lowest_sz()
+        return multiplet_levels(sector.transformed, s2, k, tol)
+
+    def _lowest_sz(self):
+        """The lowest-|S_z| sector's Hamiltonians and S^2 x 1 there (cached)."""
+        if self._sector is None:
+            m = self.model
+            basis, idx = sz_sector(m.basis, m.basis.n_e % 2)
+            # S^2 is block diagonal in S_z: its restriction is exact
+            s2 = sp.csr_matrix(build_spin_operators(m.basis)[3])[idx][:, idx]
+            self._sector = (
+                EffectiveHamiltonians(
+                    CoupledModel(basis, m.hopping, m.u, m.alpha, m.fock, m.lam)
+                ),
+                sp.kron(s2, sp.identity(m.fock.dim), format="csr"),
+            )
+        return self._sector
 
 
 def effective_hamiltonians(model: CoupledModel) -> EffectiveHamiltonians:

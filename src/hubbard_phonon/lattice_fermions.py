@@ -24,6 +24,7 @@ __all__ = [
     "HoppingMatrix",
     "SectorBasis",
     "build_sector_basis",
+    "sz_sector",
     "apply_c_dagger",
     "apply_c",
     "fock_operator",
@@ -127,6 +128,18 @@ def build_sector_basis(n_sites: int, n_e: int) -> SectorBasis:
         sum(1 << p for p in orbs) for orbs in combinations(range(2 * n_sites), n_e)
     )
     return SectorBasis(n_sites, n_e, states)
+
+
+def sz_sector(basis: SectorBasis, two_sz: int):
+    """The configurations of ``basis`` with 2 S_z = ``two_sz``, as a basis.
+
+    Returns ``(sector, idx)``: ``idx`` lists the positions of the kept
+    states in ``basis``, in the sector's order.
+    """
+    up, dn = basis.spin_occupations()
+    idx = np.flatnonzero((up - dn).sum(axis=1) == two_sz)
+    states = [basis.states[i] for i in idx]
+    return SectorBasis(basis.n_sites, basis.n_e, states), idx
 
 
 def _parity_below(word: int, p: int) -> int:

@@ -26,6 +26,7 @@ from hubbard_phonon.boson_fock import (
     displacement_1mode,
     field,
     ladder,
+    mode_kron,
     relative_bound_check,
     weyl,
 )
@@ -185,6 +186,28 @@ def test_displacement_stack_matches_rows():
     stacked = apply_displacement(space, z, block)
     for row, got in zip(block, stacked):
         assert np.max(np.abs(apply_displacement(space, z, row) - got)) < 1e-15
+
+
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_displacement_matches_dense_product(complex_block):
+    # real z: every mode's D is real, so a complex block takes the
+    # interleaved real-and-imaginary route
+    space = _space([1.0, 0.5, 2.0], 4)
+    rng = np.random.default_rng(43)
+    z = np.array([0.4, -0.25, 0.3])
+    block = rng.standard_normal((2, space.dim))
+    if complex_block:
+        block = block + 1j * rng.standard_normal((2, space.dim))
+    dense = mode_kron([displacement_1mode(zj, space.n_max) for zj in z])
+    got = apply_displacement(space, z, block)
+    assert got.dtype == block.dtype
+    assert np.max(np.abs(got - block @ dense.T)) < 1e-13
+
+
+def test_real_amplitude_field_is_real():
+    space = _space([1.0, 0.5], 4)
+    assert not np.iscomplexobj(field(space, [0.3, -0.2]).data)
+    assert np.iscomplexobj(field(space, [0.3j, -0.2]).data)
 
 
 def test_displacement_1mode_cached_read_only():

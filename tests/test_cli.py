@@ -106,6 +106,29 @@ def test_bad_levels_and_ragged_matrix_exit_2(tmp_path, capsys, text, key):
     assert f"config error: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "hopping, key",
+    [
+        ("kind: chain\n    t: abc\n", "lattice.hopping.t "),
+        (
+            "kind: rank_one\n    amplitudes: [x, 1.0]\n",
+            "lattice.hopping.amplitudes",
+        ),
+        (
+            "kind: rank_one\n    t0: abc\n    amplitudes: [1.0, 1.0]\n",
+            "lattice.hopping.t0",
+        ),
+    ],
+    ids=["chain-t", "rank-one-amplitude", "rank-one-t0"],
+)
+def test_non_numeric_hopping_scalars_exit_2(tmp_path, capsys, hopping, key):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"lattice:\n  n_sites: 2\n  hopping:\n    {hopping}")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
+    assert rc == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("electrons:\n  n_e: 99\n")

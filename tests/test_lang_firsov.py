@@ -10,9 +10,23 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hubbard_phonon.boson_fock import field
-from hubbard_phonon.errors import SizingError, TruncationWarning, ValidationError
+from hubbard_phonon.boson_fock import (
+    ModeSet,
+    TruncatedFock,
+    displacement_1mode,
+    field,
+    mode_kron,
+)
+from hubbard_phonon.eigensolver import multiplet_levels
+from hubbard_phonon.errors import (
+    AccuracyError,
+    SizingError,
+    TruncationWarning,
+    ValidationError,
+)
 from hubbard_phonon.ir_modes import CutoffFamily, discretize
 from hubbard_phonon.lang_firsov import (
     CoupledModel,
@@ -29,6 +43,11 @@ from hubbard_phonon.lang_firsov import (
     unitary_V,
     verify_transform_hb,
     verify_transform_nb,
+)
+from hubbard_phonon.lattice_fermions import (
+    HoppingMatrix,
+    build_sector_basis,
+    hopping_moves,
 )
 
 M6 = reference_model(n_max=6)
@@ -222,6 +241,100 @@ def test_spectral_equivalence_and_product_defect():
     assert np.max(np.abs(d - t)) < 5e-5
     # dropping the hopping dressing shifts the spectrum by a finite amount
     assert np.max(np.abs(d - p)) > 1e-2
+
+
+# -- lowest-|S_z| sector solves against full-space dense oracles --------------
+
+
+def _random_model(n_sites, n_e, seed, u, alpha, n_max):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_sites, n_sites))
+    return CoupledModel(
+        build_sector_basis(n_sites, n_e),
+        HoppingMatrix(a + a.T),
+        u,
+        alpha,
+        TruncatedFock(ModeSet(rng.uniform(0.5, 1.5, 2)), n_max),
+        rng.standard_normal((n_sites, 2)),
+    )
+
+
+def _dense_transformed(model):
+    """The transformed Hamiltonian assembled entry block by entry block."""
+    b = model.fock.dim
+    diag = np.add.outer(
+        model.he_diagonal() - model.alpha**2 * model.r_diag(), model.fock.hb_diag()
+    )
+    h = np.diag(diag.ravel())
+    for x, y, src, dst, amp in hopping_moves(model.basis, model.hopping):
+        z = (model.alpha / np.sqrt(2.0)) * (model.g[x] - model.g[y])
+        d = mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in z])
+        h[dst * b : (dst + 1) * b, src * b : (src + 1) * b] += amp * d.real
+    return h
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    sites_and_electrons=st.integers(2, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 2 * n - 1))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    u=st.floats(0.0, 4.0),
+    alpha=st.floats(0.1, 1.0),
+    n_max=st.integers(2, 3),
+    k=st.integers(1, 6),
+)
+def test_sector_levels_match_full_space(sites_and_electrons, seed, u, alpha, n_max, k):
+    n_sites, n_e = sites_and_electrons
+    model = _random_model(n_sites, n_e, seed, u, alpha, n_max)
+    ha = effective_hamiltonians(model)
+    direct = np.linalg.eigvalsh(model.h_direct().toarray())[:k]
+    transformed = np.linalg.eigvalsh(_dense_transformed(model))[:k]
+    assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
+    assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
+
+
+def test_sector_levels_restore_triplet():
+    # strong u: the triplet sits just above the singlet ground state
+    model = CoupledModel(
+        build_sector_basis(2, 2),
+        HoppingMatrix.chain(2, -1.0),
+        6.0,
+        0.3,
+        TruncatedFock(ModeSet([0.7, 1.1]), 3),
+        [[0.5, 0.2], [0.2, 0.5]],
+    )
+    ha = effective_hamiltonians(model)
+    for levels, full in (
+        (ha.direct_lowest(5), model.h_direct().toarray()),
+        (ha.transformed_lowest(5), _dense_transformed(model)),
+    ):
+        assert np.max(np.abs(levels - np.linalg.eigvalsh(full)[:5])) <= 1e-9
+        assert levels[1] - levels[0] > 1e-2
+        assert np.ptp(levels[1:4]) <= 1e-10  # one S = 1 multiplet
+        assert levels[4] - levels[3] > 1e-2
+
+
+def test_multiplet_levels_rejects_unsnapped_spin():
+    h = np.diag([0.0, 1.0])
+    with pytest.raises(AccuracyError, match="not s\\(s\\+1\\)"):
+        multiplet_levels(h, 0.5 * np.eye(2), 2)  # S^2 = 0.5 is no s(s+1)
+
+
+def test_multiplet_levels_extends_a_cut_multiplet():
+    # the level at 1 is twofold in the sector: an S = 0 and an S = 1
+    # multiplet; a solve for 2 levels gets one vector of the pair, whose
+    # S^2 = 1 does not snap, so the solve is repeated over both
+    h = np.diag([0.0, 1.0, 1.0])
+    s2 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    assert np.array_equal(multiplet_levels(h, s2, 2), [0.0, 1.0])
+    assert np.array_equal(multiplet_levels(h, s2, 5), [0.0, 1.0, 1.0, 1.0, 1.0])
+
+
+def test_direct_data_is_contiguous_real():
+    ha = effective_hamiltonians(M6)
+    data = ha.direct.data
+    assert data.dtype == np.float64 and data.flags.c_contiguous
 
 
 def test_overlap_formula_matches_matrix_route():
