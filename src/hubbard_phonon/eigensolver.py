@@ -195,8 +195,11 @@ def _spin_label(vectors, s_squared, tol_spin):
 # level (the default ground-space clustering tolerance).
 MULTIPLET_TOL = 1e-8
 
+# Absolute distance from s(s+1) within which an S^2 value names a spin s.
+SPIN_TOL = 1e-6
 
-def multiplet_levels(h, s_squared, k: int, tol: float = 0.0, tol_spin=1e-6):
+
+def multiplet_levels(h, s_squared, k: int, tol: float = 0.0):
     """Lowest ``k`` levels of a spin-symmetric Hamiltonian from one S_z sector.
 
     ``h`` is the Hamiltonian restricted to the sector with the smallest
@@ -205,8 +208,9 @@ def multiplet_levels(h, s_squared, k: int, tol: float = 0.0, tol_spin=1e-6):
     eigenpairs are solved; their Ritz values are clustered at relative
     ``MULTIPLET_TOL``, each cluster's Gram matrix V^H S^2 V is diagonalised
     and its eigenvalues snapped to s(s+1), and each level is repeated 2s+1
-    times.  Within a cluster the levels agree to the clustering tolerance,
-    so Ritz values and spins are paired in ascending order.
+    times.  A spin's energy is the Ritz energy of its Gram eigenvector
+    (diag U^H E U), so two multiplets that fall within one cluster keep
+    their own energies.
 
     Every level the solve did not reach lies at or above the last Ritz
     value, so the lowest ``k`` of the restored list are the full space's
@@ -221,9 +225,7 @@ def multiplet_levels(h, s_squared, k: int, tol: float = 0.0, tol_spin=1e-6):
     k_sec = min(k, k_max)
     while True:
         vals, vecs = eigensolve(h, k=k_sec, tol=tol)
-        levels = _restore_multiplets(
-            vals, vecs, s_squared, k, k_sec == dim, tol_spin
-        )
+        levels = _restore_multiplets(vals, vecs, s_squared, k, k_sec == dim)
         if levels is not None:
             return levels
         if k_sec >= k_max:
@@ -234,23 +236,28 @@ def multiplet_levels(h, s_squared, k: int, tol: float = 0.0, tol_spin=1e-6):
         k_sec = min(2 * k_sec, k_max)
 
 
-def _restore_multiplets(vals, vecs, s_squared, k, complete, tol_spin):
+def _restore_multiplets(vals, vecs, s_squared, k, complete):
     """The levels of :func:`multiplet_levels`, or None to ask for more pairs."""
     gaps = np.diff(vals) > MULTIPLET_TOL * np.maximum(1.0, np.abs(vals[:-1]))
     breaks = np.flatnonzero(gaps) + 1
     levels = []
     for a, b in zip(np.r_[0, breaks], np.r_[breaks, len(vals)]):
         v = vecs[:, a:b]
-        qs = np.linalg.eigvalsh(v.conj().T @ (s_squared @ v))
-        spins = [snap_spin(q, tol_spin) for q in qs]
+        qs, u = np.linalg.eigh(v.conj().T @ (s_squared @ v))
+        spins = [snap_spin(q, SPIN_TOL) for q in qs]
         if None in spins:
             if b == len(vals) and not complete:
                 return None
             raise AccuracyError(
                 f"levels {vals[a]:.12g}..{vals[b - 1]:.12g}: S^2 eigenvalues "
-                f"{qs} are not s(s+1) within {tol_spin:g}"
+                f"{qs} are not s(s+1) within {SPIN_TOL:g}"
             )
-        for e, s in zip(vals[a:b], spins):
+        # Rayleigh quotients of the cluster: clipped to its range, so a
+        # degenerate cluster keeps its energy bit for bit
+        energies = np.clip(
+            np.einsum("ij,i,ij->j", u.conj(), vals[a:b], u).real, vals[a], vals[b - 1]
+        )
+        for e, s in zip(energies, spins):
             levels += [e] * int(round(2.0 * s + 1.0))
         if len(levels) >= k:
             break
@@ -261,7 +268,7 @@ def ground_space(
     h,
     cluster_tol: float = 1e-8,
     s_squared=None,
-    tol_spin: float = 1e-6,
+    tol_spin: float = SPIN_TOL,
     k_probe: int = 8,
 ) -> GroundSpaceReport:
     """Ground energy, degeneracy and an orthonormal ground basis.

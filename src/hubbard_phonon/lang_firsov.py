@@ -454,46 +454,52 @@ class EffectiveHamiltonians:
     and is exposed separately so the deviation can be measured.
 
     The coupling n_x is a spin scalar, so the direct and the transformed
-    Hamiltonians commute with S^2 and S_z.  ``direct_lowest`` and
-    ``transformed_lowest`` therefore solve only the sector with the smallest
-    |S_z| (2 S_z = n_e mod 2), which holds one member of every multiplet,
-    and restore the multiplicities from S^2 (:func:`multiplet_levels`).
+    Hamiltonians commute with S^2 and S_z.  Both are therefore built on
+    ``sector``, the model restricted to the S_z sector with the smallest
+    |S_z| (2 S_z = n_e mod 2), which holds one member of every multiplet:
+    ``direct``, ``transformed`` and ``transformed_matvec`` act there, and
+    ``direct_lowest`` and ``transformed_lowest`` restore the multiplicities
+    from ``s2``, S^2 x 1 on the sector (:func:`multiplet_levels`).
     """
 
     def __init__(self, model: CoupledModel):
         self.model = model
+        basis, idx = sz_sector(model.basis, model.basis.n_e % 2)
+        sec = self.sector = CoupledModel(
+            basis, model.hopping, model.u, model.alpha, model.fock, model.lam
+        )
+        # S^2 is block diagonal in S_z: its restriction is exact
+        s2 = sp.csr_matrix(build_spin_operators(model.basis)[3])[idx][:, idx]
+        self.s2 = sp.kron(s2, sp.identity(sec.fock.dim), format="csr")
         self._direct = None
-        self._sector = None
-        fock = model.fock
-        self.diag = (
-            np.add.outer(model.he_diagonal() - model.alpha**2 * model.r_diag(),
-                         fock.hb_diag())
+        self.diag = np.add.outer(
+            sec.he_diagonal() - sec.alpha**2 * sec.r_diag(), sec.fock.hb_diag()
         )
         # dressed hopping per (x, y) pair: each distinct source configuration
         # is displaced once, then a sparse (F, n_src) hop matrix scatters it
         moves = {}
-        for x, y, src, dst, amp in hopping_moves(model.basis, model.hopping):
+        for x, y, src, dst, amp in hopping_moves(sec.basis, sec.hopping):
             moves.setdefault((x, y), []).append((src, dst, amp))
         self._moves = []
         for (x, y), entries in moves.items():
-            zdiff = (model.alpha / np.sqrt(2.0)) * (model.g[x] - model.g[y])
+            zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
             src, dst, amp = (np.array(col) for col in zip(*entries))
             usrc, col = np.unique(src, return_inverse=True)
-            hop = sp.csr_matrix((amp, (dst, col)), shape=(model.basis.dim, usrc.size))
+            hop = sp.csr_matrix((amp, (dst, col)), shape=(sec.basis.dim, usrc.size))
             self._moves.append((usrc, hop, zdiff))
 
     def transformed_matvec(self, vec):
-        model = self.model
-        t = np.asarray(vec).reshape(model.basis.dim, model.fock.dim)
+        sec = self.sector
+        t = np.asarray(vec).reshape(sec.basis.dim, sec.fock.dim)
         out = self.diag * t
         for usrc, hop, zdiff in self._moves:
-            out += hop @ apply_displacement(model.fock, zdiff, t[usrc])
+            out += hop @ apply_displacement(sec.fock, zdiff, t[usrc])
         return out.reshape(-1)
 
     @property
     def transformed(self) -> spla.LinearOperator:
         return spla.LinearOperator(
-            shape=(self.model.dim, self.model.dim),
+            shape=(self.sector.dim, self.sector.dim),
             matvec=self.transformed_matvec,
             dtype=np.float64,
         )
@@ -501,7 +507,7 @@ class EffectiveHamiltonians:
     @property
     def direct(self) -> sp.csr_matrix:
         if self._direct is None:
-            self._direct = self.model.h_direct()
+            self._direct = self.sector.h_direct()
         return self._direct
 
     def product_lowest(self, k: int) -> np.ndarray:
@@ -512,27 +518,10 @@ class EffectiveHamiltonians:
         return np.sort(np.partition(grid, min(k, grid.size - 1))[:k])
 
     def direct_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        sector, s2 = self._lowest_sz()
-        return multiplet_levels(sector.direct, s2, k, tol)
+        return multiplet_levels(self.direct, self.s2, k, tol)
 
     def transformed_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        sector, s2 = self._lowest_sz()
-        return multiplet_levels(sector.transformed, s2, k, tol)
-
-    def _lowest_sz(self):
-        """The lowest-|S_z| sector's Hamiltonians and S^2 x 1 there (cached)."""
-        if self._sector is None:
-            m = self.model
-            basis, idx = sz_sector(m.basis, m.basis.n_e % 2)
-            # S^2 is block diagonal in S_z: its restriction is exact
-            s2 = sp.csr_matrix(build_spin_operators(m.basis)[3])[idx][:, idx]
-            self._sector = (
-                EffectiveHamiltonians(
-                    CoupledModel(basis, m.hopping, m.u, m.alpha, m.fock, m.lam)
-                ),
-                sp.kron(s2, sp.identity(m.fock.dim), format="csr"),
-            )
-        return self._sector
+        return multiplet_levels(self.transformed, self.s2, k, tol)
 
 
 def effective_hamiltonians(model: CoupledModel) -> EffectiveHamiltonians:

@@ -331,6 +331,16 @@ def test_multiplet_levels_extends_a_cut_multiplet():
     assert np.array_equal(multiplet_levels(h, s2, 5), [0.0, 1.0, 1.0, 1.0, 1.0])
 
 
+def test_multiplet_levels_pair_spins_within_a_cluster():
+    # an S = 1 level 1e-10 below an S = 0 level: one cluster, in a rotated
+    # basis; the triplet must take the lower energy
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    h = q @ np.diag([0.0, 1e-10, 1.0]) @ q.T
+    s2 = q @ np.diag([2.0, 0.0, 0.0]) @ q.T
+    levels = multiplet_levels(h, s2, 5)
+    assert np.max(np.abs(levels - [0.0, 0.0, 0.0, 1e-10, 1.0])) <= 1e-14
+
+
 def test_direct_data_is_contiguous_real():
     ha = effective_hamiltonians(M6)
     data = ha.direct.data
