@@ -8,8 +8,19 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hubbard_phonon.eigensolver import eigensolve, ground_space
-from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
+from hubbard_phonon import eigensolver
+from hubbard_phonon.eigensolver import (
+    DENSE_MAX,
+    LANCZOS_K_RATIO,
+    LANCZOS_MIN_DIM,
+    eigensolve,
+    ground_space,
+)
+from hubbard_phonon.errors import (
+    AccuracyError,
+    AmbiguousDegeneracyError,
+    ValidationError,
+)
 from hubbard_phonon.lang_firsov import effective_hamiltonians, reference_model
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
@@ -200,3 +211,139 @@ def test_transformed_operator_passes_probe():
     vals, _ = eigensolve(ha.transformed, k=3, tol=1e-12)
     # the two routes differ by truncation only, ~2e-3 at n_max 3
     assert np.max(np.abs(vals - ha.direct_lowest(3, tol=1e-12))) < 1e-2
+
+
+# -- the dense/iterative crossover ---------------------------------------------
+
+
+def _spy_eigsh(monkeypatch):
+    """Record every ``which`` that ``spla.eigsh`` is called with."""
+    calls, real = [], spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs.get("which"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    return calls
+
+
+def test_crossover_reads_k_and_dim(monkeypatch):
+    solves = _spy_eigsh(monkeypatch)
+    dim = 600
+    assert LANCZOS_MIN_DIM <= dim <= DENSE_MAX
+    h = _random_sparse_sym(dim, 0.01, 17)
+    ref = np.linalg.eigvalsh(h.toarray())
+
+    vals, _ = eigensolve(h, k=4)  # few levels of a sparse matrix: Lanczos
+    assert solves == ["LA"]
+    assert np.max(np.abs(vals - ref[:4])) <= 1e-10
+
+    k_dense = dim // LANCZOS_K_RATIO + 1
+    vals, _ = eigensolve(h, k=k_dense)  # too many levels: dense
+    assert np.max(np.abs(vals - ref[:k_dense])) <= 1e-10
+    eigensolve(h.toarray(), k=4)  # dense input stays dense
+    eigensolve(_random_sparse_sym(LANCZOS_MIN_DIM - 1, 0.01, 18), k=1)
+    assert ground_space(h).degeneracy == 1  # full spectrum: dense
+    assert solves == ["LA"]
+
+
+def test_direct_levels_below_dense_max_take_lanczos(monkeypatch):
+    # n_max 4: the S_z sector holds 2,500 of 3,750 states
+    ha = effective_hamiltonians(reference_model(n_max=4))
+    assert LANCZOS_MIN_DIM <= ha.direct.shape[0] <= DENSE_MAX
+    solves = _spy_eigsh(monkeypatch)
+    ha.direct_lowest(3)  # levels: test_coupled_levels_match_plain_lanczos
+    assert solves == ["LA"]
+
+
+# -- the Chebyshev-filtered Lanczos path against eigvalsh ----------------------
+
+
+def _planted(dim, seed, hermitian, copies, outlier):
+    """Sparse Hermitian matrix: a random bulk, ``copies`` copies of a 3 x 3
+    block well below it (a degenerate low cluster) and, if ``outlier``, one
+    level far above it; rows and columns randomly permuted."""
+    rng = np.random.default_rng(seed)
+    n_bulk = dim - 3 * copies - int(outlier)
+    m = sp.random(n_bulk, n_bulk, density=6.0 / n_bulk, random_state=rng)
+    if hermitian:
+        m = m + 1j * sp.random(n_bulk, n_bulk, density=6.0 / n_bulk, random_state=rng)
+    a = rng.standard_normal((3, 3))
+    low = a + a.T - 8.0 * np.eye(3)
+    blocks = [m + m.conj().T] + [low] * copies + ([[[60.0]]] if outlier else [])
+    h = sp.block_diag(blocks, format="csr")
+    perm = rng.permutation(dim)
+    return h[perm][:, perm]
+
+
+def _check_pairs(h, vals, vecs, k):
+    ref = np.linalg.eigvalsh(h.toarray())
+    scale = max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(vals - ref[:k])) <= 1e-10 * scale
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(k))) <= 1e-10
+    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    assert np.max(residual) <= eigensolver.RESIDUAL_TOL * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(LANCZOS_MIN_DIM, 800),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    hermitian=st.booleans(),
+    copies=st.integers(1, 3),
+    outlier=st.booleans(),
+)
+def test_filtered_lanczos_matches_eigvalsh(dim, k, seed, hermitian, copies, outlier):
+    h = _planted(dim, seed, hermitian, copies, outlier)
+    vals, vecs = eigensolve(h, k=k)
+    _check_pairs(h, vals, vecs, k)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_level_above_hi_is_caught_and_recovered(monkeypatch, hermitian):
+    # hi forced below the outlier at 60, where the even filter grows too:
+    # the first solve returns it, the check moves hi past it
+    h = _planted(700, 21, hermitian, copies=2, outlier=True)
+    real_bounds = eigensolver._spectrum_bounds
+
+    def bounds(matvec, v0, k):
+        lo, cut, hi = real_bounds(matvec, v0, k)
+        assert hi > 60.0
+        return lo, cut, 30.0
+
+    monkeypatch.setattr(eigensolver, "_spectrum_bounds", bounds)
+    solves = _spy_eigsh(monkeypatch)
+    vals, vecs = eigensolve(h, k=5)
+    assert len(solves) == 2
+    _check_pairs(h, vals, vecs, 5)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_cut_below_the_kth_level_is_caught_and_recovered(monkeypatch, hermitian, k):
+    # white box: the bounds run's cut replaced by one just below lambda_k
+    h = _planted(120, 22 + k, hermitian, copies=1, outlier=False)
+    ref = np.linalg.eigvalsh(h.toarray())
+    real_bounds = eigensolver._spectrum_bounds
+
+    def bounds(matvec, v0, kk):
+        lo, _, hi = real_bounds(matvec, v0, kk)
+        return lo, ref[k - 1] - 1e-3, hi
+
+    monkeypatch.setattr(eigensolver, "_spectrum_bounds", bounds)
+    solves = _spy_eigsh(monkeypatch)
+    vals, vecs = eigensolve(spla.aslinearoperator(h), k=k)
+    assert len(solves) >= 2
+    _check_pairs(h, vals, vecs, k)
+
+
+def test_filter_failure_raises_accuracy_error(monkeypatch):
+    # no residual meets a zero bound: every widening fails, then it raises
+    monkeypatch.setattr(eigensolver, "RESIDUAL_TOL", 0.0)
+    solves = _spy_eigsh(monkeypatch)
+    h = _planted(120, 23, False, copies=1, outlier=False)
+    with pytest.raises(AccuracyError, match="filtered Lanczos"):
+        eigensolve(spla.aslinearoperator(h), k=2)
+    assert len(solves) == eigensolver.FILTER_RETRIES + 1

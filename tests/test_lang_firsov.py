@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from hubbard_phonon.boson_fock import (
     field,
     mode_kron,
 )
-from hubbard_phonon.eigensolver import multiplet_levels
+from hubbard_phonon.eigensolver import multiplet_levels, snap_spin
 from hubbard_phonon.errors import (
     AccuracyError,
     SizingError,
@@ -292,6 +293,28 @@ def test_sector_levels_match_full_space(sites_and_electrons, seed, u, alpha, n_m
     transformed = np.linalg.eigvalsh(_dense_transformed(model))[:k]
     assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
     assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
+
+
+def _plain_lanczos_levels(h, s2, k):
+    """Oracle: ARPACK on the sector Hamiltonian itself (no filter), each
+    sector level repeated 2S+1 times by its S^2 expectation."""
+    vals, vecs = spla.eigsh(h, k=k, which="SA", v0=np.ones(h.shape[0]))
+    levels = []
+    for e, v in zip(vals, vecs.T):
+        s = snap_spin(np.vdot(v, s2 @ v).real, 1e-6)
+        levels += [e] * int(round(2 * s + 1))
+    return np.sort(levels)[:k]
+
+
+def test_coupled_levels_match_plain_lanczos():
+    ha = effective_hamiltonians(reference_model(n_max=4))
+    for levels, h in (
+        (ha.direct_lowest(5), ha.direct),
+        (ha.transformed_lowest(5), ha.transformed),
+    ):
+        assert np.max(np.abs(levels - _plain_lanczos_levels(h, ha.s2, 5))) <= 1e-10
+    full = spla.eigsh(ha.model.h_direct(), k=5, which="SA", return_eigenvectors=False)
+    assert np.max(np.abs(ha.direct_lowest(5) - np.sort(full))) <= 1e-10
 
 
 def test_sector_levels_restore_triplet():
