@@ -19,6 +19,7 @@ from hubbard_phonon.eigensolver import (
 from hubbard_phonon.errors import (
     AccuracyError,
     AmbiguousDegeneracyError,
+    IterationLimitError,
     ValidationError,
 )
 from hubbard_phonon.lang_firsov import effective_hamiltonians, reference_model
@@ -337,6 +338,56 @@ def test_cut_below_the_kth_level_is_caught_and_recovered(monkeypatch, hermitian,
     vals, vecs = eigensolve(spla.aslinearoperator(h), k=k)
     assert len(solves) >= 2
     _check_pairs(h, vals, vecs, k)
+
+
+def _hair_above(monkeypatch, k, hermitian):
+    """A 120-state matrix whose bounds run is made to return a cut 1e-9
+    above lambda_k, and the ``maxiter`` of every ``eigsh`` call that stalls."""
+    h = _planted(120, 32 + k, hermitian, copies=1, outlier=False)
+    ref = np.linalg.eigvalsh(h.toarray())
+    assert ref[k] - ref[k - 1] > 1e-3
+    real_bounds = eigensolver._spectrum_bounds
+
+    def bounds(matvec, v0, kk):
+        lo, _, hi = real_bounds(matvec, v0, kk)
+        return lo, ref[k - 1] + 1e-9, hi
+
+    monkeypatch.setattr(eigensolver, "_spectrum_bounds", bounds)
+    stalled, real = [], spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except spla.ArpackNoConvergence:
+            stalled.append(kwargs["maxiter"])
+            raise
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    return h, stalled
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_cut_a_hair_above_the_kth_level_is_caught_and_recovered(
+    monkeypatch, hermitian, k
+):
+    # p(lambda_k) sits barely above p(lambda_k+1) and the damped band: the
+    # capped first attempt stalls, and the widened one converges
+    h, stalled = _hair_above(monkeypatch, k, hermitian)
+    vals, vecs = eigensolve(spla.aslinearoperator(h), k=k)
+    assert stalled == [eigensolver.FILTER_PROBE_ITERS]
+    _check_pairs(h, vals, vecs, k)
+
+
+def test_iteration_limit_raises_on_the_last_attempt_only(monkeypatch):
+    # with no widening every attempt stalls; only the last, run to the
+    # caller's maxiter, raises
+    monkeypatch.setattr(eigensolver, "FILTER_WIDEN", 0.0)
+    h, stalled = _hair_above(monkeypatch, 3, False)
+    with pytest.raises(IterationLimitError):
+        eigensolve(spla.aslinearoperator(h), k=3, maxiter=50)
+    probe = eigensolver.FILTER_PROBE_ITERS
+    assert stalled == [probe] * eigensolver.FILTER_RETRIES + [50]
 
 
 def test_filter_failure_raises_accuracy_error(monkeypatch):
