@@ -28,8 +28,9 @@ from scipy.linalg import expm
 from .boson_fock import (
     ModeSet,
     TruncatedFock,
-    annihilator,
     apply_displacement,
+    apply_field,
+    apply_ladder,
     coherent_amplitudes_1mode,
     coherent_tail,
     displacement_1mode,
@@ -62,6 +63,7 @@ __all__ = [
     "verify_transform_nb",
     "EffectiveHamiltonians",
     "effective_hamiltonians",
+    "lowest_sz_sector",
     "annihilation_residual",
     "heisenberg_evolution_check",
     "OverlapResult",
@@ -155,18 +157,19 @@ class CoupledModel:
     # -- block application of V -------------------------------------------
 
     def apply_unitary(self, vec, inverse: bool = False):
-        """V @ vec (or its inverse): one displacement per distinct row of z."""
+        """V @ vec (or its inverse): D(z_c) on each configuration row c.
+
+        Rows are displaced one at a time even where several share a z: a
+        stack of rows outgrows the cache at large n_max (four complex rows
+        at n_max 16 took 12-16 ms stacked, 7.0-7.5 ms row by row).
+        """
         z = self.z_table()
         if inverse:
             z = -z
         t = np.asarray(vec).reshape(self.basis.dim, self.fock.dim)
-        out = np.zeros(
-            t.shape, dtype=np.result_type(t.dtype, np.float64)
-        )
-        rows, group = np.unique(z, axis=0, return_inverse=True)
-        for gi, zg in enumerate(rows):
-            idx = np.flatnonzero(group.ravel() == gi)
-            out[idx] = apply_displacement(self.fock, zg, t[idx])
+        out = np.empty(t.shape, dtype=np.result_type(t.dtype, np.float64))
+        for c, zc in enumerate(z):
+            out[c] = apply_displacement(self.fock, zc, t[c])
         return out.reshape(self.dim)
 
     # -- direct Hamiltonian -----------------------------------------------
@@ -354,7 +357,6 @@ def verify_transform_hb(model: CoupledModel, n_trials: int = 4, rng=None) -> flo
     fock = model.fock
     hb = fock.hb_diag()
     r = model.r_diag()
-    fields = [field(fock, model.lam[x]) for x in range(model.basis.n_sites)]
     worst = 0.0
     for _ in range(n_trials):
         psi = _random_interior_full(model, rng)
@@ -362,7 +364,7 @@ def verify_transform_hb(model: CoupledModel, n_trials: int = 4, rng=None) -> flo
         lhs = _conjugate_boson_diag(model, hb, psi)
         rhs = (t * hb).astype(complex)
         for x in range(model.basis.n_sites):
-            rhs += model.alpha * model.nu[:, x, None] * (fields[x] @ t.T).T
+            rhs += model.alpha * model.nu[:, x, None] * apply_field(fock, model.lam[x], t)
         rhs += (model.alpha**2 * r)[:, None] * t
         worst = max(worst, float(np.linalg.norm(lhs - rhs.reshape(-1))))
     return worst
@@ -406,7 +408,6 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
         rng = np.random.default_rng(11)
     fock = model.fock
     nb = fock.nb_diag()
-    fields_g = [field(fock, model.g[x]) for x in range(model.basis.n_sites)]
     k2 = np.einsum("cx,xy,cy->c", model.nu, model.overlap_w2, model.nu)
     worst = 0.0
     rows = []
@@ -417,7 +418,7 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
         lhs = _conjugate_boson_diag(model, nb, psi)
         k1psi = np.zeros_like(t, dtype=complex)
         for x in range(model.basis.n_sites):
-            k1psi += model.nu[:, x, None] * (fields_g[x] @ t.T).T
+            k1psi += model.nu[:, x, None] * apply_field(fock, model.g[x], t)
         k2psi = k2[:, None] * t
         delta = lhs - (t * nb).reshape(-1)
         pred = (
@@ -442,12 +443,22 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
 # -- effective Hamiltonians ---------------------------------------------------
 
 
+def lowest_sz_sector(basis: SectorBasis):
+    """The S_z sector with the smallest |S_z| (2 S_z = n_e mod 2) and the
+    indices of its configurations in ``basis``."""
+    return sz_sector(basis, basis.n_e % 2)
+
+
 class EffectiveHamiltonians:
     """Direct, transformed-assembled and product-form Hamiltonians.
 
     ``transformed`` realizes V^{-1} (H_e x 1) V - alpha^2 R x 1 + 1 x H_b
     analytically: hopping terms pick up the displacement D((alpha/sqrt 2)
-    (g_x - g_y)) while all diagonal pieces stay diagonal.  Its spectrum must
+    (g_x - g_y)) while all diagonal pieces stay diagonal.  The displacement
+    of a pair (x, y) acts on the boson index and its hop matrix H_xy on the
+    configuration index, so the two commute: with H_xy = L R factored to
+    its rank, the matvec displaces the rows of R t, not every source row
+    (2 rows instead of 3 per pair on the reference sector).  Its spectrum must
     match the direct Hamiltonian's because the two are exactly unitarily
     equivalent.  The product form H_e^eff x 1 + 1 x H_b drops the dressing
     of the hopping; its spectrum is NOT equal to the direct one in general
@@ -464,7 +475,7 @@ class EffectiveHamiltonians:
 
     def __init__(self, model: CoupledModel):
         self.model = model
-        basis, idx = sz_sector(model.basis, model.basis.n_e % 2)
+        basis, idx = lowest_sz_sector(model.basis)
         sec = self.sector = CoupledModel(
             basis, model.hopping, model.u, model.alpha, model.fock, model.lam
         )
@@ -475,25 +486,37 @@ class EffectiveHamiltonians:
         self.diag = np.add.outer(
             sec.he_diagonal() - sec.alpha**2 * sec.r_diag(), sec.fock.hb_diag()
         )
-        # dressed hopping per (x, y) pair: each distinct source configuration
-        # is displaced once, then a sparse (F, n_src) hop matrix scatters it
+        # dressed hopping: each (x, y) pair's (F, F) hop matrix factored at
+        # its numerical rank (SVD) as left @ right; the factors of all pairs
+        # are stacked, and ``_pairs`` names each pair's rows and displacement
         moves = {}
         for x, y, src, dst, amp in hopping_moves(sec.basis, sec.hopping):
             moves.setdefault((x, y), []).append((src, dst, amp))
-        self._moves = []
+        n_cfg = sec.basis.dim
+        lefts, rights = [np.zeros((n_cfg, 0))], [np.zeros((0, n_cfg))]
+        self._pairs = []
         for (x, y), entries in moves.items():
-            zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
             src, dst, amp = (np.array(col) for col in zip(*entries))
-            usrc, col = np.unique(src, return_inverse=True)
-            hop = sp.csr_matrix((amp, (dst, col)), shape=(sec.basis.dim, usrc.size))
-            self._moves.append((usrc, hop, zdiff))
+            hop = np.zeros((n_cfg, n_cfg))
+            np.add.at(hop, (dst, src), amp)
+            u, s, vt = np.linalg.svd(hop)
+            rank = int(np.sum(s > s[0] * n_cfg * np.finfo(float).eps))
+            start = sum(r.shape[0] for r in rights)
+            lefts.append(u[:, :rank] * s[:rank])
+            rights.append(vt[:rank])
+            zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
+            self._pairs.append((slice(start, start + rank), zdiff))
+        self._left = np.hstack(lefts)
+        self._right = np.vstack(rights)
 
     def transformed_matvec(self, vec):
         sec = self.sector
         t = np.asarray(vec).reshape(sec.basis.dim, sec.fock.dim)
-        out = self.diag * t
-        for usrc, hop, zdiff in self._moves:
-            out += hop @ apply_displacement(sec.fock, zdiff, t[usrc])
+        y = self._right @ t
+        for rows, zdiff in self._pairs:
+            y[rows] = apply_displacement(sec.fock, zdiff, y[rows])
+        out = self._left @ y
+        out += self.diag * t
         return out.reshape(-1)
 
     @property
@@ -539,9 +562,8 @@ def _dressed_scalar(model: CoupledModel, f) -> np.ndarray:
 
 def apply_dressed_annihilator(model: CoupledModel, f, vec):
     """(1 x a(f) + (alpha/sqrt 2) sum_x <f, g_x> n_x x 1) @ vec."""
-    a = annihilator(model.fock, f)
     t = np.asarray(vec).reshape(model.basis.dim, model.fock.dim)
-    out = (a @ t.T).T.astype(complex)
+    out = apply_ladder(model.fock, f, t).astype(complex, copy=False)
     out += _dressed_scalar(model, f)[:, None] * t
     return out.reshape(-1)
 
@@ -622,11 +644,8 @@ def overlap_formula(model: CoupledModel, state: DressedState, fs, psi_e) -> Over
     # numeric: matrix route on the truncated space
     ref = np.zeros((model.basis.dim, model.fock.dim), dtype=complex)
     ref[:, 0] = psi  # psi_e x vacuum
-    ref = ref.reshape(-1)
     for fi in fs:
-        adag = annihilator(model.fock, fi).conj().T.tocsr()
-        t = ref.reshape(model.basis.dim, model.fock.dim)
-        ref = (adag @ t.T).T.reshape(-1)
+        ref = apply_ladder(model.fock, fi, ref, dagger=True)
     numeric = complex(np.vdot(ref, state.vector()))
 
     # formula: occupation-definite reference only

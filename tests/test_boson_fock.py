@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import factorial
 
@@ -17,6 +19,8 @@ from hubbard_phonon.boson_fock import (
     TruncatedFock,
     annihilator,
     apply_displacement,
+    apply_field,
+    apply_ladder,
     apply_weyl,
     coherent_amplitudes_1mode,
     coherent_state,
@@ -208,6 +212,50 @@ def test_real_amplitude_field_is_real():
     space = _space([1.0, 0.5], 4)
     assert not np.iscomplexobj(field(space, [0.3, -0.2]).data)
     assert np.iscomplexobj(field(space, [0.3j, -0.2]).data)
+
+
+@st.composite
+def _ladder_case(draw):
+    """A space, an amplitude vector and a block to apply operators to."""
+    m = draw(st.integers(1, 4))
+    n_max = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = _space(rng.uniform(0.5, 1.5, m), n_max)
+    f = rng.standard_normal(m)
+    if draw(st.booleans()):
+        f = f + 1j * rng.standard_normal(m)
+    f[rng.random(m) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    shape = draw(st.sampled_from([(space.dim,), (3, space.dim)]))
+    block = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        block = block + 1j * rng.standard_normal(shape)
+    return space, f, block
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_ladder_case())
+def test_matrix_free_ladder_and_field_match_sparse(case):
+    space, f, block = case
+    a = annihilator(space, f)
+    rows = np.atleast_2d(block).T
+    for got, oracle in [
+        (apply_ladder(space, f, block), a),
+        (apply_ladder(space, f, block, dagger=True), a.conj().T),
+        (apply_field(space, f, block), field(space, f)),
+    ]:
+        want = (oracle @ rows).T.reshape(block.shape)
+        assert got.shape == block.shape
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+def test_interior_mask_cached_read_only():
+    space = _space([1.0, 0.5], 4)
+    mask = space.interior_mask(2)
+    assert space.interior_mask(2) is mask
+    assert not mask.flags.writeable
+    assert np.array_equal(mask, np.all(space.occupations() <= 2, axis=1))
+    assert space.interior_mask(1) is not mask
 
 
 def test_displacement_1mode_cached_read_only():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hubbard_phonon import cli
 from hubbard_phonon.cli import main, validate_config, load_config
 
 FAST_VERIFY = """
@@ -127,6 +128,42 @@ def test_non_numeric_hopping_scalars_exit_2(tmp_path, capsys, hopping, key):
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
     assert rc == 2
     assert f"config error: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappas", ["[]", "[0.1]", "[0.1, 0.1]"])
+def test_kappas_need_two_distinct_cutoffs(tmp_path, capsys, kappas):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"modes:\n  kappas: {kappas}\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "ir"])
+    assert rc == 2
+    assert "config error: modes.kappas" in capsys.readouterr().err
+
+
+# n_max 2: 6 x 81 = 486 coupled states, 4 x 81 = 324 in the S_z sector
+SMALL_VERIFY = "modes:\n  n_max: 2\n"
+
+
+@pytest.mark.parametrize("cap, runs", [(400, True), (300, False)])
+def test_equivalence_gate_reads_the_sector_dimension(
+    tmp_path, capsys, monkeypatch, cap, runs
+):
+    monkeypatch.setattr(cli, "EQUIVALENCE_DIM_CAP", cap)
+    cfg = tmp_path / "small.yaml"
+    cfg.write_text(SMALL_VERIFY)
+    out = tmp_path / "o"
+    main(["--config", str(cfg), "--out", str(out), "verify"])
+    _, rows = _read_csv(out / "verify.csv")
+    names = [r["check"] for r in rows]
+    assert ("spectral_equivalence" in names) == runs
+    assert len(names) == 9 + runs  # a skip adds no row
+    skips = [l for l in capsys.readouterr().out.splitlines() if "SKIP" in l]
+    if runs:
+        assert skips == []
+    else:
+        assert skips == [
+            "SKIP spectral_equivalence: S_z-sector dimension 324 exceeds "
+            f"the cap {cap}"
+        ]
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

@@ -14,12 +14,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hubbard_phonon import boson_fock
 from hubbard_phonon.boson_fock import (
     ModeSet,
     TruncatedFock,
     displacement_1mode,
     field,
     mode_kron,
+    relative_bound_check,
 )
 from hubbard_phonon.eigensolver import multiplet_levels, snap_spin
 from hubbard_phonon.errors import (
@@ -293,6 +295,45 @@ def test_sector_levels_match_full_space(sites_and_electrons, seed, u, alpha, n_m
     transformed = np.linalg.eigvalsh(_dense_transformed(model))[:k]
     assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
     assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "n_sites, n_e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 5)]
+)
+def test_factored_transformed_matvec_matches_assembled(n_sites, n_e):
+    model = _random_model(n_sites, n_e, 100 * n_sites + n_e, 2.0, 0.7, 2)
+    ha = effective_hamiltonians(model)
+    dense = _dense_transformed(ha.sector)
+    rng = np.random.default_rng(n_e)
+    for _ in range(3):
+        v = rng.standard_normal(ha.sector.dim)
+        want = dense @ v
+        got = ha.transformed_matvec(v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_battery_never_assembles_ladder_operators(monkeypatch):
+    model = reference_model(n_max=4)
+    state, _ = dressed_ground(model)
+    ha = effective_hamiltonians(model)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("boson_fock.ladder called")
+
+    monkeypatch.setattr(boson_fock, "ladder", spy)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    verify_transform_hb(model, n_trials=1)
+    verify_transform_nb(model, n_trials=1)
+    annihilation_residual(model, state, f)
+    heisenberg_evolution_check(model, f, n_trials=1)
+    psi_e = np.zeros(model.basis.dim)
+    psi_e[0] = 1.0
+    overlap_formula(model, state, [f, f.conj()], psi_e)
+    relative_bound_check(model.fock, model.lam[0], n_trials=2)
+    ha.transformed_matvec(rng.standard_normal(ha.sector.dim))
+    with pytest.raises(AssertionError, match="ladder called"):
+        boson_fock.field(model.fock, model.lam[0])  # the spy is live
 
 
 def _plain_lanczos_levels(h, s2, k):
