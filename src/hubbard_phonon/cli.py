@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -80,79 +81,69 @@ from .ir_modes import (
 # for spectral_equivalence; above it the check is skipped with a notice.
 EQUIVALENCE_DIM_CAP = 200_000
 
-DEFAULTS = {
-    "lattice": {
-        "n_sites": 2,
-        "hopping": {"kind": "chain", "t": -1.0},
-    },
-    "electrons": {"n_e": 2},
-    "interaction": {"u": 1.0},
-    "coupling": {
-        "alpha": 0.5,
-        "alpha_grid": {"start": 0.2, "stop": 2.0, "step": 0.02},
-    },
-    "modes": {
-        "beta": 0.5,
-        "big_k": 1.0,
-        "kappa": 0.1,
-        "kappas": [1e-1, 1e-2, 1e-3, 1e-4],
-        "per_site": 2,
-        "n_max": 12,
-    },
-    "solver": {"cluster_tol": 1e-8, "levels": 5},
-    "tolerances": {
-        "transform": 5e-5,
-        "coefficient": 1e-2,
-        "annihilation": 1e-5,
-        "heisenberg": 5e-3,
-        "overlap": 1e-6,
-        "equivalence": 1e-6,
-        "bound_margin": 1e-12,
-    },
-}
+# Keys a config may add to those of the reference file, and the one section
+# that may also be given as a list.
+EXTRA_KEYS = {("lattice", "hopping"): {"matrix", "t0", "amplitudes"}}
+LIST_SECTIONS = {("coupling", "alpha_grid")}
 
 
-def _merge(base, update):
-    out = dict(base)
-    for key, val in (update or {}).items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
+@functools.cache
+def _reference():
+    """The defaults: ``reference.yaml`` shipped with the package, parsed once."""
+    return yaml.safe_load(Path(__file__).with_name("reference.yaml").read_bytes())
+
+
+def _merge(base, update, path=()):
+    """Lay ``update`` over ``base`` in place."""
+    for key, val in update.items():
+        where = path + (key,)
+        name = ".".join(map(str, where))
+        if key not in base and key not in EXTRA_KEYS.get(path, ()):
+            raise ValidationError(f"{name} is not a key of the reference config")
+        if isinstance(base.get(key), dict):
+            if isinstance(val, dict):
+                val = _merge(base[key], val, where)
+            elif where not in LIST_SECTIONS:
+                raise ValidationError(f"{name} must be a mapping")
+        base[key] = val
+    return base
 
 
 def load_config(path):
-    base = copy.deepcopy(DEFAULTS)  # callers may mutate the result freely
+    """The reference config with the YAML file at ``path`` laid over it; a key
+    the reference lacks, or a non-mapping for a section, is a ValidationError."""
+    base = copy.deepcopy(_reference())  # callers may mutate the result freely
     if path is None:
         return base
-    raw = Path(path).read_text()
-    user = yaml.safe_load(raw)
-    if user is None:
-        user = {}
-    if not isinstance(user, dict):
+    user = yaml.safe_load(Path(path).read_bytes())
+    if user is not None and not isinstance(user, dict):
         raise ValidationError("config must be a YAML mapping")
-    return _merge(base, user)
+    return _merge(base, user or {})
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_num(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float; a bool is not a number here."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def validate_config(cfg):
     """Collect human-readable violations; empty list means acceptable."""
     errs = []
-    lat = cfg.get("lattice", {})
-    n_sites = lat.get("n_sites")
-    if not isinstance(n_sites, int) or n_sites < 1:
+    lat = cfg["lattice"]
+    n_sites = lat["n_sites"]
+    if not _is_int(n_sites) or n_sites < 1:
         errs.append("lattice.n_sites must be an integer >= 1")
         n_sites = None
-    hop = lat.get("hopping", {})
-    kind = hop.get("kind")
+    hop = lat["hopping"]
+    kind = hop["kind"]
     if kind not in ("chain", "matrix", "rank_one"):
         errs.append("lattice.hopping.kind must be one of chain, matrix, rank_one")
     elif kind == "chain":
-        if not _is_num(hop.get("t", -1.0)):
+        if not _is_num(hop["t"]):
             errs.append("lattice.hopping.t must be a number")
     elif kind == "matrix":
         m = hop.get("matrix")
@@ -169,7 +160,7 @@ def validate_config(cfg):
                 "lattice.hopping.matrix must be an n_sites x n_sites table of numbers"
             )
     elif kind == "rank_one":
-        if not _is_num(hop.get("t0", 1.0)):
+        if "t0" in hop and not _is_num(hop["t0"]):
             errs.append("lattice.hopping.t0 must be a number")
         amps = hop.get("amplitudes")
         if not isinstance(amps, list) or (
@@ -178,42 +169,42 @@ def validate_config(cfg):
             errs.append("lattice.hopping.amplitudes must list one value per site")
         elif not all(_is_num(a) and a != 0 for a in amps):
             errs.append("lattice.hopping.amplitudes must be nonzero numbers")
-    n_e = cfg.get("electrons", {}).get("n_e")
-    if not isinstance(n_e, int) or n_e < 0:
+    n_e = cfg["electrons"]["n_e"]
+    if not _is_int(n_e) or n_e < 0:
         errs.append("electrons.n_e must be a nonnegative integer")
     elif n_sites is not None and n_e > 2 * n_sites:
         errs.append(
             f"electrons.n_e must lie in [0, 2*n_sites] = [0, {2 * n_sites}]; "
             "a site holds at most one electron per spin"
         )
-    if not _is_num(cfg.get("interaction", {}).get("u")):
+    if not _is_num(cfg["interaction"]["u"]):
         errs.append("interaction.u must be a number")
-    coup = cfg.get("coupling", {})
-    if not _is_num(coup.get("alpha")):
+    coup = cfg["coupling"]
+    if not _is_num(coup["alpha"]):
         errs.append("coupling.alpha must be a number")
-    grid = coup.get("alpha_grid")
+    grid = coup["alpha_grid"]
     if isinstance(grid, list):
         if not grid or not all(_is_num(a) for a in grid):
             errs.append("coupling.alpha_grid as a list needs one or more numbers")
     elif not isinstance(grid, dict) or not all(
-        _is_num(grid.get(k)) for k in ("start", "stop", "step")
+        _is_num(grid[k]) for k in ("start", "stop", "step")
     ):
         errs.append("coupling.alpha_grid needs numeric start, stop, step or a list")
     elif grid["step"] <= 0 or grid["stop"] <= grid["start"]:
         errs.append("coupling.alpha_grid must advance: step > 0, stop > start")
-    modes = cfg.get("modes", {})
-    beta = modes.get("beta")
+    modes = cfg["modes"]
+    beta = modes["beta"]
     if not _is_num(beta) or beta <= 0:
         errs.append("modes.beta must be a positive number")
-    big_k = modes.get("big_k")
+    big_k = modes["big_k"]
     if not _is_num(big_k) or big_k <= 0:
         errs.append("modes.big_k must be a positive number")
-    kappa = modes.get("kappa")
+    kappa = modes["kappa"]
     if not _is_num(kappa) or kappa <= 0 or (_is_num(big_k) and kappa >= big_k):
         errs.append(
             "modes.kappa must satisfy 0 < kappa < big_k (positive frequencies only)"
         )
-    kappas = modes.get("kappas")
+    kappas = modes["kappas"]
     if (
         not isinstance(kappas, list)
         or not all(
@@ -225,19 +216,19 @@ def validate_config(cfg):
         errs.append(
             "modes.kappas must list at least two distinct cutoffs inside (0, big_k)"
         )
-    per_site = modes.get("per_site")
-    if not isinstance(per_site, int) or not 2 <= per_site <= 12:
+    per_site = modes["per_site"]
+    if not _is_int(per_site) or not 2 <= per_site <= 12:
         errs.append("modes.per_site must be an integer in [2, 12]")
-    n_max = modes.get("n_max")
-    if not isinstance(n_max, int) or n_max < 1:
+    n_max = modes["n_max"]
+    if not _is_int(n_max) or n_max < 1:
         errs.append("modes.n_max must be an integer >= 1")
-    sol = cfg.get("solver", {})
-    if not _is_num(sol.get("cluster_tol")) or sol.get("cluster_tol") <= 0:
+    sol = cfg["solver"]
+    if not _is_num(sol["cluster_tol"]) or sol["cluster_tol"] <= 0:
         errs.append("solver.cluster_tol must be a positive number")
-    levels = sol.get("levels")
-    if not isinstance(levels, int) or levels < 1:
+    levels = sol["levels"]
+    if not _is_int(levels) or levels < 1:
         errs.append("solver.levels must be an integer >= 1")
-    for name, val in cfg.get("tolerances", {}).items():
+    for name, val in cfg["tolerances"].items():
         if not _is_num(val) or val <= 0:
             errs.append(f"tolerances.{name} must be a positive number")
     return errs
@@ -247,13 +238,11 @@ def build_hopping(cfg) -> HoppingMatrix:
     lat = cfg["lattice"]
     hop = lat["hopping"]
     if hop["kind"] == "chain":
-        return HoppingMatrix.chain(lat["n_sites"], float(hop.get("t", -1.0)))
+        return HoppingMatrix.chain(lat["n_sites"], float(hop["t"]))
     if hop["kind"] == "matrix":
         return HoppingMatrix(np.asarray(hop["matrix"], dtype=float))
     return build_tasaki_hopping(
-        float(hop.get("t0", 1.0)),
-        np.asarray(hop["amplitudes"], dtype=float),
-        include_diagonal=bool(hop.get("include_diagonal", True)),
+        float(hop.get("t0", 1.0)), np.asarray(hop["amplitudes"], dtype=float)
     )
 
 
@@ -370,7 +359,7 @@ def cmd_sweep(cfg, args) -> int:
     fam = build_family(cfg)
     kappa = float(cfg["modes"]["kappa"])
     b = b_kappa(fam, kappa)
-    grid_cfg = cfg["coupling"].get("alpha_grid")
+    grid_cfg = cfg["coupling"]["alpha_grid"]
     if isinstance(grid_cfg, list):
         alphas = [float(a) for a in grid_cfg]
     else:

@@ -296,6 +296,20 @@ def tail_max(values) -> np.ndarray:
 # -- states against Weyl observables ------------------------------------------
 
 
+def _pairwise_weyl(psi, z, a_e, f) -> complex:
+    """sum over c, c2 of conj(psi_c) psi_c2 (A_e)_{c c2} <z_c|W(f)|z_c2>,
+    the nonzero terms added in row-major order."""
+    nz = np.flatnonzero(psi)
+    val = 0.0 + 0.0j
+    for c in nz:
+        for c2 in nz:
+            if a_e[c, c2] == 0:
+                continue
+            overlap = coherent_weyl_overlap(z[c], z[c2], f)
+            val += np.conj(psi[c]) * psi[c2] * a_e[c, c2] * overlap
+    return complex(val)
+
+
 def weyl_state(model: CoupledModel, a_e, f, psi_e=None, method: str = "pairwise"):
     """<Psi, (A_e x W(f)) Psi> in the dressed ground state.
 
@@ -314,19 +328,7 @@ def weyl_state(model: CoupledModel, a_e, f, psi_e=None, method: str = "pairwise"
     f = np.asarray(f, dtype=complex)
 
     if method == "pairwise":
-        val = 0.0 + 0.0j
-        w = state.weights
-        for c in np.nonzero(np.abs(w) > 0)[0]:
-            for c2 in np.nonzero(np.abs(w) > 0)[0]:
-                if a_e[c, c2] == 0:
-                    continue
-                val += (
-                    np.conj(w[c])
-                    * w[c2]
-                    * a_e[c, c2]
-                    * coherent_weyl_overlap(state.z[c], state.z[c2], f)
-                )
-        return complex(val)
+        return _pairwise_weyl(state.weights, state.z, a_e, f)
     if method == "matrix":
         vec = state.vector().reshape(model.basis.dim, model.fock.dim)
         wv = apply_weyl(model.fock, f, vec)
@@ -397,18 +399,7 @@ def limit_state(
             f_emb[2 * x] = fg[x] / np.sqrt(g2)
             orth = ff[x] - fg[x] ** 2 / g2
             f_emb[2 * x + 1] = np.sqrt(max(0.0, orth))
-        val = 0.0 + 0.0j
-        for c in range(basis.dim):
-            for c2 in range(basis.dim):
-                if psi[c] == 0 or psi[c2] == 0 or a_e[c, c2] == 0:
-                    continue
-                val += (
-                    np.conj(psi[c])
-                    * psi[c2]
-                    * a_e[c, c2]
-                    * coherent_weyl_overlap(z_emb[c], z_emb[c2], f_emb)
-                )
-        return complex(val)
+        return _pairwise_weyl(psi, z_emb, a_e, f_emb)
 
     # singular family: occupation classes decohere, phases survive
     damp = np.exp(-0.25 * ff_total)

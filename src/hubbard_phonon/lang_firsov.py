@@ -410,8 +410,9 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
     nb = fock.nb_diag()
     k2 = np.einsum("cx,xy,cy->c", model.nu, model.overlap_w2, model.nu)
     worst = 0.0
-    rows = []
-    rhs_all = []
+    # normal equations of the complex least-squares fit, summed over trials
+    ata = np.zeros((2, 2), dtype=complex)
+    atb = np.zeros(2, dtype=complex)
     for _ in range(n_trials):
         psi = _random_interior_full(model, rng)
         t = psi.reshape(model.basis.dim, fock.dim)
@@ -425,11 +426,10 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
             model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi
         ).reshape(-1)
         worst = max(worst, float(np.linalg.norm(delta - pred)))
-        rows.append(np.stack([k1psi.reshape(-1), k2psi.reshape(-1)], axis=1))
-        rhs_all.append(delta)
-    a = np.concatenate(rows, axis=0)
-    b = np.concatenate(rhs_all, axis=0)
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+        cols = (k1psi.reshape(-1), k2psi.reshape(-1))
+        ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
+        atb += [np.vdot(ci, delta) for ci in cols]
+    coef = np.linalg.solve(ata, atb)
     return TransformNbReport(
         residual=worst,
         linear_fit=float(coef[0].real),

@@ -85,15 +85,10 @@ def classify(report: GroundSpaceReport, n_e: int, n_sites: int) -> str:
     return "Other"
 
 
-def build_tasaki_hopping(
-    t0: float, amplitudes, include_diagonal: bool = True
-) -> HoppingMatrix:
-    """Rank-one hopping t_xy = t0 * t_x * t_y.
-
-    The diagonal t0 * t_x**2 belongs to the rank-one form and is kept by
-    default; dropping it shifts single-particle levels and breaks the
-    saturated-spin mechanism, which is occasionally what one wants to probe.
-    """
+def build_tasaki_hopping(t0: float, amplitudes) -> HoppingMatrix:
+    """Rank-one hopping t_xy = t0 * t_x * t_y, diagonal t0 * t_x**2 included:
+    without it the single-particle levels shift and the saturated-spin
+    mechanism breaks."""
     a = np.asarray(amplitudes, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise ValidationError("site amplitudes must be a non-empty vector")
@@ -101,10 +96,7 @@ def build_tasaki_hopping(
         raise ValidationError("site amplitudes must be nonzero")
     if t0 == 0.0:
         raise ValidationError("overall hopping scale t0 must be nonzero")
-    mat = t0 * np.outer(a, a)
-    if not include_diagonal:
-        np.fill_diagonal(mat, 0.0)
-    return HoppingMatrix(mat)
+    return HoppingMatrix(t0 * np.outer(a, a))
 
 
 @dataclass
@@ -157,11 +149,7 @@ def check_lieb_regime(
 
 
 def check_tasaki_regime(
-    t0: float,
-    amplitudes,
-    u_eff: float,
-    include_diagonal: bool = True,
-    cluster_tol: float = 1e-8,
+    t0: float, amplitudes, u_eff: float, cluster_tol: float = 1e-8
 ) -> RegimeCheck:
     """Saturated-spin regime at one electron below half filling.
 
@@ -169,14 +157,12 @@ def check_tasaki_regime(
     included), u_eff > 0, n_e = n_sites - 1.  Verified when every ground
     vector carries s_max and the degeneracy is the full multiplet 2*s_max+1.
     """
-    hopping = build_tasaki_hopping(t0, amplitudes, include_diagonal)
+    hopping = build_tasaki_hopping(t0, amplitudes)
     n_sites = hopping.n_sites
     n_e = n_sites - 1
     reasons = []
     if u_eff <= 0:
         reasons.append(f"u_eff = {u_eff:g} is not repulsive")
-    if not include_diagonal:
-        reasons.append("rank-one form requires the diagonal amplitudes")
     if n_e < 1:
         reasons.append("need at least one electron")
     if reasons:

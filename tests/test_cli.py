@@ -2,12 +2,17 @@
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubbard_phonon import cli
 from hubbard_phonon.cli import main, validate_config, load_config
+from hubbard_phonon.errors import ValidationError
 
 FAST_VERIFY = """
 modes:
@@ -249,3 +254,120 @@ def test_ir_csv(tmp_path):
     assert ov[0] > ov[1] > ov[2] > ov[3]
     wl = [float(r["weyl_minus_limit"]) for r in rows]
     assert wl[0] > wl[1] > wl[2]
+
+
+BAD_CONFIGS = [
+    ("lattice: 5\n", "lattice"),
+    ("electrons:\n", "electrons"),
+    ("tolerances: 3\n", "tolerances"),
+    ("lattice:\n  hopping: 7\n", "lattice.hopping"),
+    ("modes: {nmax: 2}\n", "modes.nmax"),
+    ("tolerances: {transfrom: 1.0e-3}\n", "tolerances.transfrom"),
+    ("modes: {beta: .nan}\n", "modes.beta"),
+    ("interaction: {u: .inf}\n", "interaction.u"),
+    ("coupling: {alpha: .nan}\n", "coupling.alpha"),
+    ("modes: {kappa: .nan}\n", "modes.kappa"),
+    ("solver: {cluster_tol: .inf}\n", "solver.cluster_tol"),
+    ("lattice: {n_sites: true}\n", "lattice.n_sites"),
+    ("electrons: {n_e: true}\n", "electrons.n_e"),
+    ("modes: {n_max: true}\n", "modes.n_max"),
+    ("modes: {per_site: true}\n", "modes.per_site"),
+    ("solver: {levels: true}\n", "solver.levels"),
+]
+
+
+@pytest.mark.parametrize("text, key", BAD_CONFIGS, ids=[k for _, k in BAD_CONFIGS])
+@pytest.mark.parametrize("command", ["sweep", "ir"])
+def test_malformed_sections_keys_and_values_exit_2(
+    tmp_path, capsys, text, key, command
+):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(b"modes:\n  n_max: \xff\xfe2\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "ir"])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_partial_alpha_grid_merges_with_the_defaults(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("coupling:\n  alpha_grid: {step: 0.05}\n")
+    grid = load_config(cfg)["coupling"]["alpha_grid"]
+    assert grid == {"start": 0.2, "stop": 2.0, "step": 0.05}
+    out = tmp_path / "runs"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+    _, rows = _read_csv(out / "sweep.csv")
+    assert len(rows) == 37
+
+
+def _entries(tree, path=()):
+    """Every (path, value) of a config tree, list elements included."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, val in items:
+        yield path + (key,), val
+        if isinstance(val, (dict, list)):
+            yield from _entries(val, path + (key,))
+
+
+REFERENCE_ENTRIES = list(_entries(load_config(None)))
+SCALARS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(st.characters(exclude_categories=["Cs"]), max_size=8),
+    st.none(),
+)
+KEYS = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=8)
+VALUES = st.one_of(
+    st.sampled_from([True, False, math.nan, math.inf, -math.inf]),
+    SCALARS,
+    st.lists(SCALARS, max_size=4),
+    st.dictionaries(KEYS, SCALARS, max_size=3),
+)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    entry=st.sampled_from(REFERENCE_ENTRIES),
+    value=VALUES,
+    new_key=st.one_of(st.none(), KEYS),
+)
+def test_mutated_reference_loads_or_is_rejected(tmp_path_factory, entry, value, new_key):
+    """One entry of the reference tree replaced, or a key added beside it:
+    loading raises nothing but ValidationError, validation returns a list,
+    and a bool or non-finite number in a numeric field is rejected."""
+    path, old = entry
+    tree = load_config(None)
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    added = new_key is not None and isinstance(parent, dict)
+    parent[new_key if added else path[-1]] = value
+    cfg = tmp_path_factory.getbasetemp() / "mutated.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    try:
+        loaded = load_config(cfg)
+    except ValidationError:
+        return
+    errs = validate_config(loaded)
+    assert isinstance(errs, list)
+    bad_number = isinstance(value, bool) or (
+        isinstance(value, float) and not math.isfinite(value)
+    )
+    if not added and _is_number(old) and bad_number:
+        field = ".".join(str(k) for k in path[:2])
+        assert any(e.startswith(field) for e in errs), (path, value, errs)
