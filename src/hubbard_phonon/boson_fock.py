@@ -28,6 +28,9 @@ from .errors import SizingError, TruncationWarning, ValidationError
 
 FOCK_DIM_CAP = 2_000_000
 
+# Coherent tail mass a truncation may cut; above it, warn (or raise the auto n_max).
+TAIL_BOUND = 1e-8
+
 __all__ = [
     "ModeSet",
     "TruncatedFock",
@@ -116,7 +119,7 @@ class TruncatedFock:
         """Single-mode annihilator, dense (n_max+1) x (n_max+1)."""
         return np.diag(np.sqrt(np.arange(1.0, self.n_max + 1)), 1)
 
-    def interior_mask(self, headroom: int = 1):
+    def interior_mask(self, headroom: int):
         """States whose every mode occupation is <= n_max - headroom.
 
         Cached per headroom; the mask is read-only.
@@ -134,12 +137,15 @@ class TruncatedFock:
     def nb_diag(self):
         return self.occupations().sum(axis=1).astype(float)
 
-    def random_interior(self, rng, headroom: int = 1, complex_=True):
-        v = rng.standard_normal(self.dim)
-        if complex_:
-            v = v + 1j * rng.standard_normal(self.dim)
-        v = v * self.interior_mask(headroom)
-        return v / np.linalg.norm(v)
+    def random_interior(self, rng, headroom: int, rows: int):
+        """Unit-norm complex (rows, dim) stack, zero outside the interior mask;
+        normals are drawn only for the kept states, real parts first."""
+        mask = self.interior_mask(headroom)
+        kept = rng.standard_normal((2, rows, np.count_nonzero(mask)))
+        v = np.zeros((rows, self.dim), dtype=complex)
+        v[:, mask] = kept[0] + 1j * kept[1]
+        v /= np.linalg.norm(v)
+        return v
 
     def __repr__(self):
         return f"TruncatedFock(m={self.modes.m}, n_max={self.n_max}, dim={self.dim})"
@@ -320,12 +326,12 @@ def apply_displacement(space: TruncatedFock, z, block):
     return t.reshape(shape)
 
 
-def weyl(space: TruncatedFock, f, tail_bound: float = 1e-8):
+def weyl(space: TruncatedFock, f):
     """Unitary W(f) = exp(i phi(f)) as a dense matrix.
 
     Refuses dimensions above ``DENSE_MAX`` (use :func:`apply_weyl` there).
     When the displaced-vacuum tail mass beyond the truncation exceeds
-    ``tail_bound`` a :class:`TruncationWarning` reports the estimate; the
+    ``TAIL_BOUND`` a :class:`TruncationWarning` reports the estimate; the
     matrix is still returned since the per-mode factors are exactly unitary.
     """
     if space.dim > DENSE_MAX:
@@ -333,34 +339,34 @@ def weyl(space: TruncatedFock, f, tail_bound: float = 1e-8):
             f"dense Weyl matrix at dim {space.dim} > {DENSE_MAX}; "
             "use apply_weyl"
         )
-    u = _weyl_displacement(space, f, tail_bound)
+    u = _weyl_displacement(space, f)
     return mode_kron([displacement_1mode(uj, space.n_max) for uj in u])
 
 
-def _weyl_displacement(space, f, tail_bound):
+def _weyl_displacement(space, f):
     """Per-mode displacements i f / sqrt 2 of W(f), tail-checked."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (space.modes.m,):
         raise ValidationError("f must assign one amplitude per mode")
     u = 1j * f / np.sqrt(2.0)
     tail = float(coherent_tail(u, space.n_max).sum())
-    if tail > tail_bound:
+    if tail > TAIL_BOUND:
         warnings.warn(
             f"Weyl displacement tail mass {tail:.3e} exceeds bound "
-            f"{tail_bound:.1e} at n_max = {space.n_max}",
+            f"{TAIL_BOUND:.1e} at n_max = {space.n_max}",
             TruncationWarning,
             stacklevel=3,
         )
     return u
 
 
-def apply_weyl(space: TruncatedFock, f, vec, tail_bound: float = 1e-8):
+def apply_weyl(space: TruncatedFock, f, vec):
     """Matrix-free W(f) @ vec (or on each row of a (k, dim) stack)."""
-    u = _weyl_displacement(space, f, tail_bound)
+    u = _weyl_displacement(space, f)
     return apply_displacement(space, u, vec)
 
 
-def coherent_state(space: TruncatedFock, z, tail_bound: float = 1e-8):
+def coherent_state(space: TruncatedFock, z, tail_bound: float = TAIL_BOUND):
     """Normalized truncated coherent state and its lost tail mass.
 
     Returns ``(vec, truncation_error)`` where the error is 1 minus the
@@ -417,7 +423,7 @@ def relative_bound_check(space: TruncatedFock, f, n_trials: int = 50, rng=None):
     hb = space.hb_diag()
     worst = -np.inf
     for _ in range(n_trials):
-        psi = space.random_interior(rng)
+        psi = space.random_interior(rng, 1, 1)[0]
         lhs = np.linalg.norm(apply_field(space, f, psi))
         hb_half = np.sqrt(np.sum(hb * np.abs(psi) ** 2))
         rhs = (2.0 * f_over_sqrt_w * hb_half + f_norm * 1.0) / np.sqrt(2.0)

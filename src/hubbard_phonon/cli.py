@@ -25,6 +25,7 @@ import copy
 import functools
 import hashlib
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from .lattice_fermions import (
     fock_operator,
 )
 from .magnetism import (
+    SweepRecord,
     build_tasaki_hopping,
     classify,
     effective_params,
@@ -85,6 +87,9 @@ EQUIVALENCE_DIM_CAP = 200_000
 # that may also be given as a list.
 EXTRA_KEYS = {("lattice", "hopping"): {"matrix", "t0", "amplitudes"}}
 LIST_SECTIONS = {("coupling", "alpha_grid")}
+
+# Most points a start/stop/step alpha grid may have (the default has 91).
+ALPHA_GRID_CAP = 100_000
 
 
 @functools.cache
@@ -192,6 +197,8 @@ def validate_config(cfg):
         errs.append("coupling.alpha_grid needs numeric start, stop, step or a list")
     elif grid["step"] <= 0 or grid["stop"] <= grid["start"]:
         errs.append("coupling.alpha_grid must advance: step > 0, stop > start")
+    elif not (float(grid["stop"]) - grid["start"]) / grid["step"] + 0.5 < ALPHA_GRID_CAP:
+        errs.append(f"coupling.alpha_grid must have at most {ALPHA_GRID_CAP} points")
     modes = cfg["modes"]
     beta = modes["beta"]
     if not _is_num(beta) or beta <= 0:
@@ -325,9 +332,10 @@ def cmd_spectrum(cfg, args) -> int:
     direct = ha.direct_lowest(k)
     transformed = ha.transformed_lowest(k)
     product = ha.product_lowest(k)
-    rows = [
-        (i, direct[i], transformed[i], product[i]) for i in range(len(direct))
-    ]
+    got = min(len(direct), len(transformed), len(product))
+    if got < k:
+        raise ValidationError(f"solver.levels = {k} exceeds the {got} levels solved")
+    rows = list(zip(range(k), direct, transformed, product))
     meta = _meta(
         cfg,
         {
@@ -381,19 +389,6 @@ def cmd_sweep(cfg, args) -> int:
         threads=args.threads,
     )
     brackets = flip_brackets(records)
-    rows = [
-        (
-            r.alpha,
-            r.kappa,
-            r.u_eff,
-            r.e0,
-            r.degeneracy,
-            r.s_tot if r.s_tot is not None else "",
-            r.classification,
-            r.residual_flags,
-        )
-        for r in records
-    ]
     meta = _meta(
         cfg,
         {
@@ -401,21 +396,8 @@ def cmd_sweep(cfg, args) -> int:
             "flip_brackets": ";".join(f"[{_fmt(a)},{_fmt(b_)}]" for a, b_ in brackets),
         },
     )
-    write_csv(
-        out / "sweep.csv",
-        meta,
-        [
-            "alpha",
-            "kappa",
-            "u_eff",
-            "e0",
-            "degeneracy",
-            "s_tot",
-            "classification",
-            "residual_flags",
-        ],
-        rows,
-    )
+    header = [f.name for f in fields(SweepRecord)]
+    write_csv(out / "sweep.csv", meta, header, [astuple(r) for r in records])
     failures = [r for r in records if r.classification == "Error"]
     print(
         f"sweep: {len(records)} points, {len(failures)} failures, "
@@ -650,6 +632,9 @@ def main(argv=None) -> int:
         InfraredDivergenceError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"config error: a value overflowed: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, AmbiguousDegeneracyError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)

@@ -345,11 +345,11 @@ def snap_spin(q: float, tol_spin: float):
     return s_half
 
 
-def _spin_label(vectors, s_squared, tol_spin):
+def _spin_label(vectors, s_squared):
     qs = np.array([np.vdot(v, s_squared @ v).real for v in vectors.T])
-    if np.max(np.abs(qs - qs[0])) > tol_spin:
+    if np.max(np.abs(qs - qs[0])) > SPIN_TOL:
         return "mixed"
-    s = snap_spin(qs[0], tol_spin)
+    s = snap_spin(qs[0], SPIN_TOL)
     return "mixed" if s is None else s
 
 
@@ -430,8 +430,6 @@ def ground_space(
     h,
     cluster_tol: float = 1e-8,
     s_squared=None,
-    tol_spin: float = SPIN_TOL,
-    k_probe: int = 8,
 ) -> GroundSpaceReport:
     """Ground energy, degeneracy and an orthonormal ground basis.
 
@@ -447,7 +445,7 @@ def ground_space(
     if use_dense:
         vals, vecs = eigensolve(h, k=dim)
     else:
-        k = min(max(k_probe, 2), dim - 1)
+        k = min(8, dim - 1)
         while True:
             vals, vecs = eigensolve(h, k=k)
             scale = max(1.0, abs(vals[0]))
@@ -480,7 +478,7 @@ def ground_space(
 
     s_tot = None
     if s_squared is not None:
-        s_tot = _spin_label(q, s_squared, tol_spin)
+        s_tot = _spin_label(q, s_squared)
 
     return GroundSpaceReport(
         e0=e0,

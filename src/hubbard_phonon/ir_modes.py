@@ -92,13 +92,11 @@ def _closed_power_integral(p: float, lo: float, hi: float) -> float:
     return float((hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0))
 
 
-def norm_omega_power(
-    family: CutoffFamily, s: float, kappa: float, rtol: float = 1e-10
-) -> NormValue:
+def norm_omega_power(family: CutoffFamily, s: float, kappa: float) -> NormValue:
     """||omega**(-s) lambda||^2 = int_kappa^K k**(2(beta-s)) dk, two ways.
 
     The closed form and an adaptive quadrature are both returned and must
-    agree to ``rtol`` relative.  At kappa = 0 a divergent integral raises
+    agree to 1e-10 relative.  At kappa = 0 a divergent integral raises
     :class:`InfraredDivergenceError` tagged with its divergence class.
     """
     if kappa < 0 or kappa >= family.big_k:
@@ -118,10 +116,10 @@ def norm_omega_power(
         quad_val, _ = integrate.quad(
             lambda k: k**p, kappa, family.big_k, epsabs=0.0, epsrel=1e-13, limit=200
         )
-    if abs(quad_val - closed) > rtol * max(1.0, abs(closed)):
+    if abs(quad_val - closed) > 1e-10 * max(1.0, abs(closed)):
         raise AccuracyError(
             f"quadrature {quad_val!r} and closed form {closed!r} disagree "
-            f"beyond rtol = {rtol:g}"
+            "beyond 1e-10 relative"
         )
     return NormValue(closed=closed, quadrature=float(quad_val))
 
@@ -336,7 +334,7 @@ def weyl_state(model: CoupledModel, a_e, f, psi_e=None, method: str = "pairwise"
     raise ValidationError("method must be 'pairwise' or 'matrix'")
 
 
-def _continuum_bilinears(family: CutoffFamily, profiles, rtol: float = 1e-10):
+def _continuum_bilinears(family: CutoffFamily, profiles):
     """Per-site <f, g_x> and ||f_x||^2 for profile-specified f at kappa = 0."""
     fg = np.zeros(len(profiles))
     ff = np.zeros(len(profiles))

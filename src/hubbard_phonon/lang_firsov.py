@@ -26,6 +26,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from .boson_fock import (
+    TAIL_BOUND,
     ModeSet,
     TruncatedFock,
     apply_displacement,
@@ -50,6 +51,9 @@ from .lattice_fermions import (
 )
 
 COUPLED_DIM_CAP = 2_000_000
+
+# Largest mode occupation of the random trial vectors of the identity checks.
+TRIAL_OCCUPATION = 2
 
 __all__ = [
     "CoupledModel",
@@ -201,7 +205,6 @@ class CoupledModel:
         kappa: float,
         modes_per_site: int = 2,
         n_max=None,
-        tail_bound: float = 1e-8,
     ):
         """Build the model from a continuum coupling family at cutoff kappa."""
         from .ir_modes import discretize
@@ -209,7 +212,7 @@ class CoupledModel:
         disc = discretize(family, kappa, modes_per_site, n_sites=n_sites)
         basis = build_sector_basis(n_sites, n_e)
         if n_max is None:
-            n_max = _adaptive_n_max(disc.modes, disc.couplings, alpha, tail_bound)
+            n_max = _adaptive_n_max(disc.modes, disc.couplings, alpha, TAIL_BOUND)
         fock = TruncatedFock(disc.modes, n_max)
         return cls(basis, hopping, u, alpha, fock, disc.couplings)
 
@@ -354,19 +357,12 @@ def verify_transform_hb(model: CoupledModel, n_trials: int = 4, rng=None) -> flo
     """
     if rng is None:
         rng = np.random.default_rng(7)
-    fock = model.fock
-    hb = fock.hb_diag()
-    r = model.r_diag()
+    r = model.alpha**2 * model.r_diag()
     worst = 0.0
-    for _ in range(n_trials):
-        psi = _random_interior_full(model, rng)
-        t = psi.reshape(model.basis.dim, fock.dim)
-        lhs = _conjugate_boson_diag(model, hb, psi)
-        rhs = (t * hb).astype(complex)
-        for x in range(model.basis.n_sites):
-            rhs += model.alpha * model.nu[:, x, None] * apply_field(fock, model.lam[x], t)
-        rhs += (model.alpha**2 * r)[:, None] * t
-        worst = max(worst, float(np.linalg.norm(lhs - rhs.reshape(-1))))
+    trials = _conjugation_trials(model, model.fock.hb_diag(), model.lam, n_trials, rng)
+    for t, delta, field_t in trials:
+        res = delta - model.alpha * field_t - r[:, None] * t
+        worst = max(worst, float(np.linalg.norm(res)))
     return worst
 
 
@@ -376,13 +372,23 @@ def _conjugate_boson_diag(model: CoupledModel, diag, psi):
     return model.apply_unitary((t * diag).reshape(-1))
 
 
-def _random_interior_full(model: CoupledModel, rng, occ_cap: int = 2):
-    """Random normalized vector with every mode occupation <= occ_cap."""
-    mask = model.fock.interior_mask(max(model.fock.n_max - occ_cap, 1))
-    v = rng.standard_normal((model.basis.dim, model.fock.dim)) * mask
-    v = v + 1j * (rng.standard_normal((model.basis.dim, model.fock.dim)) * mask)
-    v = v.reshape(-1)
-    return v / np.linalg.norm(v)
+def _conjugation_trials(model: CoupledModel, diag, w, n_trials: int, rng):
+    """Trials of V (1 x D) V^{-1} psi - D psi = alpha sum_x n_x phi(w_x) psi
+    + alpha^2 Q psi with D = diag(diag), one per random low-occupation psi.
+
+    Yields the (F, B) arrays psi, the left side and sum_x n_x phi(w_x) psi;
+    the caller supplies Q.
+    """
+    fock = model.fock
+    headroom = max(fock.n_max - TRIAL_OCCUPATION, 1)
+    for _ in range(n_trials):
+        t = fock.random_interior(rng, headroom, model.basis.dim)
+        delta = _conjugate_boson_diag(model, diag, t.reshape(-1)).reshape(t.shape)
+        delta -= t * diag
+        field_t = np.zeros_like(t)
+        for x in range(model.basis.n_sites):
+            field_t += model.nu[:, x, None] * apply_field(fock, w[x], t)
+        yield t, delta, field_t
 
 
 @dataclass
@@ -406,27 +412,17 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(11)
-    fock = model.fock
-    nb = fock.nb_diag()
     k2 = np.einsum("cx,xy,cy->c", model.nu, model.overlap_w2, model.nu)
     worst = 0.0
     # normal equations of the complex least-squares fit, summed over trials
     ata = np.zeros((2, 2), dtype=complex)
     atb = np.zeros(2, dtype=complex)
-    for _ in range(n_trials):
-        psi = _random_interior_full(model, rng)
-        t = psi.reshape(model.basis.dim, fock.dim)
-        lhs = _conjugate_boson_diag(model, nb, psi)
-        k1psi = np.zeros_like(t, dtype=complex)
-        for x in range(model.basis.n_sites):
-            k1psi += model.nu[:, x, None] * apply_field(fock, model.g[x], t)
+    trials = _conjugation_trials(model, model.fock.nb_diag(), model.g, n_trials, rng)
+    for t, delta, k1psi in trials:
         k2psi = k2[:, None] * t
-        delta = lhs - (t * nb).reshape(-1)
-        pred = (
-            model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi
-        ).reshape(-1)
+        pred = model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi
         worst = max(worst, float(np.linalg.norm(delta - pred)))
-        cols = (k1psi.reshape(-1), k2psi.reshape(-1))
+        cols = (k1psi, k2psi)
         ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
         atb += [np.vdot(ci, delta) for ci in cols]
     coef = np.linalg.solve(ata, atb)
@@ -603,8 +599,9 @@ def heisenberg_evolution_check(
         return model.apply_unitary(y.reshape(-1))
 
     worst = 0.0
+    headroom = max(model.fock.n_max - TRIAL_OCCUPATION, 1)
     for _ in range(n_trials):
-        psi = _random_interior_full(model, rng)
+        psi = model.fock.random_interior(rng, headroom, model.basis.dim).reshape(-1)
         for t in times:
             lhs = evolve(apply_dressed_annihilator(model, f, evolve(psi, t)), -t)
             rhs = apply_dressed_annihilator(model, np.exp(1j * t * w) * f, psi)

@@ -60,13 +60,12 @@ class HoppingMatrix:
         self.n_sites = a.shape[0]
 
     @classmethod
-    def chain(cls, n_sites, t=-1.0, diagonal=0.0):
+    def chain(cls, n_sites, t=-1.0):
         """Open chain with nearest-neighbour amplitude ``t``."""
         a = np.zeros((n_sites, n_sites))
         for x in range(n_sites - 1):
             a[x, x + 1] = t
             a[x + 1, x] = t
-        a += np.diag(np.full(n_sites, float(diagonal)))
         return cls(a)
 
     @property

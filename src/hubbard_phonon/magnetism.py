@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .eigensolver import GroundSpaceReport, ground_space
 from .errors import AmbiguousDegeneracyError, IterationLimitError, ValidationError
@@ -45,7 +46,6 @@ __all__ = [
 class EffectiveParams:
     u_eff: float
     chemical_shift: float
-    coupling_energy: float  # (alpha * b)**2
     regime: str
 
 
@@ -60,9 +60,7 @@ def effective_params(u: float, alpha: float, b: float) -> EffectiveParams:
     g2 = (alpha * b) ** 2
     u_eff = u - g2
     regime = "Attractive" if u_eff < 0 else ("Free" if u_eff == 0 else "Repulsive")
-    return EffectiveParams(
-        u_eff=u_eff, chemical_shift=g2 / 2.0, coupling_energy=g2, regime=regime
-    )
+    return EffectiveParams(u_eff=u_eff, chemical_shift=g2 / 2.0, regime=regime)
 
 
 def critical_alpha(u: float, b: float) -> float:
@@ -181,6 +179,8 @@ def check_tasaki_regime(
 
 @dataclass
 class SweepRecord:
+    """One grid point of :func:`sweep_alpha`; the fields are sweep.csv's columns."""
+
     alpha: float
     kappa: float
     u_eff: float
@@ -188,7 +188,7 @@ class SweepRecord:
     degeneracy: int
     s_tot: object
     classification: str
-    residual_flags: str = ""
+    residual_flags: str
 
 
 def sweep_alpha(
@@ -214,43 +214,26 @@ def sweep_alpha(
     h0 = build_hubbard(basis, hopping, 0.0)
     _, docc = number_operators(basis)
     _, _, _, s2 = build_spin_operators(basis)
-    dense = isinstance(h0, np.ndarray)
+    diag = np.diag if isinstance(h0, np.ndarray) else sp.diags
 
     def one(alpha: float) -> SweepRecord:
         par = effective_params(u, alpha, b)
+        rec = SweepRecord(alpha, float(kappa), par.u_eff, np.nan, 0, "", "Error", "")
         try:
-            if dense:
-                h = h0 + np.diag(par.u_eff * docc)
-            else:
-                import scipy.sparse as sp
-
-                h = h0 + sp.diags(par.u_eff * docc)
+            h = h0 + diag(par.u_eff * docc)
             rep = ground_space(h, cluster_tol=cluster_tol, s_squared=s2)
-            e0 = rep.e0 - par.chemical_shift * n_e
-            return SweepRecord(
-                alpha=float(alpha),
-                kappa=float(kappa),
-                u_eff=par.u_eff,
-                e0=e0,
-                degeneracy=rep.degeneracy,
-                s_tot=rep.s_tot,
-                classification=classify(rep, n_e, hopping.n_sites),
-            )
         except (
             AmbiguousDegeneracyError,
             IterationLimitError,
             np.linalg.LinAlgError,
         ) as exc:  # the solver's own failures; anything else is a bug
-            return SweepRecord(
-                alpha=float(alpha),
-                kappa=float(kappa),
-                u_eff=par.u_eff,
-                e0=float("nan"),
-                degeneracy=0,
-                s_tot="",
-                classification="Error",
-                residual_flags=f"{type(exc).__name__}: {exc}",
-            )
+            rec.residual_flags = f"{type(exc).__name__}: {exc}"
+            return rec
+        rec.e0 = rep.e0 - par.chemical_shift * n_e
+        rec.degeneracy = rep.degeneracy
+        rec.s_tot = rep.s_tot
+        rec.classification = classify(rep, n_e, hopping.n_sites)
+        return rec
 
     alphas = [float(a) for a in alphas]
     if threads > 1:

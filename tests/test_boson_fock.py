@@ -258,6 +258,19 @@ def test_interior_mask_cached_read_only():
     assert space.interior_mask(1) is not mask
 
 
+def test_random_interior_draws_only_the_kept_states():
+    space = _space([1.0, 0.5, 0.3], 5)
+    mask = space.interior_mask(3)
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    v = space.random_interior(rng, 3, 4)
+    assert v.shape == (4, space.dim)
+    assert not np.any(v[:, ~mask])
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+    # exactly one real and one imaginary normal per kept state and row
+    twin.standard_normal(2 * 4 * int(mask.sum()))
+    assert rng.standard_normal() == twin.standard_normal()
+
+
 def test_displacement_1mode_cached_read_only():
     d = displacement_1mode(0.3, 7)
     assert displacement_1mode(0.3, 7) is d

@@ -10,9 +10,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hubbard_phonon import cli
+from hubbard_phonon import cli, magnetism
 from hubbard_phonon.cli import main, validate_config, load_config
-from hubbard_phonon.errors import ValidationError
+from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
 
 FAST_VERIFY = """
 modes:
@@ -169,6 +169,71 @@ def test_equivalence_gate_reads_the_sector_dimension(
             "SKIP spectral_equivalence: S_z-sector dimension 324 exceeds "
             f"the cap {cap}"
         ]
+
+
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        (
+            "coupling:\n  alpha_grid: {start: 0.2, stop: 1.0e+300,"
+            " step: 1.0e-300}",
+            "sweep",
+            "coupling.alpha_grid must have at most",
+        ),
+        ("coupling:\n  alpha: 1.0e+200\n", "ir", "a value overflowed"),
+        ("modes:\n  beta: 3.0\n  big_k: 1.0e+300\n", "ir", "a value overflowed"),
+        ("modes:\n  beta: 3.0\n  big_k: 1.0e+300\n", "sweep", "a value overflowed"),
+        ("modes:\n  n_max: 2\nsolver:\n  levels: 1000", "spectrum", "solver.levels"),
+        ("modes:\n  n_max: 40\n", "verify", "Fock dimension"),
+    ],
+    ids=["grid-size", "alpha-overflow", "big-k-ir", "big-k-sweep", "levels", "fock-cap"],
+)
+def test_accepted_config_that_cannot_run_exits_2(
+    tmp_path, capsys, text, command, message
+):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def ambiguous(*args, **kwargs):
+        raise AmbiguousDegeneracyError("gap inside the grey zone")
+
+    monkeypatch.setattr(cli, "ground_space", ambiguous)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes:\n  n_max: 2\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "spectrum"])
+    assert rc == 3
+    assert "verification error: gap inside the grey zone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strict, code", [(False, 0), (True, 3)])
+def test_sweep_point_failure_is_reported(tmp_path, capsys, monkeypatch, strict, code):
+    calls = []
+
+    def second_fails(h, **kwargs):
+        calls.append(h)
+        if len(calls) == 2:
+            raise AmbiguousDegeneracyError("gap inside the grey zone")
+        return real(h, **kwargs)
+
+    real = magnetism.ground_space
+    monkeypatch.setattr(magnetism, "ground_space", second_fails)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("coupling:\n  alpha_grid: [0.2, 0.4, 0.6]\n")
+    out = tmp_path / "o"
+    flags = ["--strict"] * strict
+    rc = main(["--config", str(cfg), "--out", str(out), *flags, "sweep"])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "alpha = 0.4: AmbiguousDegeneracyError: gap inside the grey zone" in err
+    _, rows = _read_csv(out / "sweep.csv")
+    assert [r["classification"] for r in rows][1] == "Error"
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

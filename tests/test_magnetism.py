@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hubbard_phonon import magnetism
 from hubbard_phonon.errors import ValidationError
@@ -11,7 +12,7 @@ from hubbard_phonon.lattice_fermions import (
     build_sector_basis,
     build_spin_operators,
 )
-from hubbard_phonon.eigensolver import ground_space
+from hubbard_phonon.eigensolver import DENSE_MAX, ground_space
 from hubbard_phonon.magnetism import (
     build_tasaki_hopping,
     check_lieb_regime,
@@ -170,3 +171,26 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     hop = build_tasaki_hopping(1.0, [1.0, 1.0, 1.0])
     with pytest.raises(TypeError, match="bug in the solver path"):
         sweep_alpha(hop, 2, 1.0, B_REF, [0.5, 1.5])
+
+
+def test_sweep_on_a_sparse_sector(monkeypatch):
+    """8 sites at half filling hold 12,870 states, above DENSE_MAX: the
+    Hubbard and spin operators are sparse and the ground space is solved by
+    Lanczos.  Both regimes of the half-filled chain give a unique singlet."""
+    solved = []
+
+    def spy(h, **kwargs):
+        rep = ground_space(h, **kwargs)
+        solved.append((h, rep))
+        return rep
+
+    monkeypatch.setattr(magnetism, "ground_space", spy)
+    recs = sweep_alpha(HoppingMatrix.chain(8, -1.0), 8, 1.0, 1.0, [0.5, 1.5])
+    assert [r.classification for r in recs] == ["UniqueSinglet"] * 2
+    assert [r.degeneracy for r in recs] == [1, 1]
+    for rec, (h, rep) in zip(recs, solved):
+        assert sp.issparse(h) and h.shape[0] > DENSE_MAX
+        v = rep.vectors[:, 0]
+        assert np.linalg.norm(h @ v - rep.e0 * v) < 1e-8
+        shift = effective_params(1.0, rec.alpha, 1.0).chemical_shift
+        assert rec.e0 == rep.e0 - shift * 8
