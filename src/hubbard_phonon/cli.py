@@ -175,11 +175,11 @@ def validate_config(cfg):
         elif not all(_is_num(a) and a != 0 for a in amps):
             errs.append("lattice.hopping.amplitudes must be nonzero numbers")
     n_e = cfg["electrons"]["n_e"]
-    if not _is_int(n_e) or n_e < 0:
-        errs.append("electrons.n_e must be a nonnegative integer")
+    if not _is_int(n_e) or n_e < 1:
+        errs.append("electrons.n_e must be a positive integer")
     elif n_sites is not None and n_e > 2 * n_sites:
         errs.append(
-            f"electrons.n_e must lie in [0, 2*n_sites] = [0, {2 * n_sites}]; "
+            f"electrons.n_e must lie in [1, 2*n_sites] = [1, {2 * n_sites}]; "
             "a site holds at most one electron per spin"
         )
     if not _is_num(cfg["interaction"]["u"]):
@@ -455,7 +455,7 @@ def cmd_verify(cfg, args) -> int:
         f"{nb_rep.quadratic_exact:.8f} (alpha^2 itself = {nb_rep.alpha_squared:.8f})"
     )
 
-    state, rep = dressed_ground(model)
+    state, rep = dressed_ground(model, float(cfg["solver"]["cluster_tol"]))
     m_tot = model.fock.modes.m
     worst_ann = 0.0
     for _ in range(5):

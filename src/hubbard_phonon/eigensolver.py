@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 
-# Dense/sparse crossover for assembly, eigensolves and dense operators.
+# Dense/sparse crossover for eigensolves and dense operators.
 DENSE_MAX = 4096
 
 __all__ = ["eigensolve", "multiplet_levels", "ground_space", "GroundSpaceReport"]
@@ -71,14 +71,15 @@ def _probe_hermitian(op) -> None:
         )
 
 
-def _blockwise_eigh(dense, labels):
+def _blockwise_eigh(h, labels):
     """Full eigendecomposition, one ``np.linalg.eigh`` per labelled block.
 
     ``labels`` names the connected block of each index.  A block-diagonal
     matrix's spectrum is the union of its blocks' spectra: the eigenvalues
     are merged by a stable ascending sort and each block's eigenvectors
     land, zero-padded, in their sorted columns.  A single block returns
-    exactly what ``np.linalg.eigh`` does.
+    exactly what ``np.linalg.eigh`` does.  Sparse ``h`` is densified one
+    block at a time, so the whole matrix is never dense at once.
 
     Hermiticity is checked on the blocks: every nonzero and its transpose
     partner lie in one block, so the blocks' largest asymmetry and entry
@@ -86,7 +87,11 @@ def _blockwise_eigh(dense, labels):
     """
     by_label = np.argsort(labels, kind="stable")
     blocks = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
-    subs = [dense[np.ix_(idx, idx)] for idx in blocks]
+    if sp.issparse(h):
+        csr = h.tocsr()
+        subs = [csr[idx][:, idx].toarray() for idx in blocks]
+    else:
+        subs = [h[np.ix_(idx, idx)] for idx in blocks]
     _require_hermitian(
         max(np.max(np.abs(b - b.conj().T), initial=0.0) for b in subs),
         max(np.max(np.abs(b), initial=0.0) for b in subs),
@@ -96,7 +101,7 @@ def _blockwise_eigh(dense, labels):
     order = np.argsort(vals, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(order.size)
-    vecs = np.zeros(dense.shape, dtype=parts[0][1].dtype)
+    vecs = np.zeros(h.shape, dtype=parts[0][1].dtype)
     start = 0
     for idx, (w, v) in zip(blocks, parts):
         vecs[np.ix_(idx, column[start : start + w.size])] = v
@@ -243,7 +248,7 @@ def _filtered_lanczos(h, k: int, tol: float, maxiter):
             if last:
                 nc = len(exc.eigenvalues)
                 raise IterationLimitError(
-                    f"Lanczos converged only {nc}/{k} eigenpairs", residual=None
+                    f"Lanczos converged only {nc}/{k} eigenpairs"
                 ) from exc
             # p(lambda_k) lies too close to the damped band: move the cut up
             span = hi - lo
@@ -306,8 +311,7 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     if isinstance(h, np.ndarray) or (sp.issparse(h) and _dense_pays(k, dim)):
         # csgraph on a dense array builds masked arrays; a CSR pattern is cheap
         _, labels = connected_components(sp.csr_matrix(h != 0), directed=False)
-        dense = h if isinstance(h, np.ndarray) else h.toarray()
-        vals, vecs = _blockwise_eigh(dense, labels)
+        vals, vecs = _blockwise_eigh(h, labels)
         return vals[:k], vecs[:, :k]
 
     _check_hermitian(h)
@@ -331,7 +335,6 @@ class GroundSpaceReport:
     degeneracy: int
     vectors: np.ndarray
     gap: float
-    cluster_tol: float
     s_tot: object = None
     spectrum_head: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -440,20 +443,17 @@ def ground_space(
     tolerance suggestion instead of returning a coin-flip degeneracy.
     """
     dim = h.shape[0]
-    use_dense = isinstance(h, np.ndarray) or (sp.issparse(h) and dim <= DENSE_MAX)
-
-    if use_dense:
-        vals, vecs = eigensolve(h, k=dim)
-    else:
-        k = min(8, dim - 1)
-        while True:
-            vals, vecs = eigensolve(h, k=k)
-            scale = max(1.0, abs(vals[0]))
-            # need at least one eigenvalue safely outside the grey zone to
-            # certify where the cluster ends
-            if (vals[-1] - vals[0]) > 2.0 * cluster_tol * scale or k >= dim - 1:
-                break
-            k = min(2 * k, dim - 1)
+    # the full spectrum of a matrix up to DENSE_MAX; otherwise 8 levels,
+    # doubled until one lies safely outside the grey zone to certify where
+    # the cluster ends
+    full = isinstance(h, np.ndarray) or (sp.issparse(h) and dim <= DENSE_MAX)
+    k = dim if full else min(8, dim - 1)
+    while True:
+        vals, vecs = eigensolve(h, k=k)
+        scale = max(1.0, abs(vals[0]))
+        if (vals[-1] - vals[0]) > 2.0 * cluster_tol * scale or k >= dim - 1:
+            break
+        k = min(2 * k, dim - 1)
 
     e0 = float(vals[0])
     scale = max(1.0, abs(e0))
@@ -485,7 +485,6 @@ def ground_space(
         degeneracy=deg,
         vectors=q,
         gap=gap,
-        cluster_tol=cluster_tol,
         s_tot=s_tot,
         spectrum_head=np.asarray(vals[: min(len(vals), 10)], dtype=float),
     )

@@ -16,10 +16,6 @@ class SizingError(ValueError):
 class IterationLimitError(RuntimeError):
     """An iterative solver stopped before reaching its target residual."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class AmbiguousDegeneracyError(RuntimeError):
     """Eigenvalue clustering cannot be decided at the requested tolerance.

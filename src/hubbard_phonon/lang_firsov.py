@@ -144,7 +144,7 @@ class CoupledModel:
         return 0.5 * np.einsum("cx,xy,cy->c", self.nu, self.overlap_w1, self.nu)
 
     def he_diagonal(self) -> np.ndarray:
-        return self.he.diagonal() if sp.issparse(self.he) else np.diag(self.he).copy()
+        return self.he.diagonal()
 
     # -- effective electronic model ---------------------------------------
 
@@ -154,9 +154,7 @@ class CoupledModel:
         g2 = self.alpha**2 * b2
         h = build_hubbard(self.basis, self.hopping, self.u - g2)
         shift = 0.5 * g2 * self.basis.n_e
-        if sp.issparse(h):
-            return (h - shift * sp.identity(self.basis.dim)).tocsr()
-        return h - shift * np.eye(self.basis.dim)
+        return (h - shift * sp.identity(self.basis.dim)).tocsr()
 
     # -- block application of V -------------------------------------------
 
@@ -180,9 +178,8 @@ class CoupledModel:
 
     def h_direct(self):
         """Sparse H = H_e x 1 + 1 x H_b + alpha sum_x n_x x phi(lambda_x)."""
-        he = sp.csr_matrix(self.he) if not sp.issparse(self.he) else self.he
         ib = sp.identity(self.fock.dim, format="csr")
-        h = sp.kron(he, ib, format="csr")
+        h = sp.kron(self.he, ib, format="csr")
         h = h + sp.kron(
             sp.identity(self.basis.dim, format="csr"),
             sp.diags(self.fock.hb_diag()),
@@ -476,7 +473,7 @@ class EffectiveHamiltonians:
             basis, model.hopping, model.u, model.alpha, model.fock, model.lam
         )
         # S^2 is block diagonal in S_z: its restriction is exact
-        s2 = sp.csr_matrix(build_spin_operators(model.basis)[3])[idx][:, idx]
+        s2 = build_spin_operators(model.basis)[3][idx][:, idx]
         self.s2 = sp.kron(s2, sp.identity(sec.fock.dim), format="csr")
         self._direct = None
         self.diag = np.add.outer(
@@ -583,9 +580,7 @@ def heisenberg_evolution_check(
     interior vectors and the given times."""
     if rng is None:
         rng = np.random.default_rng(23)
-    he_eff = model.effective_electronic()
-    he_dense = he_eff.toarray() if sp.issparse(he_eff) else he_eff
-    evals, evecs = np.linalg.eigh(he_dense)
+    evals, evecs = np.linalg.eigh(model.effective_electronic().toarray())
     hb = model.fock.hb_diag()
     w = model.fock.modes.freqs
 

@@ -13,7 +13,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from itertools import combinations
 
-from .eigensolver import DENSE_MAX
 from .errors import SizingError, ValidationError
 
 # Hard cap on sector dimension; beyond this exact diagonalization is hopeless
@@ -211,10 +210,6 @@ def hopping_moves(basis: SectorBasis, hopping: HoppingMatrix):
 
 
 def _assemble(dim, rows, cols, vals):
-    if dim <= DENSE_MAX:
-        m = np.zeros((dim, dim))
-        np.add.at(m, (rows, cols), vals)
-        return m
     return sp.csr_matrix(
         (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(dim, dim)
     )
@@ -224,7 +219,7 @@ def build_hubbard(basis: SectorBasis, hopping: HoppingMatrix, u: float):
     """Sector Hamiltonian sum_{xys} t_xy c+_xs c_ys + u sum_x n_x+ n_x-.
 
     Diagonal hopping amplitudes t_xx enter as site potentials t_xx * n_x.
-    Returns a dense array up to dimension ``DENSE_MAX`` and CSR above.
+    Returns CSR at every dimension.
     """
     if hopping.n_sites != basis.n_sites:
         raise ValidationError(
@@ -260,8 +255,9 @@ def number_operators(basis: SectorBasis):
 def build_spin_operators(basis: SectorBasis):
     """Total-spin components and S^2 on the sector.
 
-    Returns ``(sx, sy, sz, s_squared)``.  S^2 is assembled in ladder form
-    S- S+ + Sz^2 + Sz, which keeps it real; sy is the only complex matrix.
+    Returns ``(sx, sy, sz, s_squared)``, CSR at every dimension.  S^2 is
+    assembled in ladder form S- S+ + Sz^2 + Sz, which keeps it real; sy is
+    the only complex matrix.
     """
     rows, cols, vals = [], [], []
     up, dn = basis.spin_occupations()
@@ -281,14 +277,9 @@ def build_spin_operators(basis: SectorBasis):
             cols.append(i)
             vals.append(float(sgn1 * sgn2))
     splus = _assemble(basis.dim, rows, cols, vals)
-    if sp.issparse(splus):
-        sminus = splus.T.tocsr()
-        sz = sp.diags(sz_diag).tocsr()
-        s_squared = (sminus @ splus + sp.diags(sz_diag**2 + sz_diag)).tocsr()
-    else:
-        sminus = splus.T
-        sz = np.diag(sz_diag)
-        s_squared = sminus @ splus + np.diag(sz_diag**2 + sz_diag)
+    sminus = splus.T.tocsr()
+    sz = sp.diags(sz_diag).tocsr()
+    s_squared = (sminus @ splus + sp.diags(sz_diag**2 + sz_diag)).tocsr()
     sx = 0.5 * (splus + sminus)
     sy = -0.5j * (splus - sminus)
     return sx, sy, sz, s_squared

@@ -106,10 +106,11 @@ class RegimeCheck:
 
 
 def _ground_report(hopping, n_e, u_eff, cluster_tol):
+    """S^2 on the n_e sector and the ground space of the Hubbard model there."""
     basis = build_sector_basis(hopping.n_sites, n_e)
     h = build_hubbard(basis, hopping, u_eff)
     _, _, _, s2 = build_spin_operators(basis)
-    return basis, ground_space(h, cluster_tol=cluster_tol, s_squared=s2)
+    return s2, ground_space(h, cluster_tol=cluster_tol, s_squared=s2)
 
 
 def check_lieb_regime(
@@ -131,8 +132,7 @@ def check_lieb_regime(
     if reasons:
         return RegimeCheck(False, False, "; ".join(reasons))
 
-    basis, rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
-    _, _, _, s2 = build_spin_operators(basis)
+    s2, rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
     # smallest S^2 expectation over the ground space: project and diagonalize
     v = rep.vectors
     s2_proj = v.conj().T @ (s2 @ v)
@@ -214,13 +214,12 @@ def sweep_alpha(
     h0 = build_hubbard(basis, hopping, 0.0)
     _, docc = number_operators(basis)
     _, _, _, s2 = build_spin_operators(basis)
-    diag = np.diag if isinstance(h0, np.ndarray) else sp.diags
 
     def one(alpha: float) -> SweepRecord:
         par = effective_params(u, alpha, b)
         rec = SweepRecord(alpha, float(kappa), par.u_eff, np.nan, 0, "", "Error", "")
         try:
-            h = h0 + diag(par.u_eff * docc)
+            h = h0 + sp.diags(par.u_eff * docc)
             rep = ground_space(h, cluster_tol=cluster_tol, s_squared=s2)
         except (
             AmbiguousDegeneracyError,

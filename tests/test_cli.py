@@ -307,6 +307,16 @@ def test_verify_strict_failure_exit(tmp_path, capsys):
     assert "FAIL dressed_annihilation" in capsys.readouterr().out
 
 
+def test_verify_reads_cluster_tol(tmp_path, capsys):
+    """At cluster_tol 0.5 the dressed ground state's gap falls in the grey
+    zone, so verify must stop there instead of using the 1e-8 default."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 2}\nsolver: {cluster_tol: 0.5}\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"])
+    assert rc == 3
+    assert "verification error: eigenvalue gap" in capsys.readouterr().err
+
+
 def test_ir_csv(tmp_path):
     out = tmp_path / "runs"
     rc = main(["--out", str(out), "ir"])
@@ -338,6 +348,7 @@ BAD_CONFIGS = [
     ("modes: {n_max: true}\n", "modes.n_max"),
     ("modes: {per_site: true}\n", "modes.per_site"),
     ("solver: {levels: true}\n", "solver.levels"),
+    ("electrons: {n_e: 0}\n", "electrons.n_e"),
 ]
 
 
@@ -354,6 +365,33 @@ def test_malformed_sections_keys_and_values_exit_2(
     assert f"config error: {key}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+EDGE_CONFIGS = {
+    "no-electrons": "electrons: {n_e: 0}\n",
+    "one-electron": "electrons: {n_e: 1}\n",
+    "full-filling": "electrons: {n_e: 4}\n",
+    "one-site": "lattice: {n_sites: 1}\nelectrons: {n_e: 1}\n",
+    "no-coupling": "coupling: {alpha: 0}\n",
+    "attractive": "interaction: {u: -3}\n",
+    "no-hopping": "lattice: {hopping: {t: 0}}\n",
+    "rank-one": "lattice:\n  n_sites: 3\n  hopping: {kind: rank_one, amplitudes: "
+    "[1, -1, 0.5]}\nelectrons: {n_e: 2}\n",
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "sweep", "ir"])
+@pytest.mark.parametrize("name", EDGE_CONFIGS)
+def test_edge_configs_exit_with_a_documented_code(tmp_path, capsys, name, command):
+    """Edge configs through every solver: a documented exit code, never a
+    traceback; a config without electrons is rejected up front."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 2}\n" + EDGE_CONFIGS[name])
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert rc in (0, 2, 3)
+    if name == "no-electrons":
+        assert rc == 2
+        assert "config error: electrons.n_e" in capsys.readouterr().err
 
 
 def test_undecodable_config_exits_2(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_ground_space_grey_zone_raises():
 def test_spin_labels():
     # one electron on one site: spin doublet, s = 1/2
     basis = build_sector_basis(1, 1)
-    h = np.asarray(build_hubbard(basis, HoppingMatrix(np.zeros((1, 1))), 1.0))
+    h = build_hubbard(basis, HoppingMatrix(np.zeros((1, 1))), 1.0).toarray()
     *_, s2 = build_spin_operators(basis)
     rep = ground_space(h, s_squared=s2)
     assert rep.degeneracy == 2
@@ -175,6 +175,21 @@ def test_single_block_is_bitwise_eigh():
     ref_vals, ref_vecs = np.linalg.eigh(h)
     for arg in (h, sp.csr_matrix(h)):
         vals, vecs = eigensolve(arg, k=60)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
+
+def test_sparse_input_densified_by_block_is_bitwise_dense():
+    """Sparse input of any format is densified block by block and solves to
+    the arrays its dense form does."""
+    rng = np.random.default_rng(16)
+    blocks = [a + a.T for a in (rng.standard_normal((n, n)) for n in (3, 7, 5))]
+    h = sla.block_diag(*blocks)
+    perm = rng.permutation(h.shape[0])
+    h = h[np.ix_(perm, perm)]
+    ref_vals, ref_vecs = eigensolve(h, k=h.shape[0])
+    for fmt in (sp.csr_matrix, sp.coo_matrix, sp.dia_matrix):
+        vals, vecs = eigensolve(fmt(h), k=h.shape[0])
         assert np.array_equal(vals, ref_vals)
         assert np.array_equal(vecs, ref_vecs)
 

@@ -49,7 +49,9 @@ from hubbard_phonon.lang_firsov import (
 )
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
+    build_hubbard,
     build_sector_basis,
+    build_spin_operators,
     hopping_moves,
 )
 
@@ -182,7 +184,7 @@ def test_dress_state_matches_unitary():
     # coherent-recurrence route vs displacement applied to the vacuum; they
     # differ only through the truncated coherent tail
     he_eff = M12.effective_electronic()
-    psi_e = np.linalg.eigh(np.asarray(he_eff))[1][:, 0]
+    psi_e = np.linalg.eigh(he_eff.toarray())[1][:, 0]
     st = dress_state(M12, psi_e)
     vac = np.zeros(M12.fock.dim)
     vac[0] = 1.0
@@ -403,6 +405,20 @@ def test_multiplet_levels_pair_spins_within_a_cluster():
     s2 = q @ np.diag([2.0, 0.0, 0.0]) @ q.T
     levels = multiplet_levels(h, s2, 5)
     assert np.max(np.abs(levels - [0.0, 0.0, 0.0, 1e-10, 1.0])) <= 1e-14
+
+
+def test_sector_operators_are_csr_below_the_dense_crossover():
+    """The 6-state reference sector, far below DENSE_MAX, still gets CSR
+    operators: only the eigensolver densifies."""
+    basis = M6.basis
+    assert basis.dim == 6
+    ops = [
+        build_hubbard(basis, M6.hopping, M6.u),
+        *build_spin_operators(basis),
+        M6.effective_electronic(),
+    ]
+    assert [op.format for op in ops] == ["csr"] * 6
+    assert all(sp.issparse(op) for op in ops)
 
 
 def test_direct_data_is_contiguous_real():

@@ -119,7 +119,7 @@ def test_two_site_ground_energy():
     # half filling, t = -1, U = -1: e0 = U/2 - sqrt((U/2)^2 + 4 t^2)
     basis = build_sector_basis(2, 2)
     h = build_hubbard(basis, HoppingMatrix.chain(2, t=-1.0), -1.0)
-    vals = np.linalg.eigvalsh(np.asarray(h))
+    vals = np.linalg.eigvalsh(h.toarray())
     exact = -0.5 - np.sqrt(4.25)
     assert abs(vals[0] - exact) < 1e-12
 
@@ -129,7 +129,7 @@ def test_hubbard_hermitian_random_hopping():
     a = rng.standard_normal((4, 4))
     hop = HoppingMatrix(0.5 * (a + a.T))
     basis = build_sector_basis(4, 3)
-    h = np.asarray(build_hubbard(basis, hop, 0.7))
+    h = build_hubbard(basis, hop, 0.7).toarray()
     assert np.max(np.abs(h - h.T)) == 0.0
 
 
@@ -140,7 +140,7 @@ def test_diagonal_hopping_is_site_potential():
     a = rng.standard_normal((3, 3))
     hop = HoppingMatrix(0.5 * (a + a.T))
     basis = build_sector_basis(3, 1)
-    h = np.asarray(build_hubbard(basis, hop, 123.0))  # U irrelevant at N_e=1
+    h = build_hubbard(basis, hop, 123.0).toarray()  # U irrelevant at N_e=1
     got = np.sort(np.linalg.eigvalsh(h))
     want = np.sort(np.repeat(np.linalg.eigvalsh(hop.mat), 2))  # spin doubling
     assert np.max(np.abs(got - want)) < 1e-12
@@ -149,7 +149,7 @@ def test_diagonal_hopping_is_site_potential():
 def test_spin_spectrum_two_site():
     basis = build_sector_basis(2, 2)
     *_, s2 = build_spin_operators(basis)
-    vals = np.sort(np.linalg.eigvalsh(np.asarray(s2)))
+    vals = np.sort(np.linalg.eigvalsh(s2.toarray()))
     # three singlets and one triplet: S(S+1) in {0, 2}
     assert np.allclose(vals, [0, 0, 0, 2, 2, 2], atol=1e-12)
 
@@ -159,15 +159,15 @@ def test_hubbard_commutes_with_spin():
     a = rng.standard_normal((3, 3))
     hop = HoppingMatrix(0.5 * (a + a.T))
     basis = build_sector_basis(3, 3)
-    h = np.asarray(build_hubbard(basis, hop, -0.8))
-    sx, sy, sz, s2 = (np.asarray(m) for m in build_spin_operators(basis))
+    h = build_hubbard(basis, hop, -0.8).toarray()
+    sx, sy, sz, s2 = (m.toarray() for m in build_spin_operators(basis))
     for op in (sx, sy, sz, s2):
         assert np.max(np.abs(h @ op - op @ h)) < 1e-12
 
 
 def test_spin_operators_consistent():
     basis = build_sector_basis(2, 2)
-    sx, sy, sz, s2 = (np.asarray(m) for m in build_spin_operators(basis))
+    sx, sy, sz, s2 = (m.toarray() for m in build_spin_operators(basis))
     recon = sx @ sx + (sy @ sy).real + sz @ sz
     assert np.max(np.abs(recon - s2)) < 1e-12
 

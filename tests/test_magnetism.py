@@ -99,11 +99,11 @@ def test_tasaki_rank_one_structure():
 def test_classification_labels():
     basis = build_sector_basis(3, 2)
     *_, s2 = build_spin_operators(basis)
-    h = np.asarray(build_hubbard(basis, HoppingMatrix.chain(3), -1.0))
+    h = build_hubbard(basis, HoppingMatrix.chain(3), -1.0).toarray()
     rep = ground_space(h, s_squared=s2)
     assert classify(rep, 2, 3) == "UniqueSinglet"
     hop = build_tasaki_hopping(1.0, [1.0, 1.0, 1.0])
-    h2 = np.asarray(build_hubbard(basis, hop, 1.0))
+    h2 = build_hubbard(basis, hop, 1.0).toarray()
     rep2 = ground_space(h2, s_squared=s2)
     assert classify(rep2, 2, 3) == "Ferromagnetic"
 
@@ -118,7 +118,7 @@ def test_classification_permutation_invariant():
         for a in (amps, amps[perm]):
             basis = build_sector_basis(4, 3)
             *_, s2 = build_spin_operators(basis)
-            h = np.asarray(build_hubbard(basis, build_tasaki_hopping(1.0, a), u_eff))
+            h = build_hubbard(basis, build_tasaki_hopping(1.0, a), u_eff).toarray()
             reps.append(ground_space(h, s_squared=s2))
         assert abs(reps[0].e0 - reps[1].e0) < 1e-10
         assert reps[0].degeneracy == reps[1].degeneracy
@@ -138,7 +138,7 @@ def test_sweep_records_and_flip():
     # energies include the per-electron chemical shift
     par = effective_params(1.0, recs[0].alpha, B_REF)
     basis = build_sector_basis(3, 2)
-    h = np.asarray(build_hubbard(basis, hop, par.u_eff))
+    h = build_hubbard(basis, hop, par.u_eff).toarray()
     e_raw = np.linalg.eigvalsh(h)[0]
     assert abs(recs[0].e0 - (e_raw - 2 * par.chemical_shift)) < 1e-10
 
