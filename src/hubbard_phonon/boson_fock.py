@@ -366,12 +366,12 @@ def apply_weyl(space: TruncatedFock, f, vec):
     return apply_displacement(space, u, vec)
 
 
-def coherent_state(space: TruncatedFock, z, tail_bound: float = TAIL_BOUND):
+def coherent_state(space: TruncatedFock, z):
     """Normalized truncated coherent state and its lost tail mass.
 
     Returns ``(vec, truncation_error)`` where the error is 1 minus the
     squared norm of the raw truncated amplitudes.  The vector itself is
-    renormalized.  A tail above ``tail_bound`` raises a warning.
+    renormalized.  A tail above ``TAIL_BOUND`` raises a warning.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (space.modes.m,):
@@ -379,7 +379,7 @@ def coherent_state(space: TruncatedFock, z, tail_bound: float = TAIL_BOUND):
     vec = mode_kron([coherent_amplitudes_1mode(zj, space.n_max) for zj in z])
     nrm2 = float(np.vdot(vec, vec).real)
     trunc = max(0.0, 1.0 - nrm2)
-    if trunc > tail_bound:
+    if trunc > TAIL_BOUND:
         warnings.warn(
             f"coherent state lost {trunc:.3e} tail mass at n_max = {space.n_max}",
             TruncationWarning,

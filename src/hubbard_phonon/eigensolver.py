@@ -43,9 +43,16 @@ HERMITIAN_TOL = 1e-12
 
 
 def _check_hermitian(h) -> None:
-    """Hermiticity of a sparse matrix or, by probe, of a linear operator."""
+    """Hermiticity of a sparse matrix or, for a linear operator, the seeded
+    two-vector probe |<x, Hy> - <Hx, y>| <= tol ||x|| ||Hy||."""
     if _is_operator(h):
-        _probe_hermitian(h)
+        x, y = np.random.default_rng(54321).standard_normal((2, h.shape[0]))
+        hx, hy = h.matvec(x), h.matvec(y)
+        asym = abs(np.vdot(x, hy) - np.vdot(hx, y))
+        if asym > HERMITIAN_TOL * np.linalg.norm(x) * np.linalg.norm(hy):
+            raise ValidationError(
+                f"linear operator is not Hermitian: |<x,Hy> - <Hx,y>| = {asym:g}"
+            )
         return
     d = h - h.conj().T
     _require_hermitian(
@@ -59,27 +66,15 @@ def _require_hermitian(asym, scale) -> None:
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:g}")
 
 
-def _probe_hermitian(op) -> None:
-    """Seeded two-vector test |<x, Hy> - <Hx, y>| <= tol ||x|| ||Hy||."""
-    rng = np.random.default_rng(54321)
-    x, y = rng.standard_normal((2, op.shape[0]))
-    hx, hy = op.matvec(x), op.matvec(y)
-    asym = abs(np.vdot(x, hy) - np.vdot(hx, y))
-    if asym > HERMITIAN_TOL * np.linalg.norm(x) * np.linalg.norm(hy):
-        raise ValidationError(
-            f"linear operator is not Hermitian: |<x,Hy> - <Hx,y>| = {asym:g}"
-        )
-
-
 def _blockwise_eigh(h, labels):
-    """Full eigendecomposition, one ``np.linalg.eigh`` per labelled block.
+    """Full eigendecomposition of CSR ``h``, one ``np.linalg.eigh`` per block.
 
     ``labels`` names the connected block of each index.  A block-diagonal
     matrix's spectrum is the union of its blocks' spectra: the eigenvalues
     are merged by a stable ascending sort and each block's eigenvectors
     land, zero-padded, in their sorted columns.  A single block returns
-    exactly what ``np.linalg.eigh`` does.  Sparse ``h`` is densified one
-    block at a time, so the whole matrix is never dense at once.
+    exactly what ``np.linalg.eigh`` does.  ``h`` is densified one block at
+    a time, so the whole matrix is never dense at once.
 
     Hermiticity is checked on the blocks: every nonzero and its transpose
     partner lie in one block, so the blocks' largest asymmetry and entry
@@ -87,11 +82,7 @@ def _blockwise_eigh(h, labels):
     """
     by_label = np.argsort(labels, kind="stable")
     blocks = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
-    if sp.issparse(h):
-        csr = h.tocsr()
-        subs = [csr[idx][:, idx].toarray() for idx in blocks]
-    else:
-        subs = [h[np.ix_(idx, idx)] for idx in blocks]
+    subs = [h[idx][:, idx].toarray() for idx in blocks]
     _require_hermitian(
         max(np.max(np.abs(b - b.conj().T), initial=0.0) for b in subs),
         max(np.max(np.abs(b), initial=0.0) for b in subs),
@@ -232,6 +223,7 @@ def _filtered_lanczos(h, k: int, tol: float, maxiter):
     and, if ARPACK has not converged by then, also widens; only the last
     runs to ``maxiter`` and raises IterationLimitError.
     """
+    _check_hermitian(h)
     matvec = h.matvec if _is_operator(h) else h.dot
     dtype = np.result_type(h.dtype, np.float64)
     v0 = _lanczos_start(h.shape[0])
@@ -250,29 +242,28 @@ def _filtered_lanczos(h, k: int, tol: float, maxiter):
                 raise IterationLimitError(
                     f"Lanczos converged only {nc}/{k} eigenpairs"
                 ) from exc
-            # p(lambda_k) lies too close to the damped band: move the cut up
-            span = hi - lo
-            cut += FILTER_WIDEN * span
-            hi = max(hi, cut) + FILTER_WIDEN * span
-            continue
-        # eigsh returns complex Hermitian Ritz vectors from eigs, which
-        # does not orthonormalize them
-        y = np.linalg.qr(y)[0]
-        hy = h @ y
-        g = y.conj().T @ hy
-        vals, u = np.linalg.eigh(0.5 * (g + g.conj().T))
-        vecs = y @ u
-        residual = np.linalg.norm(hy @ u - vecs * vals, axis=0)
-        bound = max(tol, RESIDUAL_TOL) * max(abs(lo), abs(hi), abs(vals[0]))
-        if vals[-1] < cut and np.all(residual <= bound):
-            return vals, vecs
-        lo = min(lo, vals[0])
-        span = max(hi, vals[-1]) - lo
-        if vals[-1] >= hi:
-            # a level above hi was amplified: move hi past it
-            hi = vals[-1] + FILTER_WIDEN * span
+            # p(lambda_k) lies too close to the damped band: widen as if
+            # the top level had reached the cut
+            top = cut
         else:
-            cut = max(cut, vals[-1]) + FILTER_WIDEN * span
+            # eigsh returns complex Hermitian Ritz vectors from eigs, which
+            # does not orthonormalize them
+            y = np.linalg.qr(y)[0]
+            hy = h @ y
+            g = y.conj().T @ hy
+            vals, u = np.linalg.eigh(0.5 * (g + g.conj().T))
+            vecs = y @ u
+            residual = np.linalg.norm(hy @ u - vecs * vals, axis=0)
+            bound = max(tol, RESIDUAL_TOL) * max(abs(lo), abs(hi), abs(vals[0]))
+            if vals[-1] < cut and np.all(residual <= bound):
+                return vals, vecs
+            lo, top = min(lo, vals[0]), vals[-1]
+        span = max(hi, top) - lo
+        if top >= hi:
+            # a level above hi was amplified: move hi past it
+            hi = top + FILTER_WIDEN * span
+        else:
+            cut = max(cut, top) + FILTER_WIDEN * span
             hi = max(hi, cut) + FILTER_WIDEN * span
     raise AccuracyError(
         f"filtered Lanczos: {k} levels up to {vals[-1]:.12g} with cut {cut:.12g} "
@@ -297,9 +288,10 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     accuracy of the eigenvalues of p(H) (the returned pairs of H are then
     held to residuals of max(tol, RESIDUAL_TOL) times the spectral radius),
     and ``maxiter`` counts ARPACK iterations of the final attempt, each of
-    up to ncv - k filter applications of FILTER_DEGREE matvecs.  Linear
-    operators are probed for Hermiticity with two seeded matvecs before the
-    solve.
+    up to ncv - k filter applications of FILTER_DEGREE matvecs.  The dense
+    route takes CSR (a dense array is converted once) and checks Hermiticity
+    on its blocks; the Lanczos route checks the whole matrix, or probes a
+    linear operator with two seeded matvecs.
     """
     dim = h.shape[0]
     if h.shape[0] != h.shape[1]:
@@ -309,12 +301,11 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     k = min(k, dim)
 
     if isinstance(h, np.ndarray) or (sp.issparse(h) and _dense_pays(k, dim)):
-        # csgraph on a dense array builds masked arrays; a CSR pattern is cheap
-        _, labels = connected_components(sp.csr_matrix(h != 0), directed=False)
+        h = sp.csr_matrix(h)
+        _, labels = connected_components(h != 0, directed=False)
         vals, vecs = _blockwise_eigh(h, labels)
         return vals[:k], vecs[:, :k]
 
-    _check_hermitian(h)
     if _is_operator(h) and k >= dim - 1:
         raise ValidationError(
             f"k = {k} too close to dim = {dim} for the iterative path"
@@ -326,9 +317,10 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
 class GroundSpaceReport:
     """Certified ground-space data.
 
-    ``s_tot`` is the common total spin of the ground vectors (a half-integer
-    as float), the string ``"mixed"`` when they do not share one, or None
-    when no spin operator was supplied.
+    ``s_tot`` is the spin of the eigenvalues of the ground space's S^2 Gram
+    matrix (:func:`cluster_spins`) when they all snap to one s(s+1) (a
+    half-integer as float), the string ``"mixed"`` when they do not, or
+    None when no spin operator was supplied.
     """
 
     e0: float
@@ -339,29 +331,29 @@ class GroundSpaceReport:
     spectrum_head: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def snap_spin(q: float, tol_spin: float):
-    """The half-integer s with |q - s(s+1)| <= tol_spin, or None."""
-    s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * q)))
-    s_half = round(2.0 * s) / 2.0
-    if abs(q - s_half * (s_half + 1.0)) > tol_spin:
-        return None
-    return s_half
-
-
-def _spin_label(vectors, s_squared):
-    qs = np.array([np.vdot(v, s_squared @ v).real for v in vectors.T])
-    if np.max(np.abs(qs - qs[0])) > SPIN_TOL:
-        return "mixed"
-    s = snap_spin(qs[0], SPIN_TOL)
-    return "mixed" if s is None else s
-
+# Absolute distance from s(s+1) within which an S^2 value names a spin s.
+SPIN_TOL = 1e-6
 
 # Relative gap below which two Ritz values of one S_z sector count as one
 # level (the default ground-space clustering tolerance).
 MULTIPLET_TOL = 1e-8
 
-# Absolute distance from s(s+1) within which an S^2 value names a spin s.
-SPIN_TOL = 1e-6
+
+def snap_spin(q: float):
+    """The half-integer s with |q - s(s+1)| <= SPIN_TOL, or None."""
+    s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * q)))
+    s_half = round(2.0 * s) / 2.0
+    if abs(q - s_half * (s_half + 1.0)) > SPIN_TOL:
+        return None
+    return s_half
+
+
+def cluster_spins(vectors, s_squared):
+    """Eigenvalues ``qs`` (ascending) and eigenvectors ``u`` of V^H S^2 V for
+    the orthonormal columns V of ``vectors``, and ``spins``, the
+    :func:`snap_spin` of each eigenvalue."""
+    qs, u = np.linalg.eigh(vectors.conj().T @ (s_squared @ vectors))
+    return qs, u, [snap_spin(q) for q in qs]
 
 
 def multiplet_levels(h, s_squared, k: int, tol: float = 0.0):
@@ -407,9 +399,7 @@ def _restore_multiplets(vals, vecs, s_squared, k, complete):
     breaks = np.flatnonzero(gaps) + 1
     levels = []
     for a, b in zip(np.r_[0, breaks], np.r_[breaks, len(vals)]):
-        v = vecs[:, a:b]
-        qs, u = np.linalg.eigh(v.conj().T @ (s_squared @ v))
-        spins = [snap_spin(q, SPIN_TOL) for q in qs]
+        qs, u, spins = cluster_spins(vecs[:, a:b], s_squared)
         if None in spins:
             if b == len(vals) and not complete:
                 return None
@@ -441,6 +431,9 @@ def ground_space(
     within a factor of 2 of that threshold on either side the clustering is
     declared ambiguous and :class:`AmbiguousDegeneracyError` is raised with a
     tolerance suggestion instead of returning a coin-flip degeneracy.
+    With ``s_squared``, a spin s that :func:`cluster_spins` finds a number of
+    times that is not a multiple of 2s+1 is part of a multiplet and raises
+    :class:`AccuracyError`.
     """
     dim = h.shape[0]
     # the full spectrum of a matrix up to DENSE_MAX; otherwise 8 levels,
@@ -456,7 +449,6 @@ def ground_space(
         k = min(2 * k, dim - 1)
 
     e0 = float(vals[0])
-    scale = max(1.0, abs(e0))
     rel = (vals - e0) / scale
     grey = (rel >= 0.5 * cluster_tol) & (rel <= 2.0 * cluster_tol)
     if np.any(grey):
@@ -468,17 +460,22 @@ def ground_space(
             gap=g,
             suggested_tol=g / 4,
         )
-    inside = rel <= cluster_tol
-    deg = int(np.sum(inside))
-    vecs_in = vecs[:, :deg]
+    deg = int(np.sum(rel <= cluster_tol))
     # re-orthonormalize inside the cluster; eigh pairs are orthonormal to
     # machine precision already, QR just pins the guarantee
-    q, _ = np.linalg.qr(vecs_in)
+    q, _ = np.linalg.qr(vecs[:, :deg])
     gap = float(vals[deg] - e0) if deg < len(vals) else np.inf
 
     s_tot = None
     if s_squared is not None:
-        s_tot = _spin_label(q, s_squared)
+        _, _, spins = cluster_spins(q, s_squared)
+        for s in set(spins) - {None}:
+            if spins.count(s) % (2.0 * s + 1.0):
+                raise AccuracyError(
+                    f"ground space at {e0:.12g}: {spins.count(s)} states of "
+                    f"spin {s:g}, not whole multiplets of {2.0 * s + 1.0:g}"
+                )
+        s_tot = "mixed" if None in spins or len(set(spins)) > 1 else spins[0]
 
     return GroundSpaceReport(
         e0=e0,

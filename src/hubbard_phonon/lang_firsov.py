@@ -209,7 +209,7 @@ class CoupledModel:
         disc = discretize(family, kappa, modes_per_site, n_sites=n_sites)
         basis = build_sector_basis(n_sites, n_e)
         if n_max is None:
-            n_max = _adaptive_n_max(disc.modes, disc.couplings, alpha, TAIL_BOUND)
+            n_max = _adaptive_n_max(disc.modes, disc.couplings, alpha)
         fock = TruncatedFock(disc.modes, n_max)
         return cls(basis, hopping, u, alpha, fock, disc.couplings)
 
@@ -220,8 +220,8 @@ class CoupledModel:
         )
 
 
-def _adaptive_n_max(modes: ModeSet, couplings, alpha: float, tail_bound: float) -> int:
-    """Smallest n_max whose worst-case coherent tail stays under the bound.
+def _adaptive_n_max(modes: ModeSet, couplings, alpha: float) -> int:
+    """Smallest n_max whose worst-case coherent tail stays under TAIL_BOUND.
 
     The search stops at n_max = 64; a tail still above the bound there is
     reported with a :class:`TruncationWarning`.
@@ -232,13 +232,13 @@ def _adaptive_n_max(modes: ModeSet, couplings, alpha: float, tail_bound: float) 
     zmax = alpha / np.sqrt(2.0) * 2.0 * g
     n_max = 10
     tail = coherent_tail(zmax, n_max).sum()
-    while tail >= tail_bound and n_max < 64:
+    while tail >= TAIL_BOUND and n_max < 64:
         n_max += 2
         tail = coherent_tail(zmax, n_max).sum()
-    if tail >= tail_bound:
+    if tail >= TAIL_BOUND:
         warnings.warn(
             f"automatic n_max stopped at {n_max} with coherent tail "
-            f"{tail:.3e} above the bound {tail_bound:.1e}",
+            f"{tail:.3e} above the bound {TAIL_BOUND:.1e}",
             TruncationWarning,
             stacklevel=3,
         )

@@ -16,8 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolver import GroundSpaceReport, ground_space
-from .errors import AmbiguousDegeneracyError, IterationLimitError, ValidationError
+from .eigensolver import GroundSpaceReport, cluster_spins, ground_space
+from .errors import (
+    AccuracyError,
+    AmbiguousDegeneracyError,
+    IterationLimitError,
+    ValidationError,
+)
 from .lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
@@ -74,8 +79,6 @@ def critical_alpha(u: float, b: float) -> float:
 
 def classify(report: GroundSpaceReport, n_e: int, n_sites: int) -> str:
     """Label a ground space: UniqueSinglet, Ferromagnetic or Other."""
-    if report.s_tot == "mixed" or report.s_tot is None:
-        return "Other"
     if report.degeneracy == 1 and report.s_tot == 0.0:
         return "UniqueSinglet"
     if report.s_tot == s_max(n_e, n_sites):
@@ -133,13 +136,9 @@ def check_lieb_regime(
         return RegimeCheck(False, False, "; ".join(reasons))
 
     s2, rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
-    # smallest S^2 expectation over the ground space: project and diagonalize
-    v = rep.vectors
-    s2_proj = v.conj().T @ (s2 @ v)
-    smin = float(np.min(np.linalg.eigvalsh(0.5 * (s2_proj + s2_proj.conj().T))))
-    singlet_present = smin < 1e-6
-    ok = singlet_present
-    details = f"min <S^2> over ground space = {smin:.3e}"
+    qs, _, spins = cluster_spins(rep.vectors, s2)
+    ok = 0.0 in spins
+    details = f"min <S^2> over ground space = {qs[0]:.3e}"
     if u_eff < 0:
         ok = ok and rep.degeneracy == 1 and rep.s_tot == 0.0
         details += f"; degeneracy = {rep.degeneracy}, s_tot = {rep.s_tot}"
@@ -206,9 +205,9 @@ def sweep_alpha(
     Reported energies include the chemical shift, i.e. they are ground
     energies of the effective electronic Hamiltonian whose kinetic diagonal
     is lowered by (alpha*b)**2/2 per electron.  Grid points that fail to
-    classify (ambiguous clustering, solver breakdown) are kept in the output
-    with classification "Error" and the message in ``residual_flags``; any
-    other exception propagates.
+    classify (ambiguous clustering, an incomplete multiplet, solver
+    breakdown) are kept in the output with classification "Error" and the
+    message in ``residual_flags``; any other exception propagates.
     """
     basis = build_sector_basis(hopping.n_sites, n_e)
     h0 = build_hubbard(basis, hopping, 0.0)
@@ -222,6 +221,7 @@ def sweep_alpha(
             h = h0 + sp.diags(par.u_eff * docc)
             rep = ground_space(h, cluster_tol=cluster_tol, s_squared=s2)
         except (
+            AccuracyError,
             AmbiguousDegeneracyError,
             IterationLimitError,
             np.linalg.LinAlgError,

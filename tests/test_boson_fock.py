@@ -307,7 +307,7 @@ def test_coherent_tail_resolves_tiny_tails():
 def test_coherent_truncation_reporting():
     space = _space([1.0], 6)
     with pytest.warns(TruncationWarning):
-        _, err = coherent_state(space, np.array([2.5]), tail_bound=1e-8)
+        _, err = coherent_state(space, np.array([2.5]))
     assert err > 1e-8
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)

@@ -344,7 +344,7 @@ def _plain_lanczos_levels(h, s2, k):
     vals, vecs = spla.eigsh(h, k=k, which="SA", v0=np.ones(h.shape[0]))
     levels = []
     for e, v in zip(vals, vecs.T):
-        s = snap_spin(np.vdot(v, s2 @ v).real, 1e-6)
+        s = snap_spin(np.vdot(v, s2 @ v).real)
         levels += [e] * int(round(2 * s + 1))
     return np.sort(levels)[:k]
 
@@ -472,8 +472,8 @@ def test_adaptive_n_max_warns_when_bound_missed():
     disc = discretize(CutoffFamily(beta=0.5, big_k=1.0), 0.1, 2, n_sites=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        assert _adaptive_n_max(disc.modes, disc.couplings, 0.5, 1e-8) < 64
+        assert _adaptive_n_max(disc.modes, disc.couplings, 0.5) < 64
     with pytest.warns(TruncationWarning, match="stopped at 64") as rec:
-        assert _adaptive_n_max(disc.modes, disc.couplings, 20.0, 1e-8) == 64
+        assert _adaptive_n_max(disc.modes, disc.couplings, 20.0) == 64
     # the message carries the tail that was reached
     assert "coherent tail" in str(rec[0].message)

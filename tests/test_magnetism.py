@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hubbard_phonon import magnetism
-from hubbard_phonon.errors import ValidationError
+from hubbard_phonon.errors import AccuracyError, ValidationError
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
@@ -84,6 +84,16 @@ def test_tasaki_regime_small():
         smax = (n_sites - 1) / 2
         assert chk.report.s_tot == smax
         assert chk.report.degeneracy == 2 * smax + 1
+
+
+def test_incomplete_ground_multiplet_is_refused():
+    # 8 sites, 7 electrons: 11,440 states, so ground_space runs Lanczos,
+    # whose single start vector returns 6 (1 BLAS thread) or 7 (2 threads)
+    # of the 8 states of the s = 7/2 multiplet; a partial multiplet must
+    # not pass as a degeneracy
+    amps = [-1.25, 0.78, -0.99, -1.48, 1.46, -1.22, 1.04, -0.78]
+    with pytest.raises(AccuracyError, match="not whole multiplets of 8"):
+        check_tasaki_regime(1.0, amps, u_eff=2.0)
 
 
 def test_tasaki_rank_one_structure():
