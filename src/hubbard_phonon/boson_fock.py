@@ -39,7 +39,6 @@ __all__ = [
     "field",
     "apply_ladder",
     "apply_field",
-    "d_gamma",
     "weyl",
     "apply_weyl",
     "displacement_1mode",
@@ -252,14 +251,6 @@ def apply_field(space: TruncatedFock, f, block):
     """phi(f) @ block = (a(f) + a^*(f)) @ block / sqrt 2, without assembling."""
     f = _amplitudes(space, f)
     return _apply_ladder_terms(space, block, np.conj(f), f, 1 / np.sqrt(2.0))
-
-
-def d_gamma(space: TruncatedFock):
-    """Energy and number operators (H_b, N_b) as sparse diagonals."""
-    return (
-        sp.diags(space.hb_diag()).tocsr(),
-        sp.diags(space.nb_diag()).tocsr(),
-    )
 
 
 @lru_cache(maxsize=256, typed=True)

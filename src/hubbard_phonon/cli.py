@@ -13,6 +13,8 @@ Subcommands:
 Exit codes: 0 success, 2 configuration rejected, 3 verification failure
 (or, under ``--strict``, any failed sweep point).
 
+BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+
 Every CSV starts with a ``#`` metadata block carrying the config hash, the
 active tolerances and the package version; floats are printed with 17
 significant digits so equal runs produce byte-identical files.
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import functools
 import hashlib
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -44,8 +48,8 @@ from .eigensolver import ground_space
 from .lattice_fermions import (
     HoppingMatrix,
     build_sector_basis,
-    build_spin_operators,
     fock_operator,
+    spin_spaces,
 )
 from .magnetism import (
     SweepRecord,
@@ -63,7 +67,6 @@ from .lang_firsov import (
     dressed_ground,
     effective_hamiltonians,
     heisenberg_evolution_check,
-    lowest_sz_sector,
     nb_expectation,
     overlap_formula,
     verify_transform_hb,
@@ -79,7 +82,7 @@ from .ir_modes import (
     weyl_state,
 )
 
-# Largest S_z-sector dimension on which verify solves both coupled routes
+# Largest spin-space dimension on which verify solves both coupled routes
 # for spectral_equivalence; above it the check is skipped with a notice.
 EQUIVALENCE_DIM_CAP = 200_000
 
@@ -90,6 +93,32 @@ LIST_SECTIONS = {("coupling", "alpha_grid")}
 
 # Most points a start/stop/step alpha grid may have (the default has 91).
 ALPHA_GRID_CAP = 100_000
+
+# The OpenBLAS thread setter of the copy each wheel bundles in <package>.libs.
+OPENBLAS_SETTERS = {
+    "numpy": "scipy_openblas_set_num_threads64_",
+    "scipy": "scipy_openblas_set_num_threads",
+}
+
+
+def pin_blas_threads() -> None:
+    """Run every bundled OpenBLAS on one thread unless OPENBLAS_NUM_THREADS
+    is set: at one thread per core the Lanczos solves ran 5-9x slower on a
+    2-core host, and the CSVs' last digits followed the core count.  A
+    package whose copy has no setter is reported on stderr."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    for package, name in OPENBLAS_SETTERS.items():
+        libs = Path(sys.modules[package].__file__).parents[1] / f"{package}.libs"
+        setters = [
+            getattr(ctypes.CDLL(str(lib)), name, None)
+            for lib in sorted(libs.glob("libscipy_openblas*.so"))
+        ]
+        for setter in filter(None, setters):
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+        if not any(setters):
+            print(f"warning: no OpenBLAS thread setter {name} for {package}", file=sys.stderr)
 
 
 @functools.cache
@@ -322,9 +351,11 @@ def cmd_spectrum(cfg, args) -> int:
         float(cfg["interaction"]["u"]), float(cfg["coupling"]["alpha"]), b
     )
     he_eff = model.effective_electronic()
-    _, _, _, s2 = build_spin_operators(model.basis)
+    spaces = spin_spaces(model.basis)
     rep = ground_space(
-        he_eff, cluster_tol=float(cfg["solver"]["cluster_tol"]), s_squared=s2
+        [space.project(he_eff) for space in spaces],
+        cluster_tol=float(cfg["solver"]["cluster_tol"]),
+        spaces=spaces,
     )
     label = classify(rep, model.basis.n_e, model.basis.n_sites)
     k = int(cfg["solver"]["levels"])
@@ -492,7 +523,7 @@ def cmd_verify(cfg, args) -> int:
     )
     checks.append(("number_expectation_routes", abs(nb_arith - nb_mat), tols["overlap"]))
 
-    solved_dim = lowest_sz_sector(model.basis)[0].dim * model.fock.dim
+    solved_dim = max(space.dim for space in spin_spaces(model.basis)) * model.fock.dim
     if solved_dim <= EQUIVALENCE_DIM_CAP:
         ha = effective_hamiltonians(model)
         d5 = ha.direct_lowest(5, tol=1e-10)
@@ -502,8 +533,8 @@ def cmd_verify(cfg, args) -> int:
         )
     else:
         print(
-            f"SKIP spectral_equivalence: S_z-sector dimension {solved_dim} "
-            f"exceeds the cap {EQUIVALENCE_DIM_CAP}"
+            f"SKIP spectral_equivalence: largest spin-space dimension "
+            f"{solved_dim} exceeds the cap {EQUIVALENCE_DIM_CAP}"
         )
 
     margin = relative_bound_check(model.fock, model.lam[0], n_trials=50, rng=rng)
@@ -617,6 +648,7 @@ def main(argv=None) -> int:
             print(f"config error: {e}", file=sys.stderr)
         return 2
 
+    pin_blas_threads()
     handler = {
         "spectrum": cmd_spectrum,
         "sweep": cmd_sweep,

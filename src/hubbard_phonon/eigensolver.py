@@ -8,7 +8,8 @@ of the Krylov block) on a Chebyshev polynomial filter of the matrix, whose
 span Rayleigh-Ritz turns back into the matrix's eigenpairs.  Degeneracy is
 decided by relative clustering at ``cluster_tol``; a cluster boundary that
 falls inside the factor-2 grey zone raises instead of silently picking a
-side.
+side.  A spin-symmetric Hamiltonian is solved one total spin at a time, each
+level standing for its whole multiplet.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
 # Dense/sparse crossover for eigensolves and dense operators.
 DENSE_MAX = 4096
 
-__all__ = ["eigensolve", "multiplet_levels", "ground_space", "GroundSpaceReport"]
+__all__ = ["eigensolve", "ground_space", "GroundSpaceReport"]
 
 
 def _is_operator(h) -> bool:
@@ -74,15 +75,31 @@ def _blockwise_eigh(h, labels):
     are merged by a stable ascending sort and each block's eigenvectors
     land, zero-padded, in their sorted columns.  A single block returns
     exactly what ``np.linalg.eigh`` does.  ``h`` is densified one block at
-    a time, so the whole matrix is never dense at once.
+    a time, its COO entries scattered into a zeroed array per block, so the
+    whole matrix is never dense at once.
 
     Hermiticity is checked on the blocks: every nonzero and its transpose
     partner lie in one block, so the blocks' largest asymmetry and entry
     are the whole matrix's.
     """
     by_label = np.argsort(labels, kind="stable")
-    blocks = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
-    subs = [h[idx][:, idx].toarray() for idx in blocks]
+    sizes = np.bincount(labels)
+    ends = np.cumsum(sizes)
+    blocks = np.split(by_label, ends[:-1])
+    pos = np.empty_like(labels)  # each index's place inside its block
+    pos[by_label] = np.arange(labels.size) - np.repeat(ends - sizes, sizes)
+    coo = h.tocoo()
+    coo.sum_duplicates()
+    owner = labels[coo.row]
+    entries = np.split(
+        np.argsort(owner, kind="stable"),
+        np.cumsum(np.bincount(owner, minlength=sizes.size))[:-1],
+    )
+    subs = []
+    for n, e in zip(sizes, entries):
+        sub = np.zeros((n, n), dtype=h.dtype)
+        sub[pos[coo.row[e]], pos[coo.col[e]]] = coo.data[e]
+        subs.append(sub)
     _require_hermitian(
         max(np.max(np.abs(b - b.conj().T), initial=0.0) for b in subs),
         max(np.max(np.abs(b), initial=0.0) for b in subs),
@@ -317,10 +334,12 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
 class GroundSpaceReport:
     """Certified ground-space data.
 
-    ``s_tot`` is the spin of the eigenvalues of the ground space's S^2 Gram
-    matrix (:func:`cluster_spins`) when they all snap to one s(s+1) (a
-    half-integer as float), the string ``"mixed"`` when they do not, or
-    None when no spin operator was supplied.
+    Solved per total spin, ``spins`` lists the spin of each level in the
+    ground cluster, ``vectors`` holds one highest-weight vector per level
+    (lifted to the configuration basis) and ``degeneracy`` counts each
+    level 2s+1 times; ``s_tot`` is the one spin of the cluster (a
+    half-integer as float) or ``"mixed"``.  A plain matrix has no spins:
+    ``spins`` is empty, ``s_tot`` None and ``vectors`` spans the cluster.
     """
 
     e0: float
@@ -328,127 +347,56 @@ class GroundSpaceReport:
     vectors: np.ndarray
     gap: float
     s_tot: object = None
+    spins: tuple = ()
     spectrum_head: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-# Absolute distance from s(s+1) within which an S^2 value names a spin s.
-SPIN_TOL = 1e-6
-
-# Relative gap below which two Ritz values of one S_z sector count as one
-# level (the default ground-space clustering tolerance).
-MULTIPLET_TOL = 1e-8
-
-
-def snap_spin(q: float):
-    """The half-integer s with |q - s(s+1)| <= SPIN_TOL, or None."""
-    s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * q)))
-    s_half = round(2.0 * s) / 2.0
-    if abs(q - s_half * (s_half + 1.0)) > SPIN_TOL:
-        return None
-    return s_half
-
-
-def cluster_spins(vectors, s_squared):
-    """Eigenvalues ``qs`` (ascending) and eigenvectors ``u`` of V^H S^2 V for
-    the orthonormal columns V of ``vectors``, and ``spins``, the
-    :func:`snap_spin` of each eigenvalue."""
-    qs, u = np.linalg.eigh(vectors.conj().T @ (s_squared @ vectors))
-    return qs, u, [snap_spin(q) for q in qs]
-
-
-def multiplet_levels(h, s_squared, k: int, tol: float = 0.0):
-    """Lowest ``k`` levels of a spin-symmetric Hamiltonian from one S_z sector.
-
-    ``h`` is the Hamiltonian restricted to the sector with the smallest
-    |S_z|, which holds exactly one member of every multiplet, and
-    ``s_squared`` is S^2 on that sector.  The sector's lowest ``k``
-    eigenpairs are solved; their Ritz values are clustered at relative
-    ``MULTIPLET_TOL``, each cluster's Gram matrix V^H S^2 V is diagonalised
-    and its eigenvalues snapped to s(s+1), and each level is repeated 2s+1
-    times.  A spin's energy is the Ritz energy of its Gram eigenvector
-    (diag U^H E U), so two multiplets that fall within one cluster keep
-    their own energies.
-
-    Every level the solve did not reach lies at or above the last Ritz
-    value, so the lowest ``k`` of the restored list are the full space's
-    lowest ``k`` whenever every spin used snapped.  A cluster that does not
-    snap raises :class:`AccuracyError`, except the last one of a solve that
-    did not cover the sector: its multiplet may continue past the solve, so
-    the sector ``k`` is doubled, as :func:`ground_space` does, up to what
-    the solver takes.
-    """
+def _low_levels(h, cluster_tol: float):
+    """Eigenpairs far enough up to certify where the ground cluster ends, and
+    whether they are all: the full spectrum up to DENSE_MAX, otherwise 8
+    levels, doubled until one lies safely outside the grey zone."""
     dim = h.shape[0]
-    k_max = dim - 2 if _is_operator(h) else dim
-    k_sec = min(k, k_max)
+    k = dim if not sp.issparse(h) or dim <= DENSE_MAX else min(8, dim - 1)
     while True:
-        vals, vecs = eigensolve(h, k=k_sec, tol=tol)
-        levels = _restore_multiplets(vals, vecs, s_squared, k, k_sec == dim)
-        if levels is not None:
-            return levels
-        if k_sec >= k_max:
-            raise AccuracyError(
-                f"the multiplet completing {k} levels runs past the {k_sec} "
-                "sector levels the solver can compute"
-            )
-        k_sec = min(2 * k_sec, k_max)
+        vals, vecs = eigensolve(h, k=k)
+        scale = max(1.0, abs(vals[0]))
+        if (vals[-1] - vals[0]) > 2.0 * cluster_tol * scale or k >= dim - 1:
+            return vals, vecs, k == dim
+        k = min(2 * k, dim - 1)
 
 
-def _restore_multiplets(vals, vecs, s_squared, k, complete):
-    """The levels of :func:`multiplet_levels`, or None to ask for more pairs."""
-    gaps = np.diff(vals) > MULTIPLET_TOL * np.maximum(1.0, np.abs(vals[:-1]))
-    breaks = np.flatnonzero(gaps) + 1
-    levels = []
-    for a, b in zip(np.r_[0, breaks], np.r_[breaks, len(vals)]):
-        qs, u, spins = cluster_spins(vecs[:, a:b], s_squared)
-        if None in spins:
-            if b == len(vals) and not complete:
-                return None
-            raise AccuracyError(
-                f"levels {vals[a]:.12g}..{vals[b - 1]:.12g}: S^2 eigenvalues "
-                f"{qs} are not s(s+1) within {SPIN_TOL:g}"
-            )
-        # Rayleigh quotients of the cluster: clipped to its range, so a
-        # degenerate cluster keeps its energy bit for bit
-        energies = np.clip(
-            np.einsum("ij,i,ij->j", u.conj(), vals[a:b], u).real, vals[a], vals[b - 1]
-        )
-        for e, s in zip(energies, spins):
-            levels += [e] * int(round(2.0 * s + 1.0))
-        if len(levels) >= k:
-            break
-    return np.sort(np.asarray(levels, dtype=float))[:k]
+def ground_space(h, cluster_tol: float = 1e-8, spaces=None) -> GroundSpaceReport:
+    """Ground energy, degeneracy and an orthonormal ground basis of a
+    Hermitian matrix (dense or sparse).
 
-
-def ground_space(
-    h,
-    cluster_tol: float = 1e-8,
-    s_squared=None,
-) -> GroundSpaceReport:
-    """Ground energy, degeneracy and an orthonormal ground basis.
+    With ``spaces``, ``h`` lists one matrix per total spin: ``h[i]`` acts on
+    the highest-weight states of ``spaces[i]``, which carries the spin
+    ``s`` and the isometry ``q`` into the configuration basis.  Each block
+    is solved through :func:`eigensolve` and the levels are merged, each
+    standing for 2s+1 states.
 
     An eigenvalue belongs to the ground cluster when
     ``(e - e0) <= cluster_tol * max(1, |e0|)``.  If any eigenvalue lies
     within a factor of 2 of that threshold on either side the clustering is
     declared ambiguous and :class:`AmbiguousDegeneracyError` is raised with a
-    tolerance suggestion instead of returning a coin-flip degeneracy.
-    With ``s_squared``, a spin s that :func:`cluster_spins` finds a number of
-    times that is not a multiple of 2s+1 is part of a multiplet and raises
-    :class:`AccuracyError`.
+    tolerance suggestion instead of returning a coin-flip degeneracy.  The
+    levels carry an absolute error of about eps ||H||; when that exceeds the
+    grey zone's floor, 0.5 * cluster_tol * max(1, |e0|), no clustering can
+    be trusted and :class:`AccuracyError` is raised.
     """
-    dim = h.shape[0]
-    # the full spectrum of a matrix up to DENSE_MAX; otherwise 8 levels,
-    # doubled until one lies safely outside the grey zone to certify where
-    # the cluster ends
-    full = isinstance(h, np.ndarray) or (sp.issparse(h) and dim <= DENSE_MAX)
-    k = dim if full else min(8, dim - 1)
-    while True:
-        vals, vecs = eigensolve(h, k=k)
-        scale = max(1.0, abs(vals[0]))
-        if (vals[-1] - vals[0]) > 2.0 * cluster_tol * scale or k >= dim - 1:
-            break
-        k = min(2 * k, dim - 1)
-
+    blocks = [h] if spaces is None else list(h)
+    mult = [1] if spaces is None else [int(round(2.0 * space.s + 1.0)) for space in spaces]
+    solved = [_low_levels(b, cluster_tol) for b in blocks]
+    vals = np.sort(np.concatenate([v for v, _, _ in solved]))
     e0 = float(vals[0])
+    scale = max(1.0, abs(e0))
+    norm = max(float(abs(b).sum(axis=1).max()) for b in blocks)
+    if np.finfo(float).eps * norm > 0.5 * cluster_tol * scale:
+        raise AccuracyError(
+            f"levels near {e0:.6g} carry an error of eps ||H|| = "
+            f"{np.finfo(float).eps * norm:.3e} above the grey-zone floor "
+            f"{0.5 * cluster_tol * scale:.3e} of cluster_tol = {cluster_tol:.3e}"
+        )
     rel = (vals - e0) / scale
     grey = (rel >= 0.5 * cluster_tol) & (rel <= 2.0 * cluster_tol)
     if np.any(grey):
@@ -460,28 +408,25 @@ def ground_space(
             gap=g,
             suggested_tol=g / 4,
         )
-    deg = int(np.sum(rel <= cluster_tol))
+    n = int(np.sum(rel <= cluster_tol))
+    ground, spins, degeneracy = [], [], 0
+    for i, (v, vecs, _) in enumerate(solved):
+        m = int(np.sum((v - e0) / scale <= cluster_tol))
+        ground.append(vecs[:, :m] if spaces is None else spaces[i].q @ vecs[:, :m])
+        spins += [] if spaces is None else [spaces[i].s] * m
+        degeneracy += m * mult[i]
     # re-orthonormalize inside the cluster; eigh pairs are orthonormal to
     # machine precision already, QR just pins the guarantee
-    q, _ = np.linalg.qr(vecs[:, :deg])
-    gap = float(vals[deg] - e0) if deg < len(vals) else np.inf
-
-    s_tot = None
-    if s_squared is not None:
-        _, _, spins = cluster_spins(q, s_squared)
-        for s in set(spins) - {None}:
-            if spins.count(s) % (2.0 * s + 1.0):
-                raise AccuracyError(
-                    f"ground space at {e0:.12g}: {spins.count(s)} states of "
-                    f"spin {s:g}, not whole multiplets of {2.0 * s + 1.0:g}"
-                )
-        s_tot = "mixed" if None in spins or len(set(spins)) > 1 else spins[0]
-
+    q, _ = np.linalg.qr(np.hstack(ground))
+    # merged levels are complete up to the top of every partial solve
+    top = min([v[-1] for v, _, full in solved if not full], default=np.inf)
+    head = np.sort(np.concatenate([np.repeat(v, m) for (v, _, _), m in zip(solved, mult)]))
     return GroundSpaceReport(
         e0=e0,
-        degeneracy=deg,
+        degeneracy=degeneracy,
         vectors=q,
-        gap=gap,
-        s_tot=s_tot,
-        spectrum_head=np.asarray(vals[: min(len(vals), 10)], dtype=float),
+        gap=float(vals[n] - e0) if n < len(vals) else np.inf,
+        s_tot=(spins[0] if len(set(spins)) == 1 else "mixed") if spins else None,
+        spins=tuple(spins),
+        spectrum_head=np.asarray(head[head <= top][:10], dtype=float),
     )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import expm
 
 from .boson_fock import (
     TAIL_BOUND,
@@ -34,20 +33,17 @@ from .boson_fock import (
     apply_ladder,
     coherent_amplitudes_1mode,
     coherent_tail,
-    displacement_1mode,
     field,
     mode_kron,
 )
-from .eigensolver import DENSE_MAX, eigensolve, ground_space, multiplet_levels
+from .eigensolver import eigensolve, ground_space
 from .errors import SizingError, TruncationWarning, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
-    SectorBasis,
     build_hubbard,
     build_sector_basis,
-    build_spin_operators,
     hopping_moves,
-    sz_sector,
+    spin_spaces,
 )
 
 COUPLED_DIM_CAP = 2_000_000
@@ -60,14 +56,11 @@ __all__ = [
     "DressedState",
     "dress_state",
     "dressed_ground",
-    "build_generator",
-    "unitary_V",
     "verify_transform_hb",
     "TransformNbReport",
     "verify_transform_nb",
     "EffectiveHamiltonians",
     "effective_hamiltonians",
-    "lowest_sz_sector",
     "annihilation_residual",
     "heisenberg_evolution_check",
     "OverlapResult",
@@ -78,11 +71,15 @@ __all__ = [
 
 
 class CoupledModel:
-    """Electron sector, boson truncation and couplings bundled together."""
+    """Electron space, boson truncation and couplings bundled together.
+
+    ``basis`` is a whole particle-number sector (:class:`SectorBasis`) or
+    one total spin's highest-weight states in it (:class:`SpinSpace`).
+    """
 
     def __init__(
         self,
-        basis: SectorBasis,
+        basis,
         hopping: HoppingMatrix,
         u: float,
         alpha: float,
@@ -245,38 +242,6 @@ def _adaptive_n_max(modes: ModeSet, couplings, alpha: float) -> int:
     return n_max
 
 
-def build_generator(model: CoupledModel) -> sp.csr_matrix:
-    """Sparse S = sum_x n_x x phi(i g_x); V = expm(i alpha S)."""
-    s = sp.csr_matrix((model.dim, model.dim), dtype=complex)
-    for x in range(model.basis.n_sites):
-        nx = sp.diags(model.nu[:, x])
-        s = s + sp.kron(nx, field(model.fock, 1j * model.g[x]), format="csr")
-    return s.tocsr()
-
-
-def unitary_V(model: CoupledModel, method: str = "displacement"):
-    """Dense dressing unitary, for cross-checking on small spaces.
-
-    ``displacement`` assembles the exact per-configuration block form;
-    ``expm`` exponentiates the generator and exists as an independent
-    oracle for it.
-    """
-    if model.dim > DENSE_MAX:
-        raise SizingError(
-            f"dense unitary at dim {model.dim}; use CoupledModel.apply_unitary"
-        )
-    if method == "expm":
-        s = build_generator(model).toarray()
-        return expm(1j * model.alpha * s)
-    if method != "displacement":
-        raise ValidationError("method must be 'displacement' or 'expm'")
-    blocks = [
-        mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in zc])
-        for zc in model.z_table()
-    ]
-    return sp.block_diag(blocks).toarray()
-
-
 # -- dressed states ---------------------------------------------------------
 
 
@@ -436,12 +401,6 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
 # -- effective Hamiltonians ---------------------------------------------------
 
 
-def lowest_sz_sector(basis: SectorBasis):
-    """The S_z sector with the smallest |S_z| (2 S_z = n_e mod 2) and the
-    indices of its configurations in ``basis``."""
-    return sz_sector(basis, basis.n_e % 2)
-
-
 class EffectiveHamiltonians:
     """Direct, transformed-assembled and product-form Hamiltonians.
 
@@ -450,81 +409,68 @@ class EffectiveHamiltonians:
     (g_x - g_y)) while all diagonal pieces stay diagonal.  The displacement
     of a pair (x, y) acts on the boson index and its hop matrix H_xy on the
     configuration index, so the two commute: with H_xy = L R factored to
-    its rank, the matvec displaces the rows of R t, not every source row
-    (2 rows instead of 3 per pair on the reference sector).  Its spectrum must
-    match the direct Hamiltonian's because the two are exactly unitarily
-    equivalent.  The product form H_e^eff x 1 + 1 x H_b drops the dressing
-    of the hopping; its spectrum is NOT equal to the direct one in general
-    and is exposed separately so the deviation can be measured.
+    its rank, the matvec displaces the rows of R t, not every source row.
+    Its spectrum must match the direct Hamiltonian's because the two are
+    exactly unitarily equivalent.  The product form H_e^eff x 1 + 1 x H_b
+    drops the dressing of the hopping; its spectrum is NOT equal to the
+    direct one in general and is exposed separately so the deviation can be
+    measured.
 
-    The coupling n_x is a spin scalar, so the direct and the transformed
-    Hamiltonians commute with S^2 and S_z.  Both are therefore built on
-    ``sector``, the model restricted to the S_z sector with the smallest
-    |S_z| (2 S_z = n_e mod 2), which holds one member of every multiplet:
-    ``direct``, ``transformed`` and ``transformed_matvec`` act there, and
-    ``direct_lowest`` and ``transformed_lowest`` restore the multiplicities
-    from ``s2``, S^2 x 1 on the sector (:func:`multiplet_levels`).
+    Both commute with S^2 and S_z (n_x is a spin scalar), so both act per
+    total spin s on ``sectors[s]``, the model on the highest-weight states
+    of s (:func:`spin_spaces`), where a pair's hop matrix is Q^T H_xy Q.
     """
 
     def __init__(self, model: CoupledModel):
         self.model = model
-        basis, idx = lowest_sz_sector(model.basis)
-        sec = self.sector = CoupledModel(
-            basis, model.hopping, model.u, model.alpha, model.fock, model.lam
-        )
-        # S^2 is block diagonal in S_z: its restriction is exact
-        s2 = build_spin_operators(model.basis)[3][idx][:, idx]
-        self.s2 = sp.kron(s2, sp.identity(sec.fock.dim), format="csr")
-        self._direct = None
-        self.diag = np.add.outer(
-            sec.he_diagonal() - sec.alpha**2 * sec.r_diag(), sec.fock.hb_diag()
-        )
-        # dressed hopping: each (x, y) pair's (F, F) hop matrix factored at
-        # its numerical rank (SVD) as left @ right; the factors of all pairs
-        # are stacked, and ``_pairs`` names each pair's rows and displacement
-        moves = {}
-        for x, y, src, dst, amp in hopping_moves(sec.basis, sec.hopping):
-            moves.setdefault((x, y), []).append((src, dst, amp))
-        n_cfg = sec.basis.dim
-        lefts, rights = [np.zeros((n_cfg, 0))], [np.zeros((0, n_cfg))]
-        self._pairs = []
-        for (x, y), entries in moves.items():
-            src, dst, amp = (np.array(col) for col in zip(*entries))
-            hop = np.zeros((n_cfg, n_cfg))
-            np.add.at(hop, (dst, src), amp)
-            u, s, vt = np.linalg.svd(hop)
-            rank = int(np.sum(s > s[0] * n_cfg * np.finfo(float).eps))
-            start = sum(r.shape[0] for r in rights)
-            lefts.append(u[:, :rank] * s[:rank])
-            rights.append(vt[:rank])
-            zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
-            self._pairs.append((slice(start, start + rank), zdiff))
-        self._left = np.hstack(lefts)
-        self._right = np.vstack(rights)
+        n = model.basis.dim
+        hops = {}  # each (x, y) pair's hop matrix on the sector
+        for x, y, src, dst, amp in hopping_moves(model.basis, model.hopping):
+            hops.setdefault((x, y), np.zeros((n, n)))[dst, src] += amp
+        self.sectors, self._dressed = {}, {}
+        for space in spin_spaces(model.basis):
+            sec = self.sectors[space.s] = CoupledModel(
+                space, model.hopping, model.u, model.alpha, model.fock, model.lam
+            )
+            # each pair's hop on the space factored at its numerical rank
+            # (SVD) as left @ right; the factors of all pairs are stacked,
+            # and each pair names its rows and displacement
+            lefts, rights, pairs = [np.zeros((space.dim, 0))], [np.zeros((0, space.dim))], []
+            for (x, y), hop in hops.items():
+                u, sv, vt = np.linalg.svd(space.q.T @ hop @ space.q)
+                rank = int(np.sum(sv > sv[0] * space.dim * np.finfo(float).eps))
+                if rank:
+                    start = sum(r.shape[0] for r in rights)
+                    lefts.append(u[:, :rank] * sv[:rank])
+                    rights.append(vt[:rank])
+                    zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
+                    pairs.append((slice(start, start + rank), zdiff))
+            diag = np.add.outer(
+                sec.he_diagonal() - sec.alpha**2 * sec.r_diag(), sec.fock.hb_diag()
+            )
+            self._dressed[space.s] = diag, np.hstack(lefts), np.vstack(rights), pairs
 
-    def transformed_matvec(self, vec):
-        sec = self.sector
+    def transformed_matvec(self, vec, s: float):
+        sec = self.sectors[s]
+        diag, left, right, pairs = self._dressed[s]
         t = np.asarray(vec).reshape(sec.basis.dim, sec.fock.dim)
-        y = self._right @ t
-        for rows, zdiff in self._pairs:
+        y = right @ t
+        for rows, zdiff in pairs:
             y[rows] = apply_displacement(sec.fock, zdiff, y[rows])
-        out = self._left @ y
-        out += self.diag * t
+        out = left @ y
+        out += diag * t
         return out.reshape(-1)
 
-    @property
-    def transformed(self) -> spla.LinearOperator:
+    def transformed(self, s: float) -> spla.LinearOperator:
+        dim = self.sectors[s].dim
         return spla.LinearOperator(
-            shape=(self.sector.dim, self.sector.dim),
-            matvec=self.transformed_matvec,
+            shape=(dim, dim),
+            matvec=lambda v: self.transformed_matvec(v, s),
             dtype=np.float64,
         )
 
-    @property
-    def direct(self) -> sp.csr_matrix:
-        if self._direct is None:
-            self._direct = self.sector.h_direct()
-        return self._direct
+    def direct(self, s: float) -> sp.csr_matrix:
+        return self.sectors[s].h_direct()
 
     def product_lowest(self, k: int) -> np.ndarray:
         """k smallest eigenvalues of H_e^eff x 1 + 1 x H_b (exact)."""
@@ -534,10 +480,26 @@ class EffectiveHamiltonians:
         return np.sort(np.partition(grid, min(k, grid.size - 1))[:k])
 
     def direct_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        return multiplet_levels(self.direct, self.s2, k, tol)
+        return self._lowest(self.direct, k, tol)
 
     def transformed_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        return multiplet_levels(self.transformed, self.s2, k, tol)
+        return self._lowest(self.transformed, k, tol)
+
+    def _lowest(self, operator, k: int, tol: float) -> np.ndarray:
+        """Lowest ``k`` levels: ceil(k / (2s+1)) of every spin s (a higher spin
+        can lie lower), each repeated 2s+1 times.  One level more is solved
+        than used, so the last one used is not the edge of the wanted set
+        inside an exactly degenerate pair, where ARPACK's iteration count
+        followed the BLAS thread count; an operator takes at most dim - 2."""
+        levels = []
+        for s, sec in self.sectors.items():
+            h = operator(s)
+            mult = int(round(2.0 * s + 1.0))
+            cap = sec.dim - 2 if isinstance(h, spla.LinearOperator) else sec.dim
+            need = -(-k // mult)
+            vals, _ = eigensolve(h, k=min(need + 1, cap), tol=tol)
+            levels.append(np.repeat(vals[:need], mult))
+        return np.sort(np.concatenate(levels))[:k]
 
 
 def effective_hamiltonians(model: CoupledModel) -> EffectiveHamiltonians:

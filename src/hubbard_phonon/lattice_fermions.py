@@ -4,12 +4,18 @@ Spin orbitals are packed into machine integers: orbital ``p = 2*x + s`` for
 site ``x`` and spin ``s`` (0 = up, 1 = down), so a basis state is a bit word
 over ``2 * n_sites`` bits.  Operators carry the usual fermionic sign
 ``(-1)**(number of occupied orbitals below p)``.
+
+Every operator built here from hopping, u and site occupations is a spin
+scalar, so it can be solved one total spin S at a time on the highest-weight
+states of S (2 S_z = 2S and S+ psi = 0), where each spin-S level occurs once
+(:class:`SpinSpace`; R. Pauncz, *Spin Eigenfunctions*, Plenum 1979).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import null_space
 from scipy.sparse.csgraph import connected_components
 from itertools import combinations
 
@@ -23,7 +29,8 @@ __all__ = [
     "HoppingMatrix",
     "SectorBasis",
     "build_sector_basis",
-    "sz_sector",
+    "SpinSpace",
+    "spin_spaces",
     "apply_c_dagger",
     "apply_c",
     "fock_operator",
@@ -128,18 +135,6 @@ def build_sector_basis(n_sites: int, n_e: int) -> SectorBasis:
     return SectorBasis(n_sites, n_e, states)
 
 
-def sz_sector(basis: SectorBasis, two_sz: int):
-    """The configurations of ``basis`` with 2 S_z = ``two_sz``, as a basis.
-
-    Returns ``(sector, idx)``: ``idx`` lists the positions of the kept
-    states in ``basis``, in the sector's order.
-    """
-    up, dn = basis.spin_occupations()
-    idx = np.flatnonzero((up - dn).sum(axis=1) == two_sz)
-    states = [basis.states[i] for i in idx]
-    return SectorBasis(basis.n_sites, basis.n_e, states), idx
-
-
 def _parity_below(word: int, p: int) -> int:
     """(-1)**(occupied orbitals strictly below p)."""
     return -1 if (word & ((1 << p) - 1)).bit_count() & 1 else 1
@@ -219,8 +214,11 @@ def build_hubbard(basis: SectorBasis, hopping: HoppingMatrix, u: float):
     """Sector Hamiltonian sum_{xys} t_xy c+_xs c_ys + u sum_x n_x+ n_x-.
 
     Diagonal hopping amplitudes t_xx enter as site potentials t_xx * n_x.
-    Returns CSR at every dimension.
+    Returns CSR at every dimension; on a :class:`SpinSpace`, the sector's
+    Hamiltonian projected there.
     """
+    if isinstance(basis, SpinSpace):
+        return basis.project(build_hubbard(basis.sector, hopping, u))
     if hopping.n_sites != basis.n_sites:
         raise ValidationError(
             f"hopping is {hopping.n_sites}-site but basis has {basis.n_sites} sites"
@@ -283,6 +281,74 @@ def build_spin_operators(basis: SectorBasis):
     sx = 0.5 * (splus + sminus)
     sy = -0.5j * (splus - sminus)
     return sx, sy, sz, s_squared
+
+
+class SpinSpace:
+    """The highest-weight states of total spin ``s`` in a particle-number sector.
+
+    The columns of ``q`` (CSR, shape (sector.dim, dim)) are orthonormal
+    states with 2 S_z = 2s and S+ psi = 0.  S+ keeps every site's
+    occupation, so each column lies on one occupation pattern, that of the
+    configuration ``rep[j]``: n_x, the double occupancy and the Hubbard
+    diagonal stay diagonal here, with the entries of ``rep``.
+    """
+
+    def __init__(self, sector: SectorBasis, s: float, q, rep):
+        self.sector = sector
+        self.s = s
+        self.q = q
+        self.rep = rep
+        self.n_sites = sector.n_sites
+        self.n_e = sector.n_e
+        self.dim = q.shape[1]
+
+    def occupations(self):
+        """Site occupation of each column's pattern, shape (dim, n_sites)."""
+        return self.sector.occupations()[self.rep]
+
+    def project(self, op):
+        """Q^T op Q for a sector operator whose diagonal is fixed by the
+        occupation pattern and whose other entries change the pattern, as
+        for every operator built from hopping, u and n_x.  The diagonal is
+        carried over exactly, not through Q."""
+        d = op.diagonal()
+        off = self.q.T @ (op - sp.diags(d)) @ self.q
+        return (off + sp.diags(d[self.rep])).tocsr()
+
+
+def spin_spaces(basis: SectorBasis):
+    """The :class:`SpinSpace` of every total spin of the sector, lowest first.
+
+    Q is built one occupation pattern at a time, as the null space of the
+    pattern's block of S+ from 2 S_z = 2s to 2s + 2 (taken from
+    :func:`build_spin_operators`).  In this bit order S+ = sum_x c+_{x,up}
+    c_{x,down} moves no electron past an occupied orbital, so every entry
+    of the block is +1 and the block depends only on the number of singly
+    occupied sites: its null space is computed once per (count, s).
+    """
+    up, dn = basis.spin_occupations()
+    groups = {}  # (occupation pattern, 2 S_z) -> configurations, in basis order
+    patterns = map(tuple, (up + dn).tolist())
+    for i, key in enumerate(zip(patterns, (up - dn).sum(axis=1).tolist())):
+        groups.setdefault(key, []).append(i)
+    sx = build_spin_operators(basis)[0]  # S+ = 2 sx from 2 S_z to 2 S_z + 2
+    nulls, spaces = {}, []
+    for two_s in range(basis.n_e % 2, int(2 * s_max(basis.n_e, basis.n_sites)) + 1, 2):
+        parts = []  # each pattern's configurations and null-space basis
+        for (pattern, two_sz), a in groups.items():
+            if two_sz != two_s:
+                continue
+            key = (pattern.count(1), two_s)
+            if key not in nulls:
+                b = groups.get((pattern, two_s + 2))
+                nulls[key] = np.eye(1) if b is None else null_space(2.0 * sx[b][:, a].toarray())
+            parts.append((a, nulls[key]))
+        q = sp.block_diag([null for _, null in parts], format="coo")
+        rows = np.concatenate([a for a, _ in parts])[q.row]
+        q = sp.csr_matrix((q.data, (rows, q.col)), shape=(basis.dim, q.shape[1]))
+        rep = np.concatenate([[a[0]] * null.shape[1] for a, null in parts])
+        spaces.append(SpinSpace(basis, two_s / 2.0, q, rep))
+    return spaces
 
 
 def s_max(n_e: int, n_sites: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .eigensolver import GroundSpaceReport, cluster_spins, ground_space
+from .eigensolver import GroundSpaceReport, ground_space
 from .errors import (
     AccuracyError,
     AmbiguousDegeneracyError,
@@ -27,9 +27,9 @@ from .lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
     build_sector_basis,
-    build_spin_operators,
     number_operators,
     s_max,
+    spin_spaces,
 )
 
 __all__ = [
@@ -109,11 +109,12 @@ class RegimeCheck:
 
 
 def _ground_report(hopping, n_e, u_eff, cluster_tol):
-    """S^2 on the n_e sector and the ground space of the Hubbard model there."""
+    """The ground space of the Hubbard model on the n_e sector, per total spin."""
     basis = build_sector_basis(hopping.n_sites, n_e)
     h = build_hubbard(basis, hopping, u_eff)
-    _, _, _, s2 = build_spin_operators(basis)
-    return s2, ground_space(h, cluster_tol=cluster_tol, s_squared=s2)
+    spaces = spin_spaces(basis)
+    blocks = [space.project(h) for space in spaces]
+    return ground_space(blocks, cluster_tol=cluster_tol, spaces=spaces)
 
 
 def check_lieb_regime(
@@ -135,10 +136,9 @@ def check_lieb_regime(
     if reasons:
         return RegimeCheck(False, False, "; ".join(reasons))
 
-    s2, rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
-    qs, _, spins = cluster_spins(rep.vectors, s2)
-    ok = 0.0 in spins
-    details = f"min <S^2> over ground space = {qs[0]:.3e}"
+    rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
+    ok = 0.0 in rep.spins
+    details = f"spins of the ground levels = {rep.spins}"
     if u_eff < 0:
         ok = ok and rep.degeneracy == 1 and rep.s_tot == 0.0
         details += f"; degeneracy = {rep.degeneracy}, s_tot = {rep.s_tot}"
@@ -165,7 +165,7 @@ def check_tasaki_regime(
     if reasons:
         return RegimeCheck(False, False, "; ".join(reasons))
 
-    _, rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
+    rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
     smax = s_max(n_e, n_sites)
     want_deg = int(round(2 * smax + 1))
     ok = rep.s_tot == smax and rep.degeneracy == want_deg
@@ -204,22 +204,25 @@ def sweep_alpha(
 
     Reported energies include the chemical shift, i.e. they are ground
     energies of the effective electronic Hamiltonian whose kinetic diagonal
-    is lowered by (alpha*b)**2/2 per electron.  Grid points that fail to
-    classify (ambiguous clustering, an incomplete multiplet, solver
-    breakdown) are kept in the output with classification "Error" and the
-    message in ``residual_flags``; any other exception propagates.
+    is lowered by (alpha*b)**2/2 per electron.  Each total spin's
+    Hamiltonian without u is projected once; the double occupancy is
+    diagonal there, so a grid point only adds u_eff times it.  Points that
+    fail to classify (the solver's own errors) are kept with classification
+    "Error" and the message in ``residual_flags``; any other exception
+    propagates.
     """
     basis = build_sector_basis(hopping.n_sites, n_e)
+    spaces = spin_spaces(basis)
     h0 = build_hubbard(basis, hopping, 0.0)
     _, docc = number_operators(basis)
-    _, _, _, s2 = build_spin_operators(basis)
+    blocks = [(space.project(h0), docc[space.rep]) for space in spaces]
 
     def one(alpha: float) -> SweepRecord:
         par = effective_params(u, alpha, b)
         rec = SweepRecord(alpha, float(kappa), par.u_eff, np.nan, 0, "", "Error", "")
         try:
-            h = h0 + sp.diags(par.u_eff * docc)
-            rep = ground_space(h, cluster_tol=cluster_tol, s_squared=s2)
+            h = [h0s + sp.diags(par.u_eff * d) for h0s, d in blocks]
+            rep = ground_space(h, cluster_tol=cluster_tol, spaces=spaces)
         except (
             AccuracyError,
             AmbiguousDegeneracyError,

@@ -1,8 +1,12 @@
 """Command-line entry points: config validation, CSV layout, exit codes."""
 
 import csv
+import ctypes
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,8 +148,9 @@ def test_kappas_need_two_distinct_cutoffs(tmp_path, capsys, kappas):
     assert "config error: modes.kappas" in capsys.readouterr().err
 
 
-# n_max 2: 6 x 81 = 486 coupled states, 4 x 81 = 324 in the S_z sector
-SMALL_VERIFY = "modes:\n  n_max: 2\n"
+# 3 sites, 2 electrons, n_max 1: 15 x 64 = 960 coupled states, 9 x 64 = 576
+# with S_z = 0, and spin spaces of 6 x 64 = 384 (S = 0) and 3 x 64 = 192
+SMALL_VERIFY = "lattice: {n_sites: 3}\nelectrons: {n_e: 2}\nmodes: {n_max: 1}\n"
 
 
 @pytest.mark.parametrize("cap, runs", [(400, True), (300, False)])
@@ -166,8 +171,8 @@ def test_equivalence_gate_reads_the_sector_dimension(
         assert skips == []
     else:
         assert skips == [
-            "SKIP spectral_equivalence: S_z-sector dimension 324 exceeds "
-            f"the cap {cap}"
+            "SKIP spectral_equivalence: largest spin-space dimension 384 "
+            f"exceeds the cap {cap}"
         ]
 
 
@@ -474,3 +479,101 @@ def test_mutated_reference_loads_or_is_rejected(tmp_path_factory, entry, value, 
     if not added and _is_number(old) and bad_number:
         field = ".".join(str(k) for k in path[:2])
         assert any(e.startswith(field) for e in errs), (path, value, errs)
+
+
+# -- spectra the spin-resolved solve must refuse or resolve -------------------
+
+
+HUGE_U = "modes: {n_max: 3}\ninteraction: {u: 1.0e+12}\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "ir"])
+def test_levels_too_inaccurate_to_cluster_exit_3(tmp_path, capsys, command):
+    """At u 1e12 the dense levels carry an error near eps ||H|| ~ 2e-4, far
+    above the clustering's resolution: a verification error, not output."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(HUGE_U)
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "verification error: " in err and "above the grey-zone floor" in err
+
+
+def test_levels_too_inaccurate_to_cluster_are_sweep_errors(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(HUGE_U)
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+    _, rows = _read_csv(out / "sweep.csv")
+    assert rows and all(r["classification"] == "Error" for r in rows)
+    assert all("above the grey-zone floor" in r["residual_flags"] for r in rows)
+
+
+def test_spectrum_without_hopping_merges_both_spins(tmp_path, capsys):
+    """At t = 0 no hop reaches the singly occupied pattern, so its lowest
+    coupled level is the singlet's and, three times over, the triplet's:
+    the first four levels coincide on both routes."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 3}\nlattice: {hopping: {t: 0}}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 0
+    meta, rows = _read_csv(out / "spectrum.csv")
+    assert meta["electronic_degeneracy"] == "4"
+    assert meta["electronic_s_tot"] == "mixed"
+    for route in ("energy_direct", "energy_transformed"):
+        levels = [float(r[route]) for r in rows]
+        assert max(levels[:4]) - min(levels[:4]) <= 1e-12
+        assert levels[4] - levels[3] > 1e-2
+
+
+# -- the BLAS thread pin -------------------------------------------------------
+
+
+def _openblas_getters():
+    getters = []
+    for package, setter in cli.OPENBLAS_SETTERS.items():
+        libs = Path(sys.modules[package].__file__).parents[1] / f"{package}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            lib = ctypes.CDLL(str(path))
+            get = getattr(lib, setter.replace("_set_", "_get_"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            getters.append((lib, setter, get))
+    return getters
+
+
+def test_main_pins_blas_to_one_thread(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    getters = _openblas_getters()
+    assert len(getters) == 2  # numpy's and scipy's copies
+    before = [get() for _, _, get in getters]
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 2}\n")
+    try:
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "spectrum"]) == 0
+        assert [get() for _, _, get in getters] == [1, 1]
+    finally:
+        for (lib, setter, _), n in zip(getters, before):
+            getattr(lib, setter)(ctypes.c_int(n))
+
+
+def test_spectrum_bytes_do_not_depend_on_the_blas_default(tmp_path):
+    """n_max 8 solves by Lanczos, whose last digits moved with OpenBLAS's
+    thread count: at the default environment the CSV must be the one
+    written at OPENBLAS_NUM_THREADS=1."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 8}\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "hubbard_phonon.cli", "--config", str(cfg),
+             "--out", str(out), "spectrum"],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        outputs.append((out / "spectrum.csv").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,7 @@
 """Eigensolver and ground-space clustering behaviour."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -28,6 +30,7 @@ from hubbard_phonon.lattice_fermions import (
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
+    spin_spaces,
 )
 from hubbard_phonon.magnetism import build_tasaki_hopping
 
@@ -107,23 +110,57 @@ def test_ground_space_grey_zone_raises():
     assert ground_space(h, cluster_tol=1e-6).degeneracy == 2
 
 
+def _spin_resolved(h, basis, **kwargs):
+    spaces = spin_spaces(basis)
+    return ground_space([s.project(h) for s in spaces], spaces=spaces, **kwargs)
+
+
 def test_spin_labels():
     # one electron on one site: spin doublet, s = 1/2
     basis = build_sector_basis(1, 1)
-    h = build_hubbard(basis, HoppingMatrix(np.zeros((1, 1))), 1.0).toarray()
-    *_, s2 = build_spin_operators(basis)
-    rep = ground_space(h, s_squared=s2)
+    h = build_hubbard(basis, HoppingMatrix(np.zeros((1, 1))), 1.0)
+    rep = _spin_resolved(h, basis)
     assert rep.degeneracy == 2
     assert rep.s_tot == 0.5
+    assert rep.spins == (0.5,)
 
 
 def test_spin_label_mixed():
     basis = build_sector_basis(2, 2)
-    *_, s2 = build_spin_operators(basis)
     # zero Hamiltonian: ground space spans singlets and triplets
-    rep = ground_space(np.zeros((basis.dim, basis.dim)), s_squared=s2)
+    rep = _spin_resolved(sp.csr_matrix((basis.dim, basis.dim)), basis)
     assert rep.degeneracy == basis.dim
     assert rep.s_tot == "mixed"
+    assert sorted(rep.spins) == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_ground_space_keeps_each_spin_energy_within_a_cluster():
+    """An S = 1 level 1e-10 below an S = 0 level: one cluster of 1 + 3
+    states, each spin at its own energy in the merged levels."""
+    spaces = [SimpleNamespace(s=0.0, q=np.eye(2)), SimpleNamespace(s=1.0, q=np.eye(2))]
+    rep = ground_space([np.diag([1e-10, 1.0]), np.diag([0.0, 2.0])], spaces=spaces)
+    assert rep.e0 == 0.0 and rep.degeneracy == 4
+    assert rep.spins == (0.0, 1.0) and rep.s_tot == "mixed"
+    assert np.array_equal(rep.spectrum_head, [0.0] * 3 + [1e-10, 1.0] + [2.0] * 3)
+    assert rep.gap == 1.0
+
+
+def test_levels_too_inaccurate_to_cluster_are_refused():
+    """eps ||H|| above the grey zone's floor: no clustering can be trusted."""
+    with pytest.raises(AccuracyError, match="grey-zone floor"):
+        ground_space(np.diag([0.0, 1.0, 1.0e12]))
+    # eps ||H|| over the floor at cluster_tol 1e-8, recorded: 6.0e-8 on the
+    # reference effective Hamiltonian, 1.4e-6 on the ferro6 benchmark's
+    # 6-site rank-one model (seed-1 amplitudes, u_eff 1)
+    rng = np.random.default_rng(1)
+    amps = rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
+    for h, want in (
+        (reference_model(n_max=2).effective_electronic(), 6.0e-8),
+        (build_hubbard(build_sector_basis(6, 5), build_tasaki_hopping(1.0, amps), 1.0), 1.4e-6),
+    ):
+        e0 = ground_space(h).e0
+        ratio = np.finfo(float).eps * abs(h).sum(axis=1).max() / (0.5e-8 * max(1.0, abs(e0)))
+        assert abs(ratio / want - 1.0) < 0.05
 
 
 def test_spectrum_head_recorded():
@@ -195,13 +232,17 @@ def test_sparse_input_densified_by_block_is_bitwise_dense():
 
 
 def test_rank_one_ground_space_matches_unsplit():
-    # 6 sites, n_e 5: the S_z blocks are 6, 90, 300, 300, 90, 6 states
+    # 6 sites, n_e 5: spin spaces of 210, 84 and 6 states, against the
+    # whole sector's 792 under an unsplit eigh, labelled by S^2
     amps = np.random.default_rng(7).uniform(0.5, 1.5, 6) * [1, -1, 1, 1, -1, 1]
     basis = build_sector_basis(6, 5)
     h = build_hubbard(basis, build_tasaki_hopping(1.0, amps), 1.0)
     *_, s2 = build_spin_operators(basis)
-    rep = ground_space(h, s_squared=s2)
+    rep = _spin_resolved(h, basis)
     assert rep.degeneracy == 6 and rep.s_tot == 2.5
+    v = rep.vectors[:, 0]  # the highest-weight ground vector, lifted
+    assert np.linalg.norm(h @ v - rep.e0 * v) <= 1e-12
+    assert abs(v @ (s2 @ v) - 2.5 * 3.5) <= 1e-12
 
     dense = h.toarray() if sp.issparse(h) else h
     vals, vecs = np.linalg.eigh(dense)
@@ -224,9 +265,10 @@ def test_non_hermitian_operator_rejected():
 
 def test_transformed_operator_passes_probe():
     ha = effective_hamiltonians(reference_model(n_max=3))
-    vals, _ = eigensolve(ha.transformed, k=3, tol=1e-12)
+    vals, _ = eigensolve(ha.transformed(0.0), k=3, tol=1e-12)
+    direct, _ = eigensolve(ha.direct(0.0), k=3, tol=1e-12)
     # the two routes differ by truncation only, ~2e-3 at n_max 3
-    assert np.max(np.abs(vals - ha.direct_lowest(3, tol=1e-12))) < 1e-2
+    assert np.max(np.abs(vals - direct)) < 1e-2
 
 
 # -- the dense/iterative crossover ---------------------------------------------
@@ -265,12 +307,13 @@ def test_crossover_reads_k_and_dim(monkeypatch):
 
 
 def test_direct_levels_below_dense_max_take_lanczos(monkeypatch):
-    # n_max 4: the S_z sector holds 2,500 of 3,750 states
+    # n_max 4: the spin spaces hold 1,875 (S = 0) and 625 (S = 1) states
     ha = effective_hamiltonians(reference_model(n_max=4))
-    assert LANCZOS_MIN_DIM <= ha.direct.shape[0] <= DENSE_MAX
+    for s in ha.sectors:
+        assert LANCZOS_MIN_DIM <= ha.direct(s).shape[0] <= DENSE_MAX
     solves = _spy_eigsh(monkeypatch)
     ha.direct_lowest(3)  # levels: test_coupled_levels_match_plain_lanczos
-    assert solves == ["LA"]
+    assert solves == ["LA", "LA"]
 
 
 # -- the Chebyshev-filtered Lanczos path against eigvalsh ----------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +24,7 @@ from hubbard_phonon.boson_fock import (
     mode_kron,
     relative_bound_check,
 )
-from hubbard_phonon.eigensolver import multiplet_levels, snap_spin
 from hubbard_phonon.errors import (
-    AccuracyError,
     SizingError,
     TruncationWarning,
     ValidationError,
@@ -35,7 +34,6 @@ from hubbard_phonon.lang_firsov import (
     CoupledModel,
     _adaptive_n_max,
     annihilation_residual,
-    build_generator,
     dress_state,
     dressed_ground,
     effective_hamiltonians,
@@ -43,7 +41,6 @@ from hubbard_phonon.lang_firsov import (
     nb_expectation,
     overlap_formula,
     reference_model,
-    unitary_V,
     verify_transform_hb,
     verify_transform_nb,
 )
@@ -57,6 +54,28 @@ from hubbard_phonon.lattice_fermions import (
 
 M6 = reference_model(n_max=6)
 M12 = reference_model(n_max=12)
+
+
+def build_generator(model):
+    """Oracle: sparse S = sum_x n_x x phi(i g_x), so that V = expm(i alpha S)."""
+    s = sp.csr_matrix((model.dim, model.dim), dtype=complex)
+    for x in range(model.basis.n_sites):
+        nx = sp.diags(model.nu[:, x])
+        s = s + sp.kron(nx, field(model.fock, 1j * model.g[x]), format="csr")
+    return s.tocsr()
+
+
+def unitary_V(model, method):
+    """Oracle: the dense dressing unitary, as the exponential of the
+    generator (``expm``) or assembled from the per-configuration
+    displacement blocks (``displacement``)."""
+    if method == "expm":
+        return expm(1j * model.alpha * build_generator(model).toarray())
+    blocks = [
+        mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in zc])
+        for zc in model.z_table()
+    ]
+    return sp.block_diag(blocks).toarray()
 
 
 def _interior(model, rng, occ_cap=2):
@@ -305,13 +324,17 @@ def test_sector_levels_match_full_space(sites_and_electrons, seed, u, alpha, n_m
 def test_factored_transformed_matvec_matches_assembled(n_sites, n_e):
     model = _random_model(n_sites, n_e, 100 * n_sites + n_e, 2.0, 0.7, 2)
     ha = effective_hamiltonians(model)
-    dense = _dense_transformed(ha.sector)
+    dense = _dense_transformed(model)
     rng = np.random.default_rng(n_e)
-    for _ in range(3):
-        v = rng.standard_normal(ha.sector.dim)
-        want = dense @ v
-        got = ha.transformed_matvec(v)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for s, sec in ha.sectors.items():
+        # the whole sector's transformed Hamiltonian restricted by Q x 1
+        lift = sp.kron(sec.basis.q, sp.identity(sec.fock.dim)).toarray()
+        restricted = lift.T @ dense @ lift
+        for _ in range(3):
+            v = rng.standard_normal(sec.dim)
+            want = restricted @ v
+            got = ha.transformed_matvec(v, s)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_battery_never_assembles_ladder_operators(monkeypatch):
@@ -333,29 +356,32 @@ def test_battery_never_assembles_ladder_operators(monkeypatch):
     psi_e[0] = 1.0
     overlap_formula(model, state, [f, f.conj()], psi_e)
     relative_bound_check(model.fock, model.lam[0], n_trials=2)
-    ha.transformed_matvec(rng.standard_normal(ha.sector.dim))
+    ha.transformed_matvec(rng.standard_normal(ha.sectors[0.0].dim), 0.0)
     with pytest.raises(AssertionError, match="ladder called"):
         boson_fock.field(model.fock, model.lam[0])  # the spy is live
 
 
-def _plain_lanczos_levels(h, s2, k):
-    """Oracle: ARPACK on the sector Hamiltonian itself (no filter), each
-    sector level repeated 2S+1 times by its S^2 expectation."""
-    vals, vecs = spla.eigsh(h, k=k, which="SA", v0=np.ones(h.shape[0]))
+def _plain_lanczos_levels(ha, operator, k):
+    """Oracle: ARPACK on each spin's operator itself (no filter), each level
+    repeated 2S+1 times."""
     levels = []
-    for e, v in zip(vals, vecs.T):
-        s = snap_spin(np.vdot(v, s2 @ v).real)
-        levels += [e] * int(round(2 * s + 1))
+    for s, sec in ha.sectors.items():
+        mult = int(round(2 * s + 1))
+        vals = spla.eigsh(
+            operator(s), k=-(-k // mult), which="SA", v0=np.ones(sec.dim),
+            return_eigenvectors=False,
+        )
+        levels += [e for e in vals for _ in range(mult)]
     return np.sort(levels)[:k]
 
 
 def test_coupled_levels_match_plain_lanczos():
     ha = effective_hamiltonians(reference_model(n_max=4))
-    for levels, h in (
+    for levels, operator in (
         (ha.direct_lowest(5), ha.direct),
         (ha.transformed_lowest(5), ha.transformed),
     ):
-        assert np.max(np.abs(levels - _plain_lanczos_levels(h, ha.s2, 5))) <= 1e-10
+        assert np.max(np.abs(levels - _plain_lanczos_levels(ha, operator, 5))) <= 1e-10
     full = spla.eigsh(ha.model.h_direct(), k=5, which="SA", return_eigenvectors=False)
     assert np.max(np.abs(ha.direct_lowest(5) - np.sort(full))) <= 1e-10
 
@@ -381,30 +407,22 @@ def test_sector_levels_restore_triplet():
         assert levels[4] - levels[3] > 1e-2
 
 
-def test_multiplet_levels_rejects_unsnapped_spin():
-    h = np.diag([0.0, 1.0])
-    with pytest.raises(AccuracyError, match="not s\\(s\\+1\\)"):
-        multiplet_levels(h, 0.5 * np.eye(2), 2)  # S^2 = 0.5 is no s(s+1)
-
-
-def test_multiplet_levels_extends_a_cut_multiplet():
-    # the level at 1 is twofold in the sector: an S = 0 and an S = 1
-    # multiplet; a solve for 2 levels gets one vector of the pair, whose
-    # S^2 = 1 does not snap, so the solve is repeated over both
-    h = np.diag([0.0, 1.0, 1.0])
-    s2 = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    assert np.array_equal(multiplet_levels(h, s2, 2), [0.0, 1.0])
-    assert np.array_equal(multiplet_levels(h, s2, 5), [0.0, 1.0, 1.0, 1.0, 1.0])
-
-
-def test_multiplet_levels_pair_spins_within_a_cluster():
-    # an S = 1 level 1e-10 below an S = 0 level: one cluster, in a rotated
-    # basis; the triplet must take the lower energy
-    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
-    h = q @ np.diag([0.0, 1e-10, 1.0]) @ q.T
-    s2 = q @ np.diag([2.0, 0.0, 0.0]) @ q.T
-    levels = multiplet_levels(h, s2, 5)
-    assert np.max(np.abs(levels - [0.0, 0.0, 0.0, 1e-10, 1.0])) <= 1e-14
+@pytest.mark.parametrize("n_max", [2, 4])
+def test_degenerate_levels_within_one_spin_are_all_returned(n_max):
+    """The reference S = 1 space is two identical one-site problems (no hop
+    reaches it), so its levels pair up exactly; with weak hopping they fall
+    among the lowest.  Both routes must return every copy of a pair, by
+    single-vector Lanczos at n_max 4 (and always on the transformed route)."""
+    model = reference_model(t=-0.1, u=4.0, n_max=n_max)
+    ha = effective_hamiltonians(model)
+    k = 12
+    direct = np.linalg.eigvalsh(model.h_direct().toarray())[:k]
+    transformed = np.linalg.eigvalsh(_dense_transformed(model))[:k]
+    # an S = 1 pair among the k levels: six equal values
+    runs = np.split(direct, np.flatnonzero(np.diff(direct) > 1e-9) + 1)
+    assert [len(r) for r in runs] == [1, 3, 1, 1, 6]
+    assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
+    assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
 
 
 def test_sector_operators_are_csr_below_the_dense_crossover():
@@ -423,7 +441,7 @@ def test_sector_operators_are_csr_below_the_dense_crossover():
 
 def test_direct_data_is_contiguous_real():
     ha = effective_hamiltonians(M6)
-    data = ha.direct.data
+    data = ha.direct(0.0).data
     assert data.dtype == np.float64 and data.flags.c_contiguous
 
 

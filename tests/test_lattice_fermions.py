@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubbard_phonon.errors import SizingError, ValidationError
 from hubbard_phonon.lattice_fermions import (
@@ -21,6 +23,7 @@ from hubbard_phonon.lattice_fermions import (
     fock_operator,
     number_operators,
     s_max,
+    spin_spaces,
 )
 
 
@@ -194,3 +197,57 @@ def test_s_max_values():
     assert s_max(6, 4) == 1.0
     assert s_max(2, 2) == 1.0
     assert s_max(4, 2) == 0.0
+
+
+# -- spin spaces, with S^2 on the whole sector as the oracle ---------------------
+
+
+@pytest.mark.parametrize(
+    "n_sites, n_e, dims",
+    [(2, 2, [3, 1]), (3, 2, [6, 3]), (3, 3, [8, 1]), (4, 4, [20, 15, 1]),
+     (4, 3, [20, 4]), (6, 5, [210, 84, 6])],
+)
+def test_spin_spaces_are_highest_weight_isometries(n_sites, n_e, dims):
+    basis = build_sector_basis(n_sites, n_e)
+    sx, sy, sz, s2 = (m.toarray() for m in build_spin_operators(basis))
+    splus = (sx + 1j * sy).real
+    occ = basis.occupations()
+    spaces = spin_spaces(basis)
+    assert [space.dim for space in spaces] == dims
+    assert [space.s for space in spaces] == [
+        (n_e % 2) / 2 + i for i in range(len(dims))
+    ]
+    for space in spaces:
+        q = space.q.toarray()
+        assert np.max(np.abs(q.T @ q - np.eye(space.dim))) <= 1e-12
+        assert np.max(np.abs(splus @ q)) <= 1e-12
+        assert np.max(np.abs(sz @ q - space.s * q)) <= 1e-12
+        assert np.max(np.abs(s2 @ q - space.s * (space.s + 1) * q)) <= 1e-12
+        # each column lies on the occupation pattern of its ``rep``
+        for j in range(space.dim):
+            assert np.all(occ[np.flatnonzero(q[:, j])] == occ[space.rep[j]])
+        assert np.array_equal(space.occupations(), occ[space.rep])
+    # every multiplet once per S_z: the sector's dimension
+    assert sum(int(2 * sp_.s + 1) * sp_.dim for sp_ in spaces) == basis.dim
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    sites_and_electrons=st.integers(2, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 2 * n))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    u=st.floats(-4.0, 4.0),
+)
+def test_spin_resolved_levels_match_the_whole_sector(sites_and_electrons, seed, u):
+    """Each spin's levels, repeated 2S+1 times and merged, are the levels
+    of the whole sector."""
+    n_sites, n_e = sites_and_electrons
+    a = np.random.default_rng(seed).standard_normal((n_sites, n_sites))
+    basis = build_sector_basis(n_sites, n_e)
+    h = build_hubbard(basis, HoppingMatrix(a + a.T), u)
+    levels = np.sort(np.concatenate([
+        np.repeat(np.linalg.eigvalsh(space.project(h).toarray()), int(2 * space.s + 1))
+        for space in spin_spaces(basis)
+    ]))
+    assert np.max(np.abs(levels - np.linalg.eigvalsh(h.toarray()))) <= 1e-10

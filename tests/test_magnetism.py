@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hubbard_phonon import magnetism
-from hubbard_phonon.errors import AccuracyError, ValidationError
+from hubbard_phonon import eigensolver, magnetism
+from hubbard_phonon.errors import ValidationError
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
+    spin_spaces,
 )
-from hubbard_phonon.eigensolver import DENSE_MAX, ground_space
+from hubbard_phonon.eigensolver import ground_space
 from hubbard_phonon.magnetism import (
     build_tasaki_hopping,
     check_lieb_regime,
@@ -87,13 +88,19 @@ def test_tasaki_regime_small():
 
 
 def test_incomplete_ground_multiplet_is_refused():
-    # 8 sites, 7 electrons: 11,440 states, so ground_space runs Lanczos,
-    # whose single start vector returns 6 (1 BLAS thread) or 7 (2 threads)
-    # of the 8 states of the s = 7/2 multiplet; a partial multiplet must
-    # not pass as a degeneracy
+    """8 sites, 7 electrons: a Lanczos solve of the whole 11,440-state sector
+    returned 6 or 7 of the 8 states of the s = 7/2 multiplet, which had to
+    be refused.  Solved per spin (spaces of 2,352, 1,344, 216 and 8 states)
+    each level stands for its whole multiplet: the ground space is all 8,
+    the S^2 oracle agrees, and no partial multiplet can arise."""
     amps = [-1.25, 0.78, -0.99, -1.48, 1.46, -1.22, 1.04, -0.78]
-    with pytest.raises(AccuracyError, match="not whole multiplets of 8"):
-        check_tasaki_regime(1.0, amps, u_eff=2.0)
+    chk = check_tasaki_regime(1.0, amps, u_eff=2.0)
+    assert chk.applies and chk.verified, chk.details
+    assert chk.report.s_tot == 3.5 and chk.report.degeneracy == 8
+    basis = build_sector_basis(8, 7)
+    *_, s2 = build_spin_operators(basis)
+    v = chk.report.vectors
+    assert np.allclose(v.T @ (s2 @ v), 3.5 * 4.5 * np.eye(v.shape[1]), atol=1e-10)
 
 
 def test_tasaki_rank_one_structure():
@@ -106,15 +113,19 @@ def test_tasaki_rank_one_structure():
         build_tasaki_hopping(1.0, [1.0, 0.0, 1.0])
 
 
+def _spin_resolved(h, basis):
+    spaces = spin_spaces(basis)
+    return ground_space([s.project(h) for s in spaces], spaces=spaces)
+
+
 def test_classification_labels():
     basis = build_sector_basis(3, 2)
-    *_, s2 = build_spin_operators(basis)
-    h = build_hubbard(basis, HoppingMatrix.chain(3), -1.0).toarray()
-    rep = ground_space(h, s_squared=s2)
+    h = build_hubbard(basis, HoppingMatrix.chain(3), -1.0)
+    rep = _spin_resolved(h, basis)
     assert classify(rep, 2, 3) == "UniqueSinglet"
     hop = build_tasaki_hopping(1.0, [1.0, 1.0, 1.0])
-    h2 = build_hubbard(basis, hop, 1.0).toarray()
-    rep2 = ground_space(h2, s_squared=s2)
+    h2 = build_hubbard(basis, hop, 1.0)
+    rep2 = _spin_resolved(h2, basis)
     assert classify(rep2, 2, 3) == "Ferromagnetic"
 
 
@@ -127,9 +138,8 @@ def test_classification_permutation_invariant():
         reps = []
         for a in (amps, amps[perm]):
             basis = build_sector_basis(4, 3)
-            *_, s2 = build_spin_operators(basis)
-            h = build_hubbard(basis, build_tasaki_hopping(1.0, a), u_eff).toarray()
-            reps.append(ground_space(h, s_squared=s2))
+            h = build_hubbard(basis, build_tasaki_hopping(1.0, a), u_eff)
+            reps.append(_spin_resolved(h, basis))
         assert abs(reps[0].e0 - reps[1].e0) < 1e-10
         assert reps[0].degeneracy == reps[1].degeneracy
         assert reps[0].s_tot == reps[1].s_tot
@@ -184,9 +194,11 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 
 def test_sweep_on_a_sparse_sector(monkeypatch):
-    """8 sites at half filling hold 12,870 states, above DENSE_MAX: the
-    Hubbard and spin operators are sparse and the ground space is solved by
-    Lanczos.  Both regimes of the half-filled chain give a unique singlet."""
+    """8 sites at half filling hold 12,870 states, in spin spaces of at most
+    1,764 (S = 0); with DENSE_MAX lowered below that, the S = 0 space is
+    solved by Lanczos.  Both regimes of the half-filled chain give a unique
+    singlet, whose lifted vector solves the whole sector's Hamiltonian."""
+    monkeypatch.setattr(eigensolver, "DENSE_MAX", 1000)
     solved = []
 
     def spy(h, **kwargs):
@@ -195,12 +207,15 @@ def test_sweep_on_a_sparse_sector(monkeypatch):
         return rep
 
     monkeypatch.setattr(magnetism, "ground_space", spy)
-    recs = sweep_alpha(HoppingMatrix.chain(8, -1.0), 8, 1.0, 1.0, [0.5, 1.5])
+    chain = HoppingMatrix.chain(8, -1.0)
+    recs = sweep_alpha(chain, 8, 1.0, 1.0, [0.5, 1.5])
     assert [r.classification for r in recs] == ["UniqueSinglet"] * 2
     assert [r.degeneracy for r in recs] == [1, 1]
-    for rec, (h, rep) in zip(recs, solved):
-        assert sp.issparse(h) and h.shape[0] > DENSE_MAX
+    basis = build_sector_basis(8, 8)
+    for rec, (blocks, rep) in zip(recs, solved):
+        assert sp.issparse(blocks[0]) and blocks[0].shape[0] == 1764
+        par = effective_params(1.0, rec.alpha, 1.0)
+        h = build_hubbard(basis, chain, par.u_eff)
         v = rep.vectors[:, 0]
         assert np.linalg.norm(h @ v - rep.e0 * v) < 1e-8
-        shift = effective_params(1.0, rec.alpha, 1.0).chemical_shift
-        assert rec.e0 == rep.e0 - shift * 8
+        assert rec.e0 == rep.e0 - par.chemical_shift * 8
