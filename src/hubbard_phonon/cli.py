@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import ctypes
 import functools
 import hashlib
@@ -44,7 +45,6 @@ from .errors import (
     SizingError,
     ValidationError,
 )
-from .eigensolver import ground_space
 from .lattice_fermions import (
     HoppingMatrix,
     build_sector_basis,
@@ -57,6 +57,7 @@ from .magnetism import (
     classify,
     effective_params,
     flip_brackets,
+    spin_ground_space,
     sweep_alpha,
 )
 from .boson_fock import relative_bound_check
@@ -318,11 +319,13 @@ def config_hash(cfg) -> str:
 
 
 def write_csv(path: Path, meta, header, rows):
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """``# key: value`` metadata lines, then the header and rows, each field
+    quoted where it holds a comma, quote or line break."""
+    with path.open("w", newline="") as f:
+        f.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _meta(cfg, extra=None):
@@ -350,12 +353,8 @@ def cmd_spectrum(cfg, args) -> int:
     par = effective_params(
         float(cfg["interaction"]["u"]), float(cfg["coupling"]["alpha"]), b
     )
-    he_eff = model.effective_electronic()
-    spaces = spin_spaces(model.basis)
-    rep = ground_space(
-        [space.project(he_eff) for space in spaces],
-        cluster_tol=float(cfg["solver"]["cluster_tol"]),
-        spaces=spaces,
+    rep = spin_ground_space(
+        model.effective_electronic(), model.basis, float(cfg["solver"]["cluster_tol"])
     )
     label = classify(rep, model.basis.n_e, model.basis.n_sites)
     k = int(cfg["solver"]["levels"])

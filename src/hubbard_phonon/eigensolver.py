@@ -1,15 +1,14 @@
 """Ground-space extraction with explicit degeneracy bookkeeping.
 
-Dense spectra are computed in full, one connected block of the matrix's
-nonzero pattern at a time (for a Hubbard Hamiltonian these are the S_z
-sectors); large sparse problems, and few levels of mid-sized ones, go
-through ARPACK (Lanczos with implicit restarts and full reorthogonalization
-of the Krylov block) on a Chebyshev polynomial filter of the matrix, whose
-span Rayleigh-Ritz turns back into the matrix's eigenpairs.  Degeneracy is
+Dense spectra are computed in full by one ``np.linalg.eigh``; large sparse
+problems, and few levels of mid-sized ones, go through ARPACK (Lanczos with
+implicit restarts and full reorthogonalization of the Krylov block) on a
+Chebyshev polynomial filter of the matrix, whose span Rayleigh-Ritz turns
+back into the matrix's eigenpairs.  Degeneracy is
 decided by relative clustering at ``cluster_tol``; a cluster boundary that
 falls inside the factor-2 grey zone raises instead of silently picking a
-side.  A spin-symmetric Hamiltonian is solved one total spin at a time, each
-level standing for its whole multiplet.
+side.  A ground space is solved one total spin at a time, on that spin's
+highest-weight states, each level standing for its whole multiplet.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal, get_blas_funcs
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AccuracyError,
@@ -67,56 +65,6 @@ def _require_hermitian(asym, scale) -> None:
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:g}")
 
 
-def _blockwise_eigh(h, labels):
-    """Full eigendecomposition of CSR ``h``, one ``np.linalg.eigh`` per block.
-
-    ``labels`` names the connected block of each index.  A block-diagonal
-    matrix's spectrum is the union of its blocks' spectra: the eigenvalues
-    are merged by a stable ascending sort and each block's eigenvectors
-    land, zero-padded, in their sorted columns.  A single block returns
-    exactly what ``np.linalg.eigh`` does.  ``h`` is densified one block at
-    a time, its COO entries scattered into a zeroed array per block, so the
-    whole matrix is never dense at once.
-
-    Hermiticity is checked on the blocks: every nonzero and its transpose
-    partner lie in one block, so the blocks' largest asymmetry and entry
-    are the whole matrix's.
-    """
-    by_label = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    ends = np.cumsum(sizes)
-    blocks = np.split(by_label, ends[:-1])
-    pos = np.empty_like(labels)  # each index's place inside its block
-    pos[by_label] = np.arange(labels.size) - np.repeat(ends - sizes, sizes)
-    coo = h.tocoo()
-    coo.sum_duplicates()
-    owner = labels[coo.row]
-    entries = np.split(
-        np.argsort(owner, kind="stable"),
-        np.cumsum(np.bincount(owner, minlength=sizes.size))[:-1],
-    )
-    subs = []
-    for n, e in zip(sizes, entries):
-        sub = np.zeros((n, n), dtype=h.dtype)
-        sub[pos[coo.row[e]], pos[coo.col[e]]] = coo.data[e]
-        subs.append(sub)
-    _require_hermitian(
-        max(np.max(np.abs(b - b.conj().T), initial=0.0) for b in subs),
-        max(np.max(np.abs(b), initial=0.0) for b in subs),
-    )
-    parts = [np.linalg.eigh(b) for b in subs]
-    vals = np.concatenate([w for w, _ in parts])
-    order = np.argsort(vals, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    vecs = np.zeros(h.shape, dtype=parts[0][1].dtype)
-    start = 0
-    for idx, (w, v) in zip(blocks, parts):
-        vecs[np.ix_(idx, column[start : start + w.size])] = v
-        start += w.size
-    return vals[order], vecs
-
-
 def _lanczos_start(dim: int) -> np.ndarray:
     # fixed start vector so repeated runs produce identical iterates
     return np.random.default_rng(12345).standard_normal(dim)
@@ -124,12 +72,10 @@ def _lanczos_start(dim: int) -> np.ndarray:
 
 # Sparse input of dimension <= DENSE_MAX still takes the Lanczos path when
 # few levels are wanted: dim >= LANCZOS_MIN_DIM and k <= dim / LANCZOS_K_RATIO.
-# Measured at 1 BLAS thread, the blockwise dense path over the filtered
-# solve (time ratio) on one-block matrices (random sparse, dim 512-4096,
-# and the direct coupled sectors at n_max 3 and 4, dim 1024 and 2500):
+# Measured at 1 BLAS thread, the dense path over the filtered solve (time
+# ratio) on connected matrices (random sparse, dim 512-4096, and the direct
+# coupled sectors at n_max 3 and 4, dim 1024 and 2500):
 #   k = dim/8: 1.1-1.8, k = dim/16: 1.7-5.2, k = dim/32: 2.6-12.
-# On four equal blocks, which the dense path solves one by one, the ratio
-# is 0.4-0.5 at k = dim/16 and 1.1-1.6 at k = dim/32 (dim 2048, 4096).
 # Below dim 512 a full eigh takes under 0.07 s.
 LANCZOS_MIN_DIM = 512
 LANCZOS_K_RATIO = 32
@@ -295,20 +241,18 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     Returns ``(vals, vecs)`` with eigenvalues ascending and eigenvectors in
     columns.  Dense input, and sparse input unless it is larger than
     ``DENSE_MAX`` or few levels of a large enough matrix are wanted
-    (``dim >= LANCZOS_MIN_DIM`` and ``k <= dim / LANCZOS_K_RATIO``), is solved
-    in full by a direct method, block by block along the connected
-    components of its nonzero pattern, and truncated; ``k >= dim - 1``
-    always goes dense for matrices.  The rest, and every linear operator,
-    goes to ARPACK on a Chebyshev filter p(H) of the matrix
+    (``dim >= LANCZOS_MIN_DIM`` and ``k <= dim / LANCZOS_K_RATIO``), is
+    densified once and solved in full by ``np.linalg.eigh``, then truncated;
+    ``k >= dim - 1`` always goes dense for matrices.  The rest, and every
+    linear operator, goes to ARPACK on a Chebyshev filter p(H) of the matrix
     (:func:`_filtered_lanczos`).  ``tol`` and ``maxiter`` are passed to
     ``eigsh`` and so act on p(H), not on H: ``tol`` is ARPACK's relative
     accuracy of the eigenvalues of p(H) (the returned pairs of H are then
     held to residuals of max(tol, RESIDUAL_TOL) times the spectral radius),
     and ``maxiter`` counts ARPACK iterations of the final attempt, each of
     up to ncv - k filter applications of FILTER_DEGREE matvecs.  The dense
-    route takes CSR (a dense array is converted once) and checks Hermiticity
-    on its blocks; the Lanczos route checks the whole matrix, or probes a
-    linear operator with two seeded matvecs.
+    route checks Hermiticity on the dense array; the Lanczos route checks
+    the sparse matrix, or probes a linear operator with two seeded matvecs.
     """
     dim = h.shape[0]
     if h.shape[0] != h.shape[1]:
@@ -318,9 +262,11 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     k = min(k, dim)
 
     if isinstance(h, np.ndarray) or (sp.issparse(h) and _dense_pays(k, dim)):
-        h = sp.csr_matrix(h)
-        _, labels = connected_components(h != 0, directed=False)
-        vals, vecs = _blockwise_eigh(h, labels)
+        a = h if isinstance(h, np.ndarray) else h.toarray()
+        _require_hermitian(
+            np.max(np.abs(a - a.conj().T), initial=0.0), np.max(np.abs(a), initial=0.0)
+        )
+        vals, vecs = np.linalg.eigh(a)
         return vals[:k], vecs[:, :k]
 
     if _is_operator(h) and k >= dim - 1:
@@ -332,22 +278,21 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
 
 @dataclass
 class GroundSpaceReport:
-    """Certified ground-space data.
+    """Certified ground-space data, solved per total spin.
 
-    Solved per total spin, ``spins`` lists the spin of each level in the
-    ground cluster, ``vectors`` holds one highest-weight vector per level
-    (lifted to the configuration basis) and ``degeneracy`` counts each
-    level 2s+1 times; ``s_tot`` is the one spin of the cluster (a
-    half-integer as float) or ``"mixed"``.  A plain matrix has no spins:
-    ``spins`` is empty, ``s_tot`` None and ``vectors`` spans the cluster.
+    ``spins`` lists the spin of each level in the ground cluster,
+    ``vectors`` holds one highest-weight vector per level (lifted to the
+    configuration basis) and ``degeneracy`` counts each level 2s+1 times;
+    ``s_tot`` is the one spin of the cluster (a half-integer as float) or
+    ``"mixed"``.
     """
 
     e0: float
     degeneracy: int
     vectors: np.ndarray
     gap: float
-    s_tot: object = None
-    spins: tuple = ()
+    s_tot: object
+    spins: tuple
     spectrum_head: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -365,15 +310,15 @@ def _low_levels(h, cluster_tol: float):
         k = min(2 * k, dim - 1)
 
 
-def ground_space(h, cluster_tol: float = 1e-8, spaces=None) -> GroundSpaceReport:
+def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport:
     """Ground energy, degeneracy and an orthonormal ground basis of a
-    Hermitian matrix (dense or sparse).
+    spin-symmetric Hamiltonian given one Hermitian matrix per total spin.
 
-    With ``spaces``, ``h`` lists one matrix per total spin: ``h[i]`` acts on
-    the highest-weight states of ``spaces[i]``, which carries the spin
-    ``s`` and the isometry ``q`` into the configuration basis.  Each block
-    is solved through :func:`eigensolve` and the levels are merged, each
-    standing for 2s+1 states.
+    ``blocks[i]`` (dense or sparse) acts on the highest-weight states of
+    ``spaces[i]``, which carries the spin ``s`` and the isometry ``q`` into
+    the configuration basis.  Each block is solved through
+    :func:`eigensolve` and the levels are merged, each standing for 2s+1
+    states.
 
     An eigenvalue belongs to the ground cluster when
     ``(e - e0) <= cluster_tol * max(1, |e0|)``.  If any eigenvalue lies
@@ -384,8 +329,7 @@ def ground_space(h, cluster_tol: float = 1e-8, spaces=None) -> GroundSpaceReport
     grey zone's floor, 0.5 * cluster_tol * max(1, |e0|), no clustering can
     be trusted and :class:`AccuracyError` is raised.
     """
-    blocks = [h] if spaces is None else list(h)
-    mult = [1] if spaces is None else [int(round(2.0 * space.s + 1.0)) for space in spaces]
+    mult = [int(round(2.0 * space.s + 1.0)) for space in spaces]
     solved = [_low_levels(b, cluster_tol) for b in blocks]
     vals = np.sort(np.concatenate([v for v, _, _ in solved]))
     e0 = float(vals[0])
@@ -410,23 +354,23 @@ def ground_space(h, cluster_tol: float = 1e-8, spaces=None) -> GroundSpaceReport
         )
     n = int(np.sum(rel <= cluster_tol))
     ground, spins, degeneracy = [], [], 0
-    for i, (v, vecs, _) in enumerate(solved):
+    for space, (v, vecs, _), w in zip(spaces, solved, mult):
         m = int(np.sum((v - e0) / scale <= cluster_tol))
-        ground.append(vecs[:, :m] if spaces is None else spaces[i].q @ vecs[:, :m])
-        spins += [] if spaces is None else [spaces[i].s] * m
-        degeneracy += m * mult[i]
+        ground.append(space.q @ vecs[:, :m])
+        spins += [space.s] * m
+        degeneracy += m * w
     # re-orthonormalize inside the cluster; eigh pairs are orthonormal to
     # machine precision already, QR just pins the guarantee
     q, _ = np.linalg.qr(np.hstack(ground))
     # merged levels are complete up to the top of every partial solve
     top = min([v[-1] for v, _, full in solved if not full], default=np.inf)
-    head = np.sort(np.concatenate([np.repeat(v, m) for (v, _, _), m in zip(solved, mult)]))
+    head = np.sort(np.concatenate([np.repeat(v, w) for (v, _, _), w in zip(solved, mult)]))
     return GroundSpaceReport(
         e0=e0,
         degeneracy=degeneracy,
         vectors=q,
         gap=float(vals[n] - e0) if n < len(vals) else np.inf,
-        s_tot=(spins[0] if len(set(spins)) == 1 else "mixed") if spins else None,
+        s_tot=spins[0] if len(set(spins)) == 1 else "mixed",
         spins=tuple(spins),
         spectrum_head=np.asarray(head[head <= top][:10], dtype=float),
     )

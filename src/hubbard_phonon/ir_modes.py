@@ -30,7 +30,7 @@ from .lang_firsov import (
     dressed_ground,
 )
 from .lattice_fermions import build_hubbard, build_sector_basis
-from .eigensolver import ground_space
+from .magnetism import spin_ground_space
 
 DEFAULT_KAPPAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -41,8 +41,6 @@ __all__ = [
     "b_kappa",
     "Discretization",
     "discretize",
-    "riemann_lebesgue_decay",
-    "tail_max",
     "weyl_state",
     "limit_state",
     "overlap_decay_curve",
@@ -262,35 +260,6 @@ def discretize(
     )
 
 
-# -- oscillatory decay ---------------------------------------------------------
-
-
-def riemann_lebesgue_decay(profile, big_k: float, ts) -> np.ndarray:
-    """int_0^K profile(k) exp(i t k) dk along a grid of times.
-
-    Uses weighted adaptive quadrature for the oscillatory factor; the
-    profile must be real-valued.
-    """
-    if profile(0.5 * big_k) != np.real(profile(0.5 * big_k)):
-        raise ValidationError("profile must be real-valued")
-    vals = np.empty(len(ts), dtype=complex)
-    for i, t in enumerate(ts):
-        re, _ = integrate.quad(
-            profile, 0.0, big_k, weight="cos", wvar=float(t), limit=400
-        )
-        im, _ = integrate.quad(
-            profile, 0.0, big_k, weight="sin", wvar=float(t), limit=400
-        )
-        vals[i] = re + 1j * im
-    return vals
-
-
-def tail_max(values) -> np.ndarray:
-    """Running maximum of |values| over the tail: M_i = max_{j >= i} |v_j|."""
-    mags = np.abs(np.asarray(values))
-    return np.maximum.accumulate(mags[::-1])[::-1]
-
-
 # -- states against Weyl observables ------------------------------------------
 
 
@@ -377,7 +346,7 @@ def limit_state(
     b0 = b_kappa(family, 0.0)
     u_eff = u - (alpha * b0) ** 2
     if psi_e is None:
-        rep = ground_space(build_hubbard(basis, hopping, u_eff))
+        rep = spin_ground_space(build_hubbard(basis, hopping, u_eff), basis)
         psi = rep.vectors[:, 0].astype(complex)
     else:
         psi = np.asarray(psi_e, dtype=complex)

@@ -17,7 +17,6 @@ structure instead of materializing V.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .boson_fock import (
-    TAIL_BOUND,
-    ModeSet,
     TruncatedFock,
     apply_displacement,
     apply_field,
@@ -36,8 +33,8 @@ from .boson_fock import (
     field,
     mode_kron,
 )
-from .eigensolver import eigensolve, ground_space
-from .errors import SizingError, TruncationWarning, ValidationError
+from .eigensolver import eigensolve
+from .errors import SizingError, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
@@ -45,6 +42,7 @@ from .lattice_fermions import (
     hopping_moves,
     spin_spaces,
 )
+from .magnetism import spin_ground_space
 
 COUPLED_DIM_CAP = 2_000_000
 
@@ -198,15 +196,14 @@ class CoupledModel:
         family,
         kappa: float,
         modes_per_site: int = 2,
-        n_max=None,
+        *,
+        n_max: int,
     ):
         """Build the model from a continuum coupling family at cutoff kappa."""
         from .ir_modes import discretize
 
         disc = discretize(family, kappa, modes_per_site, n_sites=n_sites)
         basis = build_sector_basis(n_sites, n_e)
-        if n_max is None:
-            n_max = _adaptive_n_max(disc.modes, disc.couplings, alpha)
         fock = TruncatedFock(disc.modes, n_max)
         return cls(basis, hopping, u, alpha, fock, disc.couplings)
 
@@ -215,31 +212,6 @@ class CoupledModel:
             f"CoupledModel(F={self.basis.dim}, B={self.fock.dim}, "
             f"alpha={self.alpha})"
         )
-
-
-def _adaptive_n_max(modes: ModeSet, couplings, alpha: float) -> int:
-    """Smallest n_max whose worst-case coherent tail stays under TAIL_BOUND.
-
-    The search stops at n_max = 64; a tail still above the bound there is
-    reported with a :class:`TruncationWarning`.
-    """
-    lam = np.asarray(couplings, dtype=float)
-    g = lam / modes.freqs
-    # doubly occupied site doubles the displacement
-    zmax = alpha / np.sqrt(2.0) * 2.0 * g
-    n_max = 10
-    tail = coherent_tail(zmax, n_max).sum()
-    while tail >= TAIL_BOUND and n_max < 64:
-        n_max += 2
-        tail = coherent_tail(zmax, n_max).sum()
-    if tail >= TAIL_BOUND:
-        warnings.warn(
-            f"automatic n_max stopped at {n_max} with coherent tail "
-            f"{tail:.3e} above the bound {TAIL_BOUND:.1e}",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return n_max
 
 
 # -- dressed states ---------------------------------------------------------
@@ -297,11 +269,10 @@ def dress_state(model: CoupledModel, psi_e) -> DressedState:
 def dressed_ground(model: CoupledModel, cluster_tol: float = 1e-8):
     """Ground state of the effective electronic model, dressed.
 
-    Returns ``(state, report)``; for a degenerate effective ground space the
-    first basis vector of the cluster is dressed.
+    Returns ``(state, report)``; the dressed vector is the report's first,
+    a highest-weight state (S_z = S, S+ psi = 0) of the lowest ground spin.
     """
-    he_eff = model.effective_electronic()
-    rep = ground_space(he_eff, cluster_tol=cluster_tol)
+    rep = spin_ground_space(model.effective_electronic(), model.basis, cluster_tol)
     psi = rep.vectors[:, 0]
     return dress_state(model, psi / np.linalg.norm(psi)), rep
 
@@ -542,7 +513,7 @@ def heisenberg_evolution_check(
     interior vectors and the given times."""
     if rng is None:
         rng = np.random.default_rng(23)
-    evals, evecs = np.linalg.eigh(model.effective_electronic().toarray())
+    evals, evecs = eigensolve(model.effective_electronic(), k=model.basis.dim)
     hb = model.fock.hb_diag()
     w = model.fock.modes.freqs
 

@@ -37,6 +37,7 @@ __all__ = [
     "effective_params",
     "critical_alpha",
     "classify",
+    "spin_ground_space",
     "build_tasaki_hopping",
     "RegimeCheck",
     "check_lieb_regime",
@@ -108,13 +109,11 @@ class RegimeCheck:
     report: object = None
 
 
-def _ground_report(hopping, n_e, u_eff, cluster_tol):
-    """The ground space of the Hubbard model on the n_e sector, per total spin."""
-    basis = build_sector_basis(hopping.n_sites, n_e)
-    h = build_hubbard(basis, hopping, u_eff)
+def spin_ground_space(h, basis, cluster_tol: float = 1e-8) -> GroundSpaceReport:
+    """:func:`ground_space` of a sector operator ``h`` on ``basis``, projected
+    onto each total spin's highest-weight states (:func:`spin_spaces`)."""
     spaces = spin_spaces(basis)
-    blocks = [space.project(h) for space in spaces]
-    return ground_space(blocks, cluster_tol=cluster_tol, spaces=spaces)
+    return ground_space([space.project(h) for space in spaces], spaces, cluster_tol)
 
 
 def check_lieb_regime(
@@ -136,7 +135,8 @@ def check_lieb_regime(
     if reasons:
         return RegimeCheck(False, False, "; ".join(reasons))
 
-    rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
+    basis = build_sector_basis(hopping.n_sites, n_e)
+    rep = spin_ground_space(build_hubbard(basis, hopping, u_eff), basis, cluster_tol)
     ok = 0.0 in rep.spins
     details = f"spins of the ground levels = {rep.spins}"
     if u_eff < 0:
@@ -165,7 +165,8 @@ def check_tasaki_regime(
     if reasons:
         return RegimeCheck(False, False, "; ".join(reasons))
 
-    rep = _ground_report(hopping, n_e, u_eff, cluster_tol)
+    basis = build_sector_basis(hopping.n_sites, n_e)
+    rep = spin_ground_space(build_hubbard(basis, hopping, u_eff), basis, cluster_tol)
     smax = s_max(n_e, n_sites)
     want_deg = int(round(2 * smax + 1))
     ok = rep.s_tot == smax and rep.degeneracy == want_deg
@@ -222,7 +223,7 @@ def sweep_alpha(
         rec = SweepRecord(alpha, float(kappa), par.u_eff, np.nan, 0, "", "Error", "")
         try:
             h = [h0s + sp.diags(par.u_eff * d) for h0s, d in blocks]
-            rep = ground_space(h, cluster_tol=cluster_tol, spaces=spaces)
+            rep = ground_space(h, spaces=spaces, cluster_tol=cluster_tol)
         except (
             AccuracyError,
             AmbiguousDegeneracyError,

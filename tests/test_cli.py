@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import pytest
@@ -209,7 +210,7 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     def ambiguous(*args, **kwargs):
         raise AmbiguousDegeneracyError("gap inside the grey zone")
 
-    monkeypatch.setattr(cli, "ground_space", ambiguous)
+    monkeypatch.setattr(cli, "spin_ground_space", ambiguous)
     cfg = tmp_path / "c.yaml"
     cfg.write_text("modes:\n  n_max: 2\n")
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "spectrum"])
@@ -288,6 +289,18 @@ def test_sweep_csv_and_flip(tmp_path):
     i = flip_at[0]
     crit = 1.0540925533894598
     assert float(rows[i - 1]["alpha"]) < crit < float(rows[i]["alpha"])
+
+
+def test_sweep_csv_quotes_a_message_with_a_comma(tmp_path):
+    flags = 'AccuracyError: levels near -1, "cut" 0.5'
+    rec = magnetism.SweepRecord(0.5, 0.1, 0.8, float("nan"), 0, "", "Error", flags)
+    header = [f.name for f in fields(magnetism.SweepRecord)]
+    cli.write_csv(tmp_path / "sweep.csv", {"version": "x"}, header, [astuple(rec)])
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "# version: x"
+    rows = list(csv.reader(lines[1:]))
+    assert rows[0] == header and len(rows[1]) == 8
+    assert rows[1][-1] == flags
 
 
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):

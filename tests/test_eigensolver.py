@@ -30,9 +30,8 @@ from hubbard_phonon.lattice_fermions import (
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
-    spin_spaces,
 )
-from hubbard_phonon.magnetism import build_tasaki_hopping
+from hubbard_phonon.magnetism import build_tasaki_hopping, spin_ground_space
 
 
 def _random_sparse_sym(dim, density, seed):
@@ -78,19 +77,25 @@ def test_eigensolve_validation():
         eigensolve(np.array([[0.0, 1.0], [0.5, 0.0]]))  # not Hermitian
 
 
+def _one_space(h, **kwargs):
+    """ground_space of ``h`` as the one block of a single spin-0 space."""
+    space = SimpleNamespace(s=0.0, q=np.eye(h.shape[0]))
+    return ground_space([h], [space], **kwargs)
+
+
 def test_ground_space_shift_invariance():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((40, 40))
     h = 0.5 * (a + a.T)
-    r0 = ground_space(h)
-    r1 = ground_space(h + 3.25 * np.eye(40))
+    r0 = _one_space(h)
+    r1 = _one_space(h + 3.25 * np.eye(40))
     assert r1.degeneracy == r0.degeneracy
     assert abs((r1.e0 - r0.e0) - 3.25) < 1e-10
 
 
 def test_ground_space_degenerate_cluster():
     h = np.diag([0.0, 0.0, 0.0, 1.0, 2.0])
-    rep = ground_space(h)
+    rep = _one_space(h)
     assert rep.degeneracy == 3
     assert rep.gap == 1.0
     # returned basis is orthonormal and spans the eigenspace
@@ -103,23 +108,18 @@ def test_ground_space_grey_zone_raises():
     # a splitting equal to cluster_tol cannot be resolved either way
     h = np.diag([0.0, 1.0e-8, 1.0])
     with pytest.raises(AmbiguousDegeneracyError) as err:
-        ground_space(h, cluster_tol=1e-8)
+        _one_space(h, cluster_tol=1e-8)
     assert err.value.suggested_tol < 1e-8
     # the suggestion resolves the ambiguity in both directions
-    assert ground_space(h, cluster_tol=err.value.suggested_tol).degeneracy == 1
-    assert ground_space(h, cluster_tol=1e-6).degeneracy == 2
-
-
-def _spin_resolved(h, basis, **kwargs):
-    spaces = spin_spaces(basis)
-    return ground_space([s.project(h) for s in spaces], spaces=spaces, **kwargs)
+    assert _one_space(h, cluster_tol=err.value.suggested_tol).degeneracy == 1
+    assert _one_space(h, cluster_tol=1e-6).degeneracy == 2
 
 
 def test_spin_labels():
     # one electron on one site: spin doublet, s = 1/2
     basis = build_sector_basis(1, 1)
     h = build_hubbard(basis, HoppingMatrix(np.zeros((1, 1))), 1.0)
-    rep = _spin_resolved(h, basis)
+    rep = spin_ground_space(h, basis)
     assert rep.degeneracy == 2
     assert rep.s_tot == 0.5
     assert rep.spins == (0.5,)
@@ -128,7 +128,7 @@ def test_spin_labels():
 def test_spin_label_mixed():
     basis = build_sector_basis(2, 2)
     # zero Hamiltonian: ground space spans singlets and triplets
-    rep = _spin_resolved(sp.csr_matrix((basis.dim, basis.dim)), basis)
+    rep = spin_ground_space(sp.csr_matrix((basis.dim, basis.dim)), basis)
     assert rep.degeneracy == basis.dim
     assert rep.s_tot == "mixed"
     assert sorted(rep.spins) == [0.0, 0.0, 0.0, 1.0]
@@ -148,7 +148,7 @@ def test_ground_space_keeps_each_spin_energy_within_a_cluster():
 def test_levels_too_inaccurate_to_cluster_are_refused():
     """eps ||H|| above the grey zone's floor: no clustering can be trusted."""
     with pytest.raises(AccuracyError, match="grey-zone floor"):
-        ground_space(np.diag([0.0, 1.0, 1.0e12]))
+        _one_space(np.diag([0.0, 1.0, 1.0e12]))
     # eps ||H|| over the floor at cluster_tol 1e-8, recorded: 6.0e-8 on the
     # reference effective Hamiltonian, 1.4e-6 on the ferro6 benchmark's
     # 6-site rank-one model (seed-1 amplitudes, u_eff 1)
@@ -158,19 +158,19 @@ def test_levels_too_inaccurate_to_cluster_are_refused():
         (reference_model(n_max=2).effective_electronic(), 6.0e-8),
         (build_hubbard(build_sector_basis(6, 5), build_tasaki_hopping(1.0, amps), 1.0), 1.4e-6),
     ):
-        e0 = ground_space(h).e0
+        e0 = _one_space(h).e0
         ratio = np.finfo(float).eps * abs(h).sum(axis=1).max() / (0.5e-8 * max(1.0, abs(e0)))
         assert abs(ratio / want - 1.0) < 0.05
 
 
 def test_spectrum_head_recorded():
     h = np.diag(np.arange(12, dtype=float))
-    rep = ground_space(h)
+    rep = _one_space(h)
     assert rep.spectrum_head[0] == 0.0
     assert len(rep.spectrum_head) == 10
 
 
-# -- block-wise dense solves against an unsplit np.linalg.eigh ----------------
+# -- dense solves of block-structured matrices against np.linalg.eigh ---------
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -217,8 +217,8 @@ def test_single_block_is_bitwise_eigh():
 
 
 def test_sparse_input_densified_by_block_is_bitwise_dense():
-    """Sparse input of any format is densified block by block and solves to
-    the arrays its dense form does."""
+    """Sparse input of any format is densified once and solves to the arrays
+    its dense form does."""
     rng = np.random.default_rng(16)
     blocks = [a + a.T for a in (rng.standard_normal((n, n)) for n in (3, 7, 5))]
     h = sla.block_diag(*blocks)
@@ -238,7 +238,7 @@ def test_rank_one_ground_space_matches_unsplit():
     basis = build_sector_basis(6, 5)
     h = build_hubbard(basis, build_tasaki_hopping(1.0, amps), 1.0)
     *_, s2 = build_spin_operators(basis)
-    rep = _spin_resolved(h, basis)
+    rep = spin_ground_space(h, basis)
     assert rep.degeneracy == 6 and rep.s_tot == 2.5
     v = rep.vectors[:, 0]  # the highest-weight ground vector, lifted
     assert np.linalg.norm(h @ v - rep.e0 * v) <= 1e-12
@@ -302,7 +302,7 @@ def test_crossover_reads_k_and_dim(monkeypatch):
     assert np.max(np.abs(vals - ref[:k_dense])) <= 1e-10
     eigensolve(h.toarray(), k=4)  # dense input stays dense
     eigensolve(_random_sparse_sym(LANCZOS_MIN_DIM - 1, 0.01, 18), k=1)
-    assert ground_space(h).degeneracy == 1  # full spectrum: dense
+    assert _one_space(h).degeneracy == 1  # full spectrum: dense
     assert solves == ["LA"]
 
 

@@ -24,8 +24,6 @@ from hubbard_phonon.ir_modes import (
     limit_state,
     norm_omega_power,
     overlap_decay_curve,
-    riemann_lebesgue_decay,
-    tail_max,
     weyl_state,
 )
 
@@ -121,15 +119,6 @@ def test_mode_vector_bilinears_exact():
         want_ff = c**2 * 0.5 * (1.0 - kappa**2)  # integral of c^2 k
         got_ff = np.vdot(f[block], f[block]).real
         assert abs(got_ff - want_ff) < 1e-12
-
-
-def test_riemann_lebesgue_tail():
-    vals = riemann_lebesgue_decay(np.sqrt, 1.0, ts=[1.0, 10.0, 100.0])
-    tails = tail_max(vals)
-    assert tails[0] > tails[1] > tails[2]
-    assert tails[2] < 0.5 * tails[0]
-    with pytest.raises(ValidationError):
-        riemann_lebesgue_decay(lambda k: 1j * k, 1.0, ts=[1.0])
 
 
 def test_divergence_report_rates():

@@ -5,8 +5,6 @@ The displacement-block route is the production path; the matrix-exponential
 route and the commutator ladder below are its independent oracles.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,15 +22,9 @@ from hubbard_phonon.boson_fock import (
     mode_kron,
     relative_bound_check,
 )
-from hubbard_phonon.errors import (
-    SizingError,
-    TruncationWarning,
-    ValidationError,
-)
-from hubbard_phonon.ir_modes import CutoffFamily, discretize
+from hubbard_phonon.errors import SizingError, ValidationError
 from hubbard_phonon.lang_firsov import (
     CoupledModel,
-    _adaptive_n_max,
     annihilation_residual,
     dress_state,
     dressed_ground,
@@ -216,6 +208,18 @@ def test_dress_state_matches_unitary():
 def test_dress_state_requires_normalized_input():
     with pytest.raises(ValidationError):
         dress_state(M6, np.ones(M6.basis.dim))
+
+
+def test_dressed_ground_of_a_doublet_is_highest_weight():
+    """One electron on the 2-site chain: the effective ground level is a
+    spin doublet, and the vector dressed is its S_z = 1/2 state."""
+    m = reference_model(n_e=1, n_max=2)
+    st, rep = dressed_ground(m)
+    assert rep.degeneracy == 2 and rep.s_tot == 0.5
+    sx, sy, sz, _ = build_spin_operators(m.basis)
+    psi = st.weights
+    assert np.linalg.norm((sx + 1j * sy) @ psi) < 1e-12  # S+ psi = 0
+    assert np.linalg.norm(sz @ psi - 0.5 * psi) < 1e-12
 
 
 def test_dressed_annihilation_ground_and_excited():
@@ -474,24 +478,3 @@ def test_number_expectation_two_routes():
     nb_full = np.tile(M12.fock.nb_diag(), M12.basis.dim)
     matrix = float(np.real(np.vdot(v, nb_full * v)))
     assert abs(arithmetic - matrix) < 1e-9
-
-
-def test_adaptive_truncation_choice():
-    m = CoupledModel.from_family(
-        2, 2, M6.hopping, 1.0, 0.5, CutoffFamily(beta=0.5, big_k=1.0),
-        0.1, modes_per_site=2, n_max=None,
-    )
-    assert m.fock.n_max >= 8
-    st, _ = dressed_ground(m)
-    assert st.truncation_error < 1e-6
-
-
-def test_adaptive_n_max_warns_when_bound_missed():
-    disc = discretize(CutoffFamily(beta=0.5, big_k=1.0), 0.1, 2, n_sites=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationWarning)
-        assert _adaptive_n_max(disc.modes, disc.couplings, 0.5) < 64
-    with pytest.warns(TruncationWarning, match="stopped at 64") as rec:
-        assert _adaptive_n_max(disc.modes, disc.couplings, 20.0) == 64
-    # the message carries the tail that was reached
-    assert "coherent tail" in str(rec[0].message)

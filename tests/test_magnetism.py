@@ -11,7 +11,6 @@ from hubbard_phonon.lattice_fermions import (
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
-    spin_spaces,
 )
 from hubbard_phonon.eigensolver import ground_space
 from hubbard_phonon.magnetism import (
@@ -22,6 +21,7 @@ from hubbard_phonon.magnetism import (
     critical_alpha,
     effective_params,
     flip_brackets,
+    spin_ground_space,
     sweep_alpha,
 )
 
@@ -113,19 +113,14 @@ def test_tasaki_rank_one_structure():
         build_tasaki_hopping(1.0, [1.0, 0.0, 1.0])
 
 
-def _spin_resolved(h, basis):
-    spaces = spin_spaces(basis)
-    return ground_space([s.project(h) for s in spaces], spaces=spaces)
-
-
 def test_classification_labels():
     basis = build_sector_basis(3, 2)
     h = build_hubbard(basis, HoppingMatrix.chain(3), -1.0)
-    rep = _spin_resolved(h, basis)
+    rep = spin_ground_space(h, basis)
     assert classify(rep, 2, 3) == "UniqueSinglet"
     hop = build_tasaki_hopping(1.0, [1.0, 1.0, 1.0])
     h2 = build_hubbard(basis, hop, 1.0)
-    rep2 = _spin_resolved(h2, basis)
+    rep2 = spin_ground_space(h2, basis)
     assert classify(rep2, 2, 3) == "Ferromagnetic"
 
 
@@ -139,7 +134,7 @@ def test_classification_permutation_invariant():
         for a in (amps, amps[perm]):
             basis = build_sector_basis(4, 3)
             h = build_hubbard(basis, build_tasaki_hopping(1.0, a), u_eff)
-            reps.append(_spin_resolved(h, basis))
+            reps.append(spin_ground_space(h, basis))
         assert abs(reps[0].e0 - reps[1].e0) < 1e-10
         assert reps[0].degeneracy == reps[1].degeneracy
         assert reps[0].s_tot == reps[1].s_tot
