@@ -670,6 +670,9 @@ def main(argv=None) -> int:
     except (AccuracyError, AmbiguousDegeneracyError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # spin spaces live for one command, as in a fresh CLI process
+        spin_spaces.cache_clear()
 
 
 if __name__ == "__main__":

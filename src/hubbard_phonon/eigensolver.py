@@ -1,10 +1,12 @@
 """Ground-space extraction with explicit degeneracy bookkeeping.
 
-Dense spectra are computed in full by one ``np.linalg.eigh``; large sparse
-problems, and few levels of mid-sized ones, go through ARPACK (Lanczos with
-implicit restarts and full reorthogonalization of the Krylov block) on a
-Chebyshev polynomial filter of the matrix, whose span Rayleigh-Ritz turns
-back into the matrix's eigenpairs.  Degeneracy is
+Dense problems compute only the eigenpairs asked for: the lowest k by
+LAPACK's MRRR driver (``scipy.linalg.eigh(subset_by_index=...)``; Dhillon,
+Parlett & Voemel, ACM TOMS 32, 533 (2006)), all by ``np.linalg.eigh``.
+Large sparse problems, and few levels of mid-sized ones, go through ARPACK
+(Lanczos with implicit restarts and full reorthogonalization of the Krylov
+block) on a Chebyshev polynomial filter of the matrix, whose span
+Rayleigh-Ritz turns back into the matrix's eigenpairs.  Degeneracy is
 decided by relative clustering at ``cluster_tol``; a cluster boundary that
 falls inside the factor-2 grey zone raises instead of silently picking a
 side.  A ground space is solved one total spin at a time, on that spin's
@@ -16,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal, get_blas_funcs
 
 from .errors import (
     AccuracyError,
@@ -29,6 +31,8 @@ from .errors import (
 
 # Dense/sparse crossover for eigensolves and dense operators.
 DENSE_MAX = 4096
+# Levels a ground-space solve starts from; the length of spectrum_head.
+HEAD_LEVELS = 10
 
 __all__ = ["eigensolve", "ground_space", "GroundSpaceReport"]
 
@@ -61,6 +65,8 @@ def _check_hermitian(h) -> None:
 
 
 def _require_hermitian(asym, scale) -> None:
+    if not np.isfinite(scale):  # np.linalg.eigh may not raise, subset eigh ValueError
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
     if asym > HERMITIAN_TOL * max(1.0, scale):
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:g}")
 
@@ -136,7 +142,7 @@ def _spectrum_bounds(matvec, v0, k: int):
         if beta <= np.finfo(float).eps * norm:
             break
         q_prev, q = q, w / beta
-    theta = eigh_tridiagonal(alphas, betas[:-1], eigvals_only=True)
+    theta = sla.eigh_tridiagonal(alphas, betas[:-1], eigvals_only=True)
     lo, hi = theta[0], theta[-1] + betas[-1]
     span = max(hi - lo, np.finfo(float).eps * max(1.0, abs(lo), abs(hi)))
     # without reorthogonalization a converged Ritz value recurs as a ghost
@@ -154,7 +160,7 @@ def _chebyshev_filter(matvec, cut: float, hi: float, dtype):
     one new vector per step, the affine map folded in by in-place updates.
     """
     c, e = 0.5 * (hi + cut), 0.5 * (hi - cut)
-    axpy = get_blas_funcs("axpy", dtype=dtype)
+    axpy = sla.get_blas_funcs("axpy", dtype=dtype)
 
     def apply(x):
         x = np.asarray(x, dtype=dtype).reshape(-1)
@@ -242,7 +248,9 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     columns.  Dense input, and sparse input unless it is larger than
     ``DENSE_MAX`` or few levels of a large enough matrix are wanted
     (``dim >= LANCZOS_MIN_DIM`` and ``k <= dim / LANCZOS_K_RATIO``), is
-    densified once and solved in full by ``np.linalg.eigh``, then truncated;
+    densified once and solved dense for the pairs asked for only:
+    ``k < dim - 1`` by ``scipy.linalg.eigh(subset_by_index=[0, k - 1])``,
+    otherwise all of them by ``np.linalg.eigh``, then truncated.
     ``k >= dim - 1`` always goes dense for matrices.  The rest, and every
     linear operator, goes to ARPACK on a Chebyshev filter p(H) of the matrix
     (:func:`_filtered_lanczos`).  ``tol`` and ``maxiter`` are passed to
@@ -266,6 +274,8 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
         _require_hermitian(
             np.max(np.abs(a - a.conj().T), initial=0.0), np.max(np.abs(a), initial=0.0)
         )
+        if k < dim - 1:
+            return sla.eigh(a, subset_by_index=[0, k - 1])
         vals, vecs = np.linalg.eigh(a)
         return vals[:k], vecs[:, :k]
 
@@ -284,7 +294,9 @@ class GroundSpaceReport:
     ``vectors`` holds one highest-weight vector per level (lifted to the
     configuration basis) and ``degeneracy`` counts each level 2s+1 times;
     ``s_tot`` is the one spin of the cluster (a half-integer as float) or
-    ``"mixed"``.
+    ``"mixed"``.  ``spectrum_head`` holds the lowest HEAD_LEVELS levels,
+    each repeated 2s+1 times, that every spin's solve certifies complete:
+    none above the top level of a partial solve.
     """
 
     e0: float
@@ -298,16 +310,19 @@ class GroundSpaceReport:
 
 def _low_levels(h, cluster_tol: float):
     """Eigenpairs far enough up to certify where the ground cluster ends, and
-    whether they are all: the full spectrum up to DENSE_MAX, otherwise 8
-    levels, doubled until one lies safely outside the grey zone."""
+    whether they are all.  A block of at most DENSE_MAX states is densified
+    once and solved dense.  Every block starts at HEAD_LEVELS levels, doubled
+    until one lies safely outside the grey zone or the spectrum is whole."""
     dim = h.shape[0]
-    k = dim if not sp.issparse(h) or dim <= DENSE_MAX else min(8, dim - 1)
+    if sp.issparse(h) and dim <= DENSE_MAX:
+        h = h.toarray()
+    k = min(HEAD_LEVELS, dim)
     while True:
         vals, vecs = eigensolve(h, k=k)
         scale = max(1.0, abs(vals[0]))
-        if (vals[-1] - vals[0]) > 2.0 * cluster_tol * scale or k >= dim - 1:
+        if (vals[-1] - vals[0]) > 2.0 * cluster_tol * scale or k == dim:
             return vals, vecs, k == dim
-        k = min(2 * k, dim - 1)
+        k = min(2 * k, dim)
 
 
 def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport:
@@ -372,5 +387,5 @@ def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport
         gap=float(vals[n] - e0) if n < len(vals) else np.inf,
         s_tot=spins[0] if len(set(spins)) == 1 else "mixed",
         spins=tuple(spins),
-        spectrum_head=np.asarray(head[head <= top][:10], dtype=float),
+        spectrum_head=np.asarray(head[head <= top][:HEAD_LEVELS], dtype=float),
     )

@@ -13,6 +13,8 @@ states of S (2 S_z = 2S and S+ psi = 0), where each spin-S level occurs once
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
@@ -319,6 +321,8 @@ class SpinSpace:
 def spin_spaces(basis: SectorBasis):
     """The :class:`SpinSpace` of every total spin of the sector, lowest first.
 
+    Built once per (n_sites, n_e) until ``spin_spaces.cache_clear()``; later
+    calls return the same tuple, whose ``q`` and ``rep`` are read-only.
     Q is built one occupation pattern at a time, as the null space of the
     pattern's block of S+ from 2 S_z = 2s to 2s + 2 (taken from
     :func:`build_spin_operators`).  In this bit order S+ = sum_x c+_{x,up}
@@ -326,6 +330,12 @@ def spin_spaces(basis: SectorBasis):
     of the block is +1 and the block depends only on the number of singly
     occupied sites: its null space is computed once per (count, s).
     """
+    return _spin_spaces(basis.n_sites, basis.n_e)
+
+
+@lru_cache(maxsize=16)
+def _spin_spaces(n_sites: int, n_e: int):
+    basis = build_sector_basis(n_sites, n_e)
     up, dn = basis.spin_occupations()
     groups = {}  # (occupation pattern, 2 S_z) -> configurations, in basis order
     patterns = map(tuple, (up + dn).tolist())
@@ -347,8 +357,13 @@ def spin_spaces(basis: SectorBasis):
         rows = np.concatenate([a for a, _ in parts])[q.row]
         q = sp.csr_matrix((q.data, (rows, q.col)), shape=(basis.dim, q.shape[1]))
         rep = np.concatenate([[a[0]] * null.shape[1] for a, null in parts])
+        for arr in (q.data, q.indices, q.indptr, rep):
+            arr.flags.writeable = False
         spaces.append(SpinSpace(basis, two_s / 2.0, q, rep))
-    return spaces
+    return tuple(spaces)
+
+
+spin_spaces.cache_clear = _spin_spaces.cache_clear
 
 
 def s_max(n_e: int, n_sites: int) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import eigensolver
 from .eigensolver import GroundSpaceReport, ground_space
 from .errors import (
     AccuracyError,
@@ -206,23 +207,28 @@ def sweep_alpha(
     Reported energies include the chemical shift, i.e. they are ground
     energies of the effective electronic Hamiltonian whose kinetic diagonal
     is lowered by (alpha*b)**2/2 per electron.  Each total spin's
-    Hamiltonian without u is projected once; the double occupancy is
-    diagonal there, so a grid point only adds u_eff times it.  Points that
-    fail to classify (the solver's own errors) are kept with classification
-    "Error" and the message in ``residual_flags``; any other exception
-    propagates.
+    Hamiltonian without u is projected once, and densified once where
+    :func:`ground_space` would (``eigensolver.DENSE_MAX``); the double
+    occupancy is diagonal there, so a grid point only adds u_eff times it to
+    the diagonal.  Points that fail to classify (the solver's own errors)
+    are kept with classification "Error" and the message in
+    ``residual_flags``; any other exception propagates.
     """
     basis = build_sector_basis(hopping.n_sites, n_e)
     spaces = spin_spaces(basis)
     h0 = build_hubbard(basis, hopping, 0.0)
     _, docc = number_operators(basis)
     blocks = [(space.project(h0), docc[space.rep]) for space in spaces]
+    blocks = [
+        (h.toarray(), d, np.diag) if h.shape[0] <= eigensolver.DENSE_MAX else (h, d, sp.diags)
+        for h, d in blocks
+    ]
 
     def one(alpha: float) -> SweepRecord:
         par = effective_params(u, alpha, b)
         rec = SweepRecord(alpha, float(kappa), par.u_eff, np.nan, 0, "", "Error", "")
         try:
-            h = [h0s + sp.diags(par.u_eff * d) for h0s, d in blocks]
+            h = [h0s + diag(par.u_eff * d) for h0s, d, diag in blocks]
             rep = ground_space(h, spaces=spaces, cluster_tol=cluster_tol)
         except (
             AccuracyError,

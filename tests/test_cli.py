@@ -10,6 +10,7 @@ import sys
 from dataclasses import astuple, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -289,6 +290,28 @@ def test_sweep_csv_and_flip(tmp_path):
     i = flip_at[0]
     crit = 1.0540925533894598
     assert float(rows[i - 1]["alpha"]) < crit < float(rows[i]["alpha"])
+
+
+def test_ferro6_sweep_reruns_are_byte_identical(tmp_path):
+    """The benchmark's seed-1 ferro6 sweep (spin spaces of 210, 84 and 6
+    states, solved for a few levels each) writes the same bytes twice."""
+    rng = np.random.default_rng(1)
+    amps = rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
+    cfg = tmp_path / "ferro6.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "lattice": {
+            "n_sites": 6,
+            "hopping": {"kind": "rank_one", "amplitudes": [float(a) for a in amps]},
+        },
+        "electrons": {"n_e": 5},
+    }))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+    first, second = ((out / "sweep.csv").read_bytes() for out in runs)
+    assert first == second
+    _, rows = _read_csv(runs[0] / "sweep.csv")
+    assert {r["classification"] for r in rows} == {"Ferromagnetic", "Other"}
 
 
 def test_sweep_csv_quotes_a_message_with_a_comma(tmp_path):

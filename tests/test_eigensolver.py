@@ -170,6 +170,14 @@ def test_spectrum_head_recorded():
     assert len(rep.spectrum_head) == 10
 
 
+def test_twelvefold_ground_level_outgrows_the_first_solve():
+    """The first solve's 10 levels all lie in the ground cluster; the doubled
+    solve finds its end."""
+    rep = _one_space(np.diag([0.0] * 12 + [1.0] * 20))
+    assert rep.degeneracy == 12 and rep.gap == 1.0
+    assert np.array_equal(rep.spectrum_head, np.zeros(10))
+
+
 # -- dense solves of block-structured matrices against np.linalg.eigh ---------
 
 
@@ -203,6 +211,66 @@ def test_blockwise_matches_unsplit_eigh(sizes, seed, repeat, hermitian, sparse_i
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-12
     residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
     assert np.max(residual) <= 1e-10 * scale
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 100),
+    straddle=st.booleans(),
+    hermitian=st.booleans(),
+    sparse_input=st.booleans(),
+)
+def test_partial_dense_solve_matches_eigh(sizes, seed, k, straddle, hermitian, sparse_input):
+    """The lowest k pairs of a dense solve, k from 1 to dim; with
+    ``straddle`` a level of the first block repeats exactly in a copy of it,
+    one copy the k-th level and the other the (k+1)-th."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n in sizes:
+        a = rng.standard_normal((n, n))
+        if hermitian:
+            a = a + 1j * rng.standard_normal((n, n))
+        blocks.append(a + a.conj().T)
+    if straddle:
+        blocks.append(blocks[0])
+    h = sla.block_diag(*blocks)
+    perm = rng.permutation(h.shape[0])
+    h = h[np.ix_(perm, perm)]
+    dim = h.shape[0]
+    ref = np.linalg.eigh(h)[0]
+    scale = max(1.0, np.linalg.norm(h, 2))
+    k = 1 + (k - 1) % dim
+    if straddle:
+        level = np.linalg.eigvalsh(blocks[0])[k % sizes[0]]
+        k = 1 + int(np.sum(ref < level - 1e-9 * scale))
+        assert abs(ref[k] - ref[k - 1]) <= 1e-12 * scale
+
+    vals, vecs = eigensolve(sp.csr_matrix(h) if sparse_input else h, k=k)
+    assert vals.shape == (k,) and vecs.shape == (dim, k)
+    assert np.max(np.abs(vals - ref[:k])) <= 1e-12 * scale
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(k))) <= 1e-12
+    residual = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    assert np.max(residual) <= 1e-10 * scale
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("k", [1, 19, 20])
+def test_non_finite_matrix_raises_linalg_error(bad, k):
+    """Partial and full dense solves, and the Lanczos check, all refuse a
+    non-finite entry with LinAlgError; a lone NaN on the diagonal is one
+    that ``np.linalg.eigh`` itself passes without raising."""
+    h = np.eye(20)
+    h[3, 3] = bad
+    for arg in (h, sp.csr_matrix(h)):
+        with pytest.raises(np.linalg.LinAlgError):
+            eigensolve(arg, k=k)
+    big = sp.eye(600, format="lil")
+    big[3, 3] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        eigensolve(big.tocsr(), k=1)
 
 
 def test_single_block_is_bitwise_eigh():

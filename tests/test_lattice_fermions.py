@@ -251,3 +251,18 @@ def test_spin_resolved_levels_match_the_whole_sector(sites_and_electrons, seed, 
         for space in spin_spaces(basis)
     ]))
     assert np.max(np.abs(levels - np.linalg.eigvalsh(h.toarray()))) <= 1e-10
+
+
+def test_spin_spaces_are_cached_and_read_only():
+    """Spin spaces are built once per (n_sites, n_e), from any basis object
+    of that sector, and their arrays cannot be changed through the cache."""
+    spaces = spin_spaces(build_sector_basis(4, 3))
+    again = spin_spaces(build_sector_basis(4, 3))
+    assert again is spaces
+    assert all(a is b for a, b in zip(again, spaces))
+    for space in spaces:
+        for arr in (space.q.data, space.q.indices, space.q.indptr, space.rep):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    spin_spaces.cache_clear()
+    assert spin_spaces(build_sector_basis(4, 3)) is not spaces

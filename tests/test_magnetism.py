@@ -188,6 +188,46 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         sweep_alpha(hop, 2, 1.0, B_REF, [0.5, 1.5])
 
 
+def _ferro6_hopping():
+    """The benchmark's seed-1 ferro6 lattice: six rank-one amplitudes with
+    magnitudes in [0.5, 1.5] and random signs."""
+    rng = np.random.default_rng(1)
+    return build_tasaki_hopping(1.0, rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6))
+
+
+def test_ferro6_sweep_matches_the_whole_sector(monkeypatch):
+    """On both sides of alpha_c = 1 the spin spaces (210, 84 and 6 states)
+    are solved for a few levels each; the whole 792-state sector under a
+    full eigh has the same ground energy, degeneracy and S^2 content.  A
+    non-finite point is an Error row, not an exception."""
+    solved = []
+
+    def spy(h, **kwargs):
+        rep = ground_space(h, **kwargs)
+        solved.append(rep)
+        return rep
+
+    monkeypatch.setattr(magnetism, "ground_space", spy)
+    hop = _ferro6_hopping()
+    recs = sweep_alpha(hop, 5, 1.0, 1.0, [0.5, 1.5, float("nan")])
+    assert [r.classification for r in recs] == ["Ferromagnetic", "Other", "Error"]
+    assert recs[2].residual_flags.startswith("LinAlgError")
+    basis = build_sector_basis(6, 5)
+    *_, s2 = build_spin_operators(basis)
+    for rec, rep in zip(recs, solved):
+        h = build_hubbard(basis, hop, effective_params(1.0, rec.alpha, 1.0).u_eff)
+        vals, vecs = np.linalg.eigh(h.toarray())
+        deg = int(np.sum(vals - vals[0] <= 1e-8 * max(1.0, abs(vals[0]))))
+        assert abs(rep.e0 - vals[0]) <= 1e-12
+        assert rec.degeneracy == rep.degeneracy == deg
+        s = np.asarray(rep.spins)
+        want = np.sort(np.repeat(s * (s + 1), (2 * s + 1).astype(int)))
+        s2_ground = np.linalg.eigvalsh(vecs[:, :deg].T @ s2 @ vecs[:, :deg])
+        assert np.allclose(s2_ground, want, atol=1e-8)
+        v = rep.vectors  # one highest-weight vector per level
+        assert np.allclose(v.T @ (s2 @ v), np.diag(s * (s + 1)), atol=1e-10)
+
+
 def test_sweep_on_a_sparse_sector(monkeypatch):
     """8 sites at half filling hold 12,870 states, in spin spaces of at most
     1,764 (S = 0); with DENSE_MAX lowered below that, the S = 0 space is
