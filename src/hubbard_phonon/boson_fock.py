@@ -23,7 +23,6 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import gammainc
 
-from .eigensolver import DENSE_MAX
 from .errors import SizingError, TruncationWarning, ValidationError
 
 FOCK_DIM_CAP = 2_000_000
@@ -39,14 +38,12 @@ __all__ = [
     "field",
     "apply_ladder",
     "apply_field",
-    "weyl",
     "apply_weyl",
     "displacement_1mode",
     "coherent_amplitudes_1mode",
     "coherent_tail",
     "mode_kron",
     "apply_displacement",
-    "coherent_state",
     "coherent_weyl_overlap",
     "relative_bound_check",
 ]
@@ -142,7 +139,8 @@ class TruncatedFock:
         mask = self.interior_mask(headroom)
         kept = rng.standard_normal((2, rows, np.count_nonzero(mask)))
         v = np.zeros((rows, self.dim), dtype=complex)
-        v[:, mask] = kept[0] + 1j * kept[1]
+        v.real[:, mask] = kept[0]
+        v.imag[:, mask] = kept[1]
         v /= np.linalg.norm(v)
         return v
 
@@ -317,23 +315,6 @@ def apply_displacement(space: TruncatedFock, z, block):
     return t.reshape(shape)
 
 
-def weyl(space: TruncatedFock, f):
-    """Unitary W(f) = exp(i phi(f)) as a dense matrix.
-
-    Refuses dimensions above ``DENSE_MAX`` (use :func:`apply_weyl` there).
-    When the displaced-vacuum tail mass beyond the truncation exceeds
-    ``TAIL_BOUND`` a :class:`TruncationWarning` reports the estimate; the
-    matrix is still returned since the per-mode factors are exactly unitary.
-    """
-    if space.dim > DENSE_MAX:
-        raise SizingError(
-            f"dense Weyl matrix at dim {space.dim} > {DENSE_MAX}; "
-            "use apply_weyl"
-        )
-    u = _weyl_displacement(space, f)
-    return mode_kron([displacement_1mode(uj, space.n_max) for uj in u])
-
-
 def _weyl_displacement(space, f):
     """Per-mode displacements i f / sqrt 2 of W(f), tail-checked."""
     f = np.asarray(f, dtype=complex)
@@ -355,28 +336,6 @@ def apply_weyl(space: TruncatedFock, f, vec):
     """Matrix-free W(f) @ vec (or on each row of a (k, dim) stack)."""
     u = _weyl_displacement(space, f)
     return apply_displacement(space, u, vec)
-
-
-def coherent_state(space: TruncatedFock, z):
-    """Normalized truncated coherent state and its lost tail mass.
-
-    Returns ``(vec, truncation_error)`` where the error is 1 minus the
-    squared norm of the raw truncated amplitudes.  The vector itself is
-    renormalized.  A tail above ``TAIL_BOUND`` raises a warning.
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (space.modes.m,):
-        raise ValidationError("z must assign one amplitude per mode")
-    vec = mode_kron([coherent_amplitudes_1mode(zj, space.n_max) for zj in z])
-    nrm2 = float(np.vdot(vec, vec).real)
-    trunc = max(0.0, 1.0 - nrm2)
-    if trunc > TAIL_BOUND:
-        warnings.warn(
-            f"coherent state lost {trunc:.3e} tail mass at n_max = {space.n_max}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return vec / np.sqrt(nrm2), trunc
 
 
 def coherent_weyl_overlap(z, w, f) -> complex:

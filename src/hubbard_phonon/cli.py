@@ -513,13 +513,14 @@ def cmd_verify(cfg, args) -> int:
         fs_pool.append(fi / np.linalg.norm(fi))
     checks.append(("overlap_closed_form", worst_ov, tols["overlap"]))
 
+    # the matrix route reads the state row by row but sums its real terms as
+    # one (F, B) array: row-wise sums round differently, and the check is a
+    # difference of two O(1) numbers
     nb_arith = nb_expectation(state)
-    vec = state.vector()
-    nb_mat = float(
-        np.sum(model.fock.nb_diag() * np.abs(
-            vec.reshape(model.basis.dim, model.fock.dim)
-        ) ** 2)
-    )
+    nb_diag, terms = model.fock.nb_diag(), np.empty((model.basis.dim, model.fock.dim))
+    for c in range(model.basis.dim):
+        np.multiply(nb_diag, np.abs(state.row(c)) ** 2, out=terms[c])
+    nb_mat = float(np.sum(terms))
     checks.append(("number_expectation_routes", abs(nb_arith - nb_mat), tols["overlap"]))
 
     solved_dim = max(space.dim for space in spin_spaces(model.basis)) * model.fock.dim

@@ -108,6 +108,8 @@ class CoupledModel:
         self.overlap_w1 = lam @ (lam / w).T  # <lambda_x/sqrt w, lambda_y/sqrt w>
         self.overlap_w2 = self.g @ self.g.T  # <g_x, g_y>
         self.nu = basis.occupations().astype(float)
+        self._z = -(self.alpha / np.sqrt(2.0)) * (self.nu @ self.g)
+        self._z.flags.writeable = False
         self.he = build_hubbard(basis, hopping, u)
         self.dim = basis.dim * fock.dim
 
@@ -131,8 +133,8 @@ class CoupledModel:
         return float(np.sqrt(d[0]))
 
     def z_table(self) -> np.ndarray:
-        """Per-configuration displacement amplitudes, shape (F, m)."""
-        return -(self.alpha / np.sqrt(2.0)) * (self.nu @ self.g)
+        """Per-configuration displacement amplitudes, shape (F, m), read-only."""
+        return self._z
 
     def r_diag(self) -> np.ndarray:
         """Diagonal of R = (1/2) sum_xy <l_x/sqrt w, l_y/sqrt w> n_x n_y."""
@@ -153,20 +155,23 @@ class CoupledModel:
 
     # -- block application of V -------------------------------------------
 
+    def displace_row(self, c: int, row, inverse: bool = False):
+        """D(z_c) @ row, or D(-z_c) with ``inverse``: V (V^{-1}) on the boson
+        row of configuration c."""
+        zc = self._z[c]
+        return apply_displacement(self.fock, -zc if inverse else zc, row)
+
     def apply_unitary(self, vec, inverse: bool = False):
-        """V @ vec (or its inverse): D(z_c) on each configuration row c.
+        """V @ vec (or its inverse): :meth:`displace_row` on each row c.
 
         Rows are displaced one at a time even where several share a z: a
         stack of rows outgrows the cache at large n_max (four complex rows
         at n_max 16 took 12-16 ms stacked, 7.0-7.5 ms row by row).
         """
-        z = self.z_table()
-        if inverse:
-            z = -z
         t = np.asarray(vec).reshape(self.basis.dim, self.fock.dim)
         out = np.empty(t.shape, dtype=np.result_type(t.dtype, np.float64))
-        for c, zc in enumerate(z):
-            out[c] = apply_displacement(self.fock, zc, t[c])
+        for c, row in enumerate(t):
+            out[c] = self.displace_row(c, row, inverse)
         return out.reshape(self.dim)
 
     # -- direct Hamiltonian -----------------------------------------------
@@ -224,6 +229,8 @@ class DressedState:
     ``weights[c]`` is the electronic amplitude and ``z[c]`` the displacement
     vector of the configuration's coherent state.  ``truncation_error`` is
     the weight lost to the occupation cutoff when the state is materialized.
+    The checks read the state one configuration at a time through
+    :meth:`row`; :meth:`vector` stacks the rows.
     """
 
     weights: np.ndarray
@@ -231,21 +238,20 @@ class DressedState:
     truncation_error: float
     model: CoupledModel
 
-    def vector(self) -> np.ndarray:
-        """Materialize on the truncated product space.
+    def row(self, c: int) -> np.ndarray:
+        """Boson row of configuration c: ``weights[c]`` times |z_c> truncated.
 
         Coherent amplitudes are truncated as-is (no renormalization), so the
-        vector's norm falls short of 1 by exactly ``truncation_error``.
+        rows' squared norms sum to 1 - ``truncation_error`` exactly.
         """
-        fock = self.model.fock
-        out = np.zeros((self.model.basis.dim, fock.dim), dtype=complex)
-        for ci, w in enumerate(self.weights):
-            if w == 0:
-                continue
-            out[ci] = w * mode_kron(
-                [coherent_amplitudes_1mode(zj, fock.n_max) for zj in self.z[ci]]
-            )
-        return out.reshape(self.model.dim)
+        n_max = self.model.fock.n_max
+        return self.weights[c] * mode_kron(
+            [coherent_amplitudes_1mode(zj, n_max) for zj in self.z[c]]
+        )
+
+    def vector(self) -> np.ndarray:
+        """Materialize on the truncated product space."""
+        return np.concatenate([self.row(c) for c in range(self.model.basis.dim)])
 
     def config_norms_sq(self) -> np.ndarray:
         return np.abs(self.weights) ** 2
@@ -286,42 +292,57 @@ def verify_transform_hb(model: CoupledModel, n_trials: int = 4, rng=None) -> flo
 
     The identity is exact in the untruncated space; on the truncated one the
     residual is displacement leakage at the occupation edge, which dies as
-    n_max grows while the test states stay at bounded occupation.
+    n_max grows while the test states stay at bounded occupation.  Squared
+    residuals are summed one configuration row at a time.
     """
     if rng is None:
         rng = np.random.default_rng(7)
     r = model.alpha**2 * model.r_diag()
-    worst = 0.0
+    sq = np.zeros(n_trials)  # squared residual per trial
     trials = _conjugation_trials(model, model.fock.hb_diag(), model.lam, n_trials, rng)
-    for t, delta, field_t in trials:
-        res = delta - model.alpha * field_t - r[:, None] * t
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    for i, c, psi, delta, field_psi in trials:
+        res = delta - model.alpha * field_psi - r[c] * psi
+        sq[i] += np.vdot(res, res).real
+    return float(np.sqrt(sq.max(initial=0.0)))
 
 
-def _conjugate_boson_diag(model: CoupledModel, diag, psi):
-    """V (1 x diag(diag)) V^{-1} psi for a diagonal boson operator."""
-    t = model.apply_unitary(psi, inverse=True).reshape(model.basis.dim, model.fock.dim)
-    return model.apply_unitary((t * diag).reshape(-1))
+def _interior_trials(model: CoupledModel, n_trials: int, rng):
+    """One random unit psi per trial, drawn by
+    :meth:`TruncatedFock.random_interior` on the states whose every mode
+    holds at most TRIAL_OCCUPATION quanta (n_max - 1 if lower), and yielded
+    as its entries there, shape (F, n_interior), with their boson mask."""
+    fock = model.fock
+    headroom = max(fock.n_max - TRIAL_OCCUPATION, 1)
+    mask = fock.interior_mask(headroom)
+    for _ in range(n_trials):
+        yield fock.random_interior(rng, headroom, model.basis.dim)[:, mask], mask
+
+
+def _unpack(kept, mask):
+    """psi, or one row of it, on whole boson rows from its interior entries."""
+    out = np.zeros(kept.shape[:-1] + mask.shape, dtype=complex)
+    out[..., mask] = kept
+    return out
 
 
 def _conjugation_trials(model: CoupledModel, diag, w, n_trials: int, rng):
     """Trials of V (1 x D) V^{-1} psi - D psi = alpha sum_x n_x phi(w_x) psi
     + alpha^2 Q psi with D = diag(diag), one per random low-occupation psi.
 
-    Yields the (F, B) arrays psi, the left side and sum_x n_x phi(w_x) psi;
-    the caller supplies Q.
+    Yields, trial i by trial and configuration c by configuration, (i, c)
+    and the rows of psi, of the left side and of sum_x n_x phi(w_x) psi;
+    the caller supplies Q.  Each row is conjugated on its own, V^{-1} then V.
     """
-    fock = model.fock
-    headroom = max(fock.n_max - TRIAL_OCCUPATION, 1)
-    for _ in range(n_trials):
-        t = fock.random_interior(rng, headroom, model.basis.dim)
-        delta = _conjugate_boson_diag(model, diag, t.reshape(-1)).reshape(t.shape)
-        delta -= t * diag
-        field_t = np.zeros_like(t)
-        for x in range(model.basis.n_sites):
-            field_t += model.nu[:, x, None] * apply_field(fock, w[x], t)
-        yield t, delta, field_t
+    for i, (kept, mask) in enumerate(_interior_trials(model, n_trials, rng)):
+        for c, k in enumerate(kept):
+            psi = _unpack(k, mask)
+            delta = model.displace_row(c, model.displace_row(c, psi, inverse=True) * diag)
+            delta -= psi * diag
+            field_psi = np.zeros_like(psi)
+            for x, nu in enumerate(model.nu[c]):
+                if nu:
+                    field_psi += nu * apply_field(model.fock, w[x], psi)
+            yield i, c, psi, delta, field_psi
 
 
 @dataclass
@@ -341,26 +362,26 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
     Besides the identity residual the report carries a least-squares fit of
     the two coefficients from the data, so the quadratic coefficient is
     measured rather than assumed: the fit lands on alpha^2/2, half of what
-    a single application of the commutator expansion would suggest.
+    a single application of the commutator expansion would suggest.  The
+    residuals and the fit's normal equations are summed row by row.
     """
     if rng is None:
         rng = np.random.default_rng(11)
     k2 = np.einsum("cx,xy,cy->c", model.nu, model.overlap_w2, model.nu)
-    worst = 0.0
-    # normal equations of the complex least-squares fit, summed over trials
+    sq = np.zeros(n_trials)  # squared residual per trial
     ata = np.zeros((2, 2), dtype=complex)
     atb = np.zeros(2, dtype=complex)
     trials = _conjugation_trials(model, model.fock.nb_diag(), model.g, n_trials, rng)
-    for t, delta, k1psi in trials:
-        k2psi = k2[:, None] * t
-        pred = model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi
-        worst = max(worst, float(np.linalg.norm(delta - pred)))
+    for i, c, psi, delta, k1psi in trials:
+        k2psi = k2[c] * psi
+        res = delta - (model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi)
+        sq[i] += np.vdot(res, res).real
         cols = (k1psi, k2psi)
         ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
         atb += [np.vdot(ci, delta) for ci in cols]
     coef = np.linalg.solve(ata, atb)
     return TransformNbReport(
-        residual=worst,
+        residual=float(np.sqrt(sq.max(initial=0.0))),
         linear_fit=float(coef[0].real),
         quadratic_fit=float(coef[1].real),
         linear_exact=model.alpha,
@@ -486,22 +507,27 @@ def _dressed_scalar(model: CoupledModel, f) -> np.ndarray:
     return (model.alpha / np.sqrt(2.0)) * (model.nu @ fg)
 
 
-def apply_dressed_annihilator(model: CoupledModel, f, vec):
-    """(1 x a(f) + (alpha/sqrt 2) sum_x <f, g_x> n_x x 1) @ vec."""
-    t = np.asarray(vec).reshape(model.basis.dim, model.fock.dim)
-    out = apply_ladder(model.fock, f, t).astype(complex, copy=False)
-    out += _dressed_scalar(model, f)[:, None] * t
-    return out.reshape(-1)
+def _annihilate_row(fock: TruncatedFock, f, scalar, row):
+    """Dressed annihilator on one configuration row: (a(f) + scalar) @ row,
+    with ``scalar`` the row's entry of :func:`_dressed_scalar`."""
+    out = apply_ladder(fock, f, row).astype(complex, copy=False)
+    out += scalar * row
+    return out
 
 
 def annihilation_residual(model: CoupledModel, state: DressedState, f) -> float:
     """Norm of the dressed annihilator applied to a dressed state.
 
     Vanishes identically in the untruncated space for every electronic
-    vector; the returned number is pure truncation residue.
+    vector; the returned number is pure truncation residue.  The state is
+    read one configuration row at a time.
     """
-    vec = state.vector()
-    return float(np.linalg.norm(apply_dressed_annihilator(model, f, vec)))
+    scalar = _dressed_scalar(model, f)
+    sq = 0.0
+    for c in np.flatnonzero(state.weights):
+        res = _annihilate_row(model.fock, f, scalar[c], state.row(c))
+        sq += np.vdot(res, res).real
+    return float(np.sqrt(sq))
 
 
 def heisenberg_evolution_check(
@@ -510,31 +536,43 @@ def heisenberg_evolution_check(
     """Free-field covariance of the dressed annihilators under the dressed
     evolution: evolving a_dressed(f) for time t must equal
     a_dressed(exp(i t omega) f).  Returns the worst residual over random
-    interior vectors and the given times."""
+    interior vectors and the given times.
+
+    The evolution U(t) = V (e^{-i t He_eff} x e^{-i t H_b}) V^{-1} mixes
+    configurations only through e^{-i t He_eff}, one (F, F) by (F, B)
+    product; V, V^{-1}, the boson phase and the dressed annihilator act row
+    by row in place.  A trial holds psi on its interior states and at most
+    two (F, B) buffers at a time.
+    """
     if rng is None:
         rng = np.random.default_rng(23)
     evals, evecs = eigensolve(model.effective_electronic(), k=model.basis.dim)
-    hb = model.fock.hb_diag()
-    w = model.fock.modes.freqs
+    fock = model.fock
 
-    def evolve(vec, t):
-        # V (e^{-i t He_eff} x e^{-i t H_b}) V^{-1} @ vec
-        y = model.apply_unitary(vec, inverse=True)
-        y = y.reshape(model.basis.dim, model.fock.dim)
-        ue = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
-        y = ue @ y
-        y = y * np.exp(-1j * t * hb)
-        return model.apply_unitary(y.reshape(-1))
+    def residual(kept, mask, t):
+        f_t = np.exp(1j * t * fock.modes.freqs) * f
+        scalar, scalar_t = _dressed_scalar(model, f), _dressed_scalar(model, f_t)
+        # each (F, B) product is taken while no row temporary is alive
+        y = model.apply_unitary(_unpack(kept, mask), inverse=True).reshape(-1, fock.dim)
+        y = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T @ y  # e^{-i t He_eff}
+        phase = np.exp(-1j * t * fock.hb_diag())
+        for c, row in enumerate(y):  # V^{-1} a_dressed(f) U(t) psi
+            row *= phase
+            y[c] = model.displace_row(
+                c, _annihilate_row(fock, f, scalar[c], model.displace_row(c, row)), inverse=True
+            )
+        y = (evecs * np.exp(-1j * (-t) * evals)) @ evecs.conj().T @ y
+        phase = np.exp(-1j * (-t) * fock.hb_diag())
+        sq = 0.0
+        for c, row in enumerate(y):  # U(-t) a_dressed(f) U(t) psi - a_dressed(f_t) psi
+            row *= phase
+            lhs = model.displace_row(c, row)
+            lhs -= _annihilate_row(fock, f_t, scalar_t[c], _unpack(kept[c], mask))
+            sq += np.vdot(lhs, lhs).real
+        return float(np.sqrt(sq))
 
-    worst = 0.0
-    headroom = max(model.fock.n_max - TRIAL_OCCUPATION, 1)
-    for _ in range(n_trials):
-        psi = model.fock.random_interior(rng, headroom, model.basis.dim).reshape(-1)
-        for t in times:
-            lhs = evolve(apply_dressed_annihilator(model, f, evolve(psi, t)), -t)
-            rhs = apply_dressed_annihilator(model, np.exp(1j * t * w) * f, psi)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    trials = _interior_trials(model, n_trials, rng)
+    return max((residual(kept, mask, t) for kept, mask in trials for t in times), default=0.0)
 
 
 # -- overlaps and observables -------------------------------------------------
@@ -553,10 +591,10 @@ class OverlapResult:
 def overlap_formula(model: CoupledModel, state: DressedState, fs, psi_e) -> OverlapResult:
     """Overlap of prod_i a^*(f_i) (psi_e x vacuum) with a dressed state.
 
-    The numeric path materializes everything on the truncated space.  The
-    closed-form path requires ``psi_e`` to be a single electron
-    configuration (occupation eigenstate); for configuration c with site
-    occupations nu it evaluates
+    The numeric path works on the truncated space, one configuration row of
+    the state at a time.  The closed-form path requires ``psi_e`` to be a
+    single electron configuration (occupation eigenstate); for
+    configuration c with site occupations nu it evaluates
 
         (-alpha/sqrt 2)^n  prod_i sum_x nu_x <f_i, g_x>
         * exp(-(alpha^2/4) sum_xy nu_x nu_y <g_x, g_y>) * weights[c].
@@ -566,12 +604,14 @@ def overlap_formula(model: CoupledModel, state: DressedState, fs, psi_e) -> Over
     if psi.shape != (model.basis.dim,):
         raise ValidationError("psi_e must live on the electron sector")
 
-    # numeric: matrix route on the truncated space
-    ref = np.zeros((model.basis.dim, model.fock.dim), dtype=complex)
-    ref[:, 0] = psi  # psi_e x vacuum
+    # numeric: the boson row b = prod_i a^*(f_i) vacuum against each state row
+    b = np.zeros(model.fock.dim, dtype=complex)
+    b[0] = 1.0
     for fi in fs:
-        ref = apply_ladder(model.fock, fi, ref, dagger=True)
-    numeric = complex(np.vdot(ref, state.vector()))
+        b = apply_ladder(model.fock, fi, b, dagger=True)
+    numeric = complex(
+        sum(np.conj(psi[c]) * np.vdot(b, state.row(c)) for c in np.flatnonzero(psi))
+    )
 
     # formula: occupation-definite reference only
     nz = np.nonzero(np.abs(psi) > 1e-12)[0]

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import factorial
 
+from hubbard_phonon import boson_fock
 from hubbard_phonon.boson_fock import (
+    TAIL_BOUND,
     ModeSet,
     TruncatedFock,
     annihilator,
@@ -23,7 +25,6 @@ from hubbard_phonon.boson_fock import (
     apply_ladder,
     apply_weyl,
     coherent_amplitudes_1mode,
-    coherent_state,
     coherent_tail,
     coherent_weyl_overlap,
     displacement_1mode,
@@ -31,13 +32,54 @@ from hubbard_phonon.boson_fock import (
     ladder,
     mode_kron,
     relative_bound_check,
-    weyl,
 )
+from hubbard_phonon.eigensolver import DENSE_MAX
 from hubbard_phonon.errors import SizingError, TruncationWarning, ValidationError
 
 
 def _space(freqs, n_max):
     return TruncatedFock(ModeSet(np.asarray(freqs, dtype=float)), n_max)
+
+
+# -- dense oracles: the Weyl matrix and the normalized coherent state ----------
+
+
+def weyl(space, f):
+    """Oracle: W(f) = exp(i phi(f)) as a dense matrix, the Kronecker product
+    of the per-mode displacements D(i f_j / sqrt 2).
+
+    Refuses dimensions above ``DENSE_MAX`` (:func:`apply_weyl` works there).
+    A displaced-vacuum tail above ``TAIL_BOUND`` warns, as in apply_weyl;
+    the matrix is still returned since the per-mode factors are unitary.
+    """
+    if space.dim > DENSE_MAX:
+        raise SizingError(
+            f"dense Weyl matrix at dim {space.dim} > {DENSE_MAX}; use apply_weyl"
+        )
+    u = boson_fock._weyl_displacement(space, f)
+    return mode_kron([displacement_1mode(uj, space.n_max) for uj in u])
+
+
+def coherent_state(space, z):
+    """Oracle: the normalized truncated coherent state and its lost tail mass.
+
+    Returns ``(vec, truncation_error)`` where the error is 1 minus the
+    squared norm of the raw truncated amplitudes.  A tail above
+    ``TAIL_BOUND`` warns.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (space.modes.m,):
+        raise ValidationError("z must assign one amplitude per mode")
+    vec = mode_kron([coherent_amplitudes_1mode(zj, space.n_max) for zj in z])
+    nrm2 = float(np.vdot(vec, vec).real)
+    trunc = max(0.0, 1.0 - nrm2)
+    if trunc > TAIL_BOUND:
+        warnings.warn(
+            f"coherent state lost {trunc:.3e} tail mass at n_max = {space.n_max}",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return vec / np.sqrt(nrm2), trunc
 
 
 def test_mode_set_requires_positive_frequencies():

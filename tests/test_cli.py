@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hubbard_phonon import cli, magnetism
 from hubbard_phonon.cli import main, validate_config, load_config
 from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
+from hubbard_phonon.lang_firsov import dressed_ground, nb_expectation
 
 FAST_VERIFY = """
 modes:
@@ -338,6 +339,29 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     assert "FAIL" not in text1
     assert text1 == text2
     assert (out1 / "verify.csv").read_bytes() == (out2 / "verify.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_max", [6, 8])
+def test_number_routes_row_matches_the_full_stack_oracle(tmp_path, capsys, monkeypatch, n_max):
+    """The matrix route of number_expectation_routes reads the dressed ground
+    state one configuration row at a time; the oracle materializes it.  The
+    row is a difference of two O(1) numbers, so the two sums must agree to
+    the last bit for the row to agree to 1e-12 (row-wise sums do not, at
+    n_max 8)."""
+    monkeypatch.setattr(cli, "EQUIVALENCE_DIM_CAP", 0)  # no coupled eigensolve
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(FAST_VERIFY.replace("n_max: 8", f"n_max: {n_max}"))
+    main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"])
+    _, rows = _read_csv(tmp_path / "o" / "verify.csv")
+    got = float(next(r["measured"] for r in rows if r["check"] == "number_expectation_routes"))
+    conf = load_config(cfg)
+    model = cli.build_model(conf)
+    state, _ = dressed_ground(model, float(conf["solver"]["cluster_tol"]))
+    vec = state.vector().reshape(model.basis.dim, model.fock.dim)
+    matrix = float(np.sum(model.fock.nb_diag() * np.abs(vec) ** 2))
+    want = abs(nb_expectation(state) - matrix)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_verify_strict_failure_exit(tmp_path, capsys):

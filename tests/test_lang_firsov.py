@@ -5,6 +5,8 @@ The displacement-block route is the production path; the matrix-exponential
 route and the commutator ladder below are its independent oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,13 +19,17 @@ from hubbard_phonon import boson_fock
 from hubbard_phonon.boson_fock import (
     ModeSet,
     TruncatedFock,
+    apply_field,
+    apply_ladder,
     displacement_1mode,
     field,
     mode_kron,
     relative_bound_check,
 )
+from hubbard_phonon.eigensolver import eigensolve
 from hubbard_phonon.errors import SizingError, ValidationError
 from hubbard_phonon.lang_firsov import (
+    TRIAL_OCCUPATION,
     CoupledModel,
     annihilation_residual,
     dress_state,
@@ -68,6 +74,100 @@ def unitary_V(model, method):
         for zc in model.z_table()
     ]
     return sp.block_diag(blocks).toarray()
+
+
+# -- full-stack oracles of the row-streamed checks -----------------------------
+# Each holds whole (F, B) stacks and works on them as the checks once did;
+# the checks must agree with them while holding a few boson rows.
+
+
+def _oracle_trials(model, diag, w, n_trials, rng):
+    """Per trial the stacks psi, V (1 x D) V^{-1} psi - D psi and
+    sum_x n_x phi(w_x) psi, drawn as the checks draw them."""
+    fock = model.fock
+    headroom = max(fock.n_max - TRIAL_OCCUPATION, 1)
+    for _ in range(n_trials):
+        t = fock.random_interior(rng, headroom, model.basis.dim)
+        u = model.apply_unitary(t.reshape(-1), inverse=True).reshape(t.shape)
+        delta = model.apply_unitary((u * diag).reshape(-1)).reshape(t.shape)
+        delta -= t * diag
+        field_t = np.zeros_like(t)
+        for x in range(model.basis.n_sites):
+            field_t += model.nu[:, x, None] * apply_field(fock, w[x], t)
+        yield t, delta, field_t
+
+
+def oracle_transform_hb(model, n_trials, rng):
+    r = model.alpha**2 * model.r_diag()
+    return max(
+        float(np.linalg.norm(delta - model.alpha * field_t - r[:, None] * t))
+        for t, delta, field_t in _oracle_trials(
+            model, model.fock.hb_diag(), model.lam, n_trials, rng
+        )
+    )
+
+
+def oracle_transform_nb(model, n_trials, rng):
+    """(worst residual, [linear, quadratic] least-squares coefficients)."""
+    k2 = np.einsum("cx,xy,cy->c", model.nu, model.overlap_w2, model.nu)
+    worst = 0.0
+    ata = np.zeros((2, 2), dtype=complex)
+    atb = np.zeros(2, dtype=complex)
+    trials = _oracle_trials(model, model.fock.nb_diag(), model.g, n_trials, rng)
+    for t, delta, k1psi in trials:
+        k2psi = k2[:, None] * t
+        pred = model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi
+        worst = max(worst, float(np.linalg.norm(delta - pred)))
+        cols = (k1psi, k2psi)
+        ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
+        atb += [np.vdot(ci, delta) for ci in cols]
+    return worst, np.linalg.solve(ata, atb).real
+
+
+def _oracle_dressed_annihilator(model, f, vec):
+    """(1 x a(f) + (alpha/sqrt 2) sum_x <f, g_x> n_x x 1) @ vec."""
+    t = np.asarray(vec).reshape(model.basis.dim, model.fock.dim)
+    scalar = (model.alpha / np.sqrt(2.0)) * (model.nu @ (model.g @ np.conj(f)))
+    out = apply_ladder(model.fock, f, t).astype(complex, copy=False)
+    out += scalar[:, None] * t
+    return out.reshape(-1)
+
+
+def oracle_annihilation(model, state, f):
+    return float(np.linalg.norm(_oracle_dressed_annihilator(model, f, state.vector())))
+
+
+def oracle_heisenberg(model, f, times, n_trials, rng):
+    evals, evecs = eigensolve(model.effective_electronic(), k=model.basis.dim)
+    hb = model.fock.hb_diag()
+    w = model.fock.modes.freqs
+
+    def evolve(vec, t):
+        y = model.apply_unitary(vec, inverse=True)
+        y = y.reshape(model.basis.dim, model.fock.dim)
+        ue = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+        y = ue @ y
+        y = y * np.exp(-1j * t * hb)
+        return model.apply_unitary(y.reshape(-1))
+
+    worst = 0.0
+    headroom = max(model.fock.n_max - TRIAL_OCCUPATION, 1)
+    for _ in range(n_trials):
+        psi = model.fock.random_interior(rng, headroom, model.basis.dim).reshape(-1)
+        for t in times:
+            lhs = evolve(_oracle_dressed_annihilator(model, f, evolve(psi, t)), -t)
+            rhs = _oracle_dressed_annihilator(model, np.exp(1j * t * w) * f, psi)
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def oracle_overlap_numeric(model, state, fs, psi_e):
+    """<prod_i a^*(f_i) (psi_e x vacuum), state> on the whole product space."""
+    ref = np.zeros((model.basis.dim, model.fock.dim), dtype=complex)
+    ref[:, 0] = psi_e
+    for fi in fs:
+        ref = apply_ladder(model.fock, fi, ref, dagger=True)
+    return complex(np.vdot(ref, state.vector()))
 
 
 def _interior(model, rng, occ_cap=2):
@@ -478,3 +578,108 @@ def test_number_expectation_two_routes():
     nb_full = np.tile(M12.fock.nb_diag(), M12.basis.dim)
     matrix = float(np.real(np.vdot(v, nb_full * v)))
     assert abs(arithmetic - matrix) < 1e-9
+
+
+# -- row-streamed checks against their full-stack oracles ----------------------
+
+
+def _one_configuration(model, c):
+    psi_e = np.zeros(model.basis.dim, dtype=complex)
+    psi_e[c] = 1.0
+    return psi_e
+
+
+def _unit_amplitudes(rng, m):
+    f = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return f / np.linalg.norm(f)
+
+
+def _close(got, want, rel=1e-12):
+    return abs(got - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("n_max", [6, 8])
+def test_streamed_checks_match_full_stack_oracles(n_max):
+    model = reference_model(n_max=n_max)
+    assert _close(
+        verify_transform_hb(model, 3, np.random.default_rng(1)),
+        oracle_transform_hb(model, 3, np.random.default_rng(1)),
+    )
+    rep = verify_transform_nb(model, 3, np.random.default_rng(2))
+    worst, coef = oracle_transform_nb(model, 3, np.random.default_rng(2))
+    assert _close(rep.residual, worst)
+    assert _close(rep.linear_fit, coef[0]) and _close(rep.quadratic_fit, coef[1])
+    rng = np.random.default_rng(3)
+    ground, _ = dressed_ground(model)
+    states = [ground, dress_state(model, _one_configuration(model, 2))]
+    for state in states:
+        for _ in range(2):
+            f = _unit_amplitudes(rng, model.fock.modes.m)
+            assert _close(
+                annihilation_residual(model, state, f), oracle_annihilation(model, state, f)
+            )
+    f = _unit_amplitudes(rng, model.fock.modes.m)
+    times = (0.1, 1.0, 10.0)
+    assert _close(
+        heisenberg_evolution_check(model, f, times, 2, np.random.default_rng(4)),
+        oracle_heisenberg(model, f, times, 2, np.random.default_rng(4)),
+    )
+    fs = [_unit_amplitudes(rng, model.fock.modes.m) for _ in range(2)]
+    for c in range(model.basis.dim):
+        psi_e = _one_configuration(model, c)
+        for n in range(3):
+            got = overlap_formula(model, ground, fs[:n], psi_e).numeric
+            assert _close(got, oracle_overlap_numeric(model, ground, fs[:n], psi_e))
+
+
+def _traced_peak(fn, *args):
+    """Peak traced allocation of ``fn(*args)`` above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_checks_hold_at_most_half_the_oracle_memory():
+    """Peak traced memory of each check against its full-stack oracle, with
+    every cache warmed by an untraced run of both."""
+    model = reference_model(n_max=10)
+    state, _ = dressed_ground(model)
+    rng = np.random.default_rng(5)
+    f = _unit_amplitudes(rng, model.fock.modes.m)
+    fs = [_unit_amplitudes(rng, model.fock.modes.m) for _ in range(2)]
+    psi_e = _one_configuration(model, int(np.argmax(np.abs(state.weights))))
+    rng_of = np.random.default_rng
+    pairs = {
+        "transform_hb": (
+            lambda: verify_transform_hb(model, 3, rng_of(6)),
+            lambda: oracle_transform_hb(model, 3, rng_of(6)),
+        ),
+        "transform_nb": (
+            lambda: verify_transform_nb(model, 3, rng_of(7)),
+            lambda: oracle_transform_nb(model, 3, rng_of(7)),
+        ),
+        "annihilation": (
+            lambda: annihilation_residual(model, state, f),
+            lambda: oracle_annihilation(model, state, f),
+        ),
+        "heisenberg": (
+            lambda: heisenberg_evolution_check(model, f, (0.1, 1.0), 2, rng_of(8)),
+            lambda: oracle_heisenberg(model, f, (0.1, 1.0), 2, rng_of(8)),
+        ),
+        "overlap": (
+            lambda: overlap_formula(model, state, fs, psi_e),
+            lambda: oracle_overlap_numeric(model, state, fs, psi_e),
+        ),
+    }
+    peaks = {}
+    for name, (streamed, oracle) in pairs.items():
+        streamed(), oracle()
+        peaks[name] = _traced_peak(streamed), _traced_peak(oracle)
+    print({name: (f"{s / 2**20:.2f}", f"{o / 2**20:.2f}") for name, (s, o) in peaks.items()})
+    for name, (streamed_peak, oracle_peak) in peaks.items():
+        assert streamed_peak <= 0.5 * oracle_peak, name

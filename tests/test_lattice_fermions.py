@@ -253,6 +253,35 @@ def test_spin_resolved_levels_match_the_whole_sector(sites_and_electrons, seed, 
     assert np.max(np.abs(levels - np.linalg.eigvalsh(h.toarray()))) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    sites_and_electrons=st.integers(2, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 2 * n - 1))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    u=st.floats(-4.0, 4.0),
+)
+def test_hubbard_spin_symmetry_and_site_relabelling(sites_and_electrons, seed, u):
+    """For a random symmetric hopping, H commutes with S^2 and S_z, and the
+    levels of every spin are unchanged when the sites are permuted."""
+    n_sites, n_e = sites_and_electrons
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_sites, n_sites))
+    perm = rng.permutation(n_sites)
+    basis = build_sector_basis(n_sites, n_e)
+    hs = [
+        build_hubbard(basis, HoppingMatrix(mat), u)
+        for mat in (a + a.T, (a + a.T)[np.ix_(perm, perm)])
+    ]
+    h = hs[0].toarray()
+    *_, sz, s2 = (m.toarray() for m in build_spin_operators(basis))
+    for op in (sz, s2):
+        assert np.max(np.abs(h @ op - op @ h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+    for space in spin_spaces(basis):
+        levels = [np.linalg.eigvalsh(space.project(hp).toarray()) for hp in hs]
+        assert np.max(np.abs(levels[0] - levels[1])) <= 1e-10
+
+
 def test_spin_spaces_are_cached_and_read_only():
     """Spin spaces are built once per (n_sites, n_e), from any basis object
     of that sector, and their arrays cannot be changed through the cache."""
