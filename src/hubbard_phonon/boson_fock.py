@@ -9,8 +9,9 @@ over modes as a product of displacements ``D(i f_j / sqrt(2))``.
 Operators are applied without being assembled: :func:`apply_ladder`,
 :func:`apply_field` and :func:`apply_displacement` work one mode axis at a
 time on a vector or on each row of a ``(k, dim)`` stack.  The sparse
-:func:`annihilator` and :func:`field` exist for callers whose product is a
-matrix (the coupled Hamiltonian and the dressing generator).
+:func:`field` exists for the one product that is a matrix, the coupled
+Hamiltonian; it places the same ladder entries as :func:`apply_field` on
+the diagonals of an assembled matrix.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ TAIL_BOUND = 1e-8
 __all__ = [
     "ModeSet",
     "TruncatedFock",
-    "ladder",
-    "annihilator",
     "field",
     "apply_ladder",
     "apply_field",
@@ -111,10 +110,6 @@ class TruncatedFock:
             self._root_occ = np.sqrt(self.occupations().T.astype(np.float64))
         return self._root_occ
 
-    def a1(self):
-        """Single-mode annihilator, dense (n_max+1) x (n_max+1)."""
-        return np.diag(np.sqrt(np.arange(1.0, self.n_max + 1)), 1)
-
     def interior_mask(self, headroom: int):
         """States whose every mode occupation is <= n_max - headroom.
 
@@ -148,21 +143,6 @@ class TruncatedFock:
         return f"TruncatedFock(m={self.modes.m}, n_max={self.n_max}, dim={self.dim})"
 
 
-def _embed_mode(space: TruncatedFock, j: int, op1) -> sp.csr_matrix:
-    n1 = space.n_max + 1
-    left = sp.identity(n1**j, format="csr")
-    right = sp.identity(n1 ** (space.modes.m - 1 - j), format="csr")
-    return sp.kron(sp.kron(left, sp.csr_matrix(op1)), right).tocsr()
-
-
-def ladder(space: TruncatedFock, j: int):
-    """Sparse (a_j, a_j^dagger) on the full truncated space."""
-    if not 0 <= j < space.modes.m:
-        raise ValidationError(f"mode index {j} out of range")
-    a = _embed_mode(space, j, space.a1())
-    return a, a.T.tocsr()
-
-
 def _amplitudes(space: TruncatedFock, f) -> np.ndarray:
     """f as a float or complex array with one entry per mode."""
     f = np.asarray(f)
@@ -172,25 +152,29 @@ def _amplitudes(space: TruncatedFock, f) -> np.ndarray:
     return f
 
 
-def annihilator(space: TruncatedFock, f) -> sp.csr_matrix:
-    """a(f) = sum_j conj(f_j) a_j (antilinear in f); real for real f."""
+def field(space: TruncatedFock, f) -> sp.csr_matrix:
+    """Hermitian field phi(f) = (a(f) + a(f)^*) / sqrt(2) as a CSR matrix.
+
+    a_j links the states ``post = (n_max+1)^(m-1-j)`` entries apart with
+    weight sqrt(n_j) of the upper state (:func:`_apply_ladder_terms`), so
+    each mode with f_j != 0 fills the diagonal ``post`` above the main one
+    with conj(f_j) sqrt(n_j) / sqrt 2 and the one ``post`` below with its
+    conjugate; the zeros at block edges are not stored.
+    """
     f = _amplitudes(space, f)
-    out = None
-    for j in range(space.modes.m):
+    m = space.modes.m
+    root = space._root_occupations()
+    diagonals, offsets = [], []
+    for j in range(m):
         if f[j] == 0:
             continue
-        a, _ = ladder(space, j)
-        term = np.conj(f[j]) * a
-        out = term if out is None else out + term
-    if out is None:
-        out = sp.csr_matrix((space.dim, space.dim), dtype=f.dtype)
-    return out.tocsr()
-
-
-def field(space: TruncatedFock, f) -> sp.csr_matrix:
-    """Hermitian field phi(f) = (a(f) + a(f)^*) / sqrt(2)."""
-    a = annihilator(space, f)
-    return ((a + a.conj().T) / np.sqrt(2.0)).tocsr()
+        post = (space.n_max + 1) ** (m - 1 - j)
+        upper = (np.conj(f[j]) * root[j, post:]) * (1 / np.sqrt(2.0))
+        diagonals += [upper, np.conj(upper)]
+        offsets += [post, -post]
+    if not offsets:
+        return sp.csr_matrix((space.dim, space.dim), dtype=f.dtype)
+    return sp.diags(diagonals, offsets, shape=(space.dim, space.dim), format="csr")
 
 
 def _apply_ladder_terms(space: TruncatedFock, block, lower, upper, scale=1.0):

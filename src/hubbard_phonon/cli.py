@@ -416,7 +416,6 @@ def cmd_sweep(cfg, args) -> int:
         alphas,
         kappa=kappa,
         cluster_tol=float(cfg["solver"]["cluster_tol"]),
-        threads=args.threads,
     )
     brackets = flip_brackets(records)
     meta = _meta(
@@ -628,7 +627,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="YAML run configuration")
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="sweep parallelism")
     parser.add_argument(
         "--strict", action="store_true", help="fail the run on partial sweep errors"
     )

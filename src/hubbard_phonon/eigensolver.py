@@ -15,7 +15,7 @@ highest-weight states, each level standing for its whole multiplet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,14 +31,24 @@ from .errors import (
 
 # Dense/sparse crossover for eigensolves and dense operators.
 DENSE_MAX = 4096
-# Levels a ground-space solve starts from; the length of spectrum_head.
+# Levels a ground-space solve starts from.
 HEAD_LEVELS = 10
+# Relative gap below which two levels belong to one ground cluster.
+CLUSTER_TOL = 1e-8
 
 __all__ = ["eigensolve", "ground_space", "GroundSpaceReport"]
 
 
 def _is_operator(h) -> bool:
     return isinstance(h, spla.LinearOperator)
+
+
+def densify(h):
+    """``h`` as a dense array if it is sparse with at most DENSE_MAX rows,
+    else ``h`` itself: the blocks a ground-space solve runs dense."""
+    if sp.issparse(h) and h.shape[0] <= DENSE_MAX:
+        return h.toarray()
+    return h
 
 
 # Relative Hermiticity tolerance, shared by the matrix and operator checks.
@@ -294,9 +304,7 @@ class GroundSpaceReport:
     ``vectors`` holds one highest-weight vector per level (lifted to the
     configuration basis) and ``degeneracy`` counts each level 2s+1 times;
     ``s_tot`` is the one spin of the cluster (a half-integer as float) or
-    ``"mixed"``.  ``spectrum_head`` holds the lowest HEAD_LEVELS levels,
-    each repeated 2s+1 times, that every spin's solve certifies complete:
-    none above the top level of a partial solve.
+    ``"mixed"``.
     """
 
     e0: float
@@ -305,27 +313,25 @@ class GroundSpaceReport:
     gap: float
     s_tot: object
     spins: tuple
-    spectrum_head: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _low_levels(h, cluster_tol: float):
-    """Eigenpairs far enough up to certify where the ground cluster ends, and
-    whether they are all.  A block of at most DENSE_MAX states is densified
-    once and solved dense.  Every block starts at HEAD_LEVELS levels, doubled
-    until one lies safely outside the grey zone or the spectrum is whole."""
+    """Eigenpairs far enough up to certify where the ground cluster ends.
+    The block goes through :func:`densify` once.  Every block starts at
+    HEAD_LEVELS levels, doubled until one lies safely outside the grey zone
+    or the spectrum is whole."""
     dim = h.shape[0]
-    if sp.issparse(h) and dim <= DENSE_MAX:
-        h = h.toarray()
+    h = densify(h)
     k = min(HEAD_LEVELS, dim)
     while True:
         vals, vecs = eigensolve(h, k=k)
         scale = max(1.0, abs(vals[0]))
         if (vals[-1] - vals[0]) > 2.0 * cluster_tol * scale or k == dim:
-            return vals, vecs, k == dim
+            return vals, vecs
         k = min(2 * k, dim)
 
 
-def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport:
+def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL) -> GroundSpaceReport:
     """Ground energy, degeneracy and an orthonormal ground basis of a
     spin-symmetric Hamiltonian given one Hermitian matrix per total spin.
 
@@ -346,7 +352,7 @@ def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport
     """
     mult = [int(round(2.0 * space.s + 1.0)) for space in spaces]
     solved = [_low_levels(b, cluster_tol) for b in blocks]
-    vals = np.sort(np.concatenate([v for v, _, _ in solved]))
+    vals = np.sort(np.concatenate([v for v, _ in solved]))
     e0 = float(vals[0])
     scale = max(1.0, abs(e0))
     norm = max(float(abs(b).sum(axis=1).max()) for b in blocks)
@@ -369,7 +375,7 @@ def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport
         )
     n = int(np.sum(rel <= cluster_tol))
     ground, spins, degeneracy = [], [], 0
-    for space, (v, vecs, _), w in zip(spaces, solved, mult):
+    for space, (v, vecs), w in zip(spaces, solved, mult):
         m = int(np.sum((v - e0) / scale <= cluster_tol))
         ground.append(space.q @ vecs[:, :m])
         spins += [space.s] * m
@@ -377,9 +383,6 @@ def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport
     # re-orthonormalize inside the cluster; eigh pairs are orthonormal to
     # machine precision already, QR just pins the guarantee
     q, _ = np.linalg.qr(np.hstack(ground))
-    # merged levels are complete up to the top of every partial solve
-    top = min([v[-1] for v, _, full in solved if not full], default=np.inf)
-    head = np.sort(np.concatenate([np.repeat(v, w) for (v, _, _), w in zip(solved, mult)]))
     return GroundSpaceReport(
         e0=e0,
         degeneracy=degeneracy,
@@ -387,5 +390,4 @@ def ground_space(blocks, spaces, cluster_tol: float = 1e-8) -> GroundSpaceReport
         gap=float(vals[n] - e0) if n < len(vals) else np.inf,
         s_tot=spins[0] if len(set(spins)) == 1 else "mixed",
         spins=tuple(spins),
-        spectrum_head=np.asarray(head[head <= top][:HEAD_LEVELS], dtype=float),
     )

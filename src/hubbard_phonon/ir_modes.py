@@ -17,18 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .boson_fock import ModeSet, apply_weyl, coherent_weyl_overlap
+from .boson_fock import ModeSet, coherent_weyl_overlap
 from .errors import (
     AccuracyError,
     DiscretizationError,
     InfraredDivergenceError,
     ValidationError,
 )
-from .lang_firsov import (
-    CoupledModel,
-    dress_state,
-    dressed_ground,
-)
+from .lang_firsov import CoupledModel, dressed_ground
 from .lattice_fermions import build_hubbard, build_sector_basis
 from .magnetism import spin_ground_space
 
@@ -277,30 +273,17 @@ def _pairwise_weyl(psi, z, a_e, f) -> complex:
     return complex(val)
 
 
-def weyl_state(model: CoupledModel, a_e, f, psi_e=None, method: str = "pairwise"):
+def weyl_state(model: CoupledModel, a_e, f):
     """<Psi, (A_e x W(f)) Psi> in the dressed ground state.
 
-    ``pairwise`` evaluates coherent-state overlaps in closed form, immune to
-    truncation; ``matrix`` materializes the state on the truncated space and
-    applies the Weyl factor mode by mode.  The two must agree to the
-    coherent tail mass.
+    Evaluated pairwise over configurations from coherent-state overlaps in
+    closed form (:func:`coherent_weyl_overlap`), so no truncation enters.
     """
     a_e = np.asarray(a_e)
     if a_e.shape != (model.basis.dim, model.basis.dim):
         raise ValidationError("A_e must act on the electron sector")
-    if psi_e is None:
-        state, _ = dressed_ground(model)
-    else:
-        state = dress_state(model, psi_e)
-    f = np.asarray(f, dtype=complex)
-
-    if method == "pairwise":
-        return _pairwise_weyl(state.weights, state.z, a_e, f)
-    if method == "matrix":
-        vec = state.vector().reshape(model.basis.dim, model.fock.dim)
-        wv = apply_weyl(model.fock, f, vec)
-        return complex(np.vdot(vec.reshape(-1), (a_e @ wv).reshape(-1)))
-    raise ValidationError("method must be 'pairwise' or 'matrix'")
+    state, _ = dressed_ground(model)
+    return _pairwise_weyl(state.weights, state.z, a_e, np.asarray(f, dtype=complex))
 
 
 def _continuum_bilinears(family: CutoffFamily, profiles):
@@ -327,7 +310,6 @@ def limit_state(
     alpha: float,
     a_e,
     profiles,
-    psi_e=None,
 ):
     """Cutoff-removed value of <Psi, (A_e x W(f)) Psi>.
 
@@ -345,12 +327,8 @@ def limit_state(
         raise ValidationError("A_e must act on the electron sector")
     b0 = b_kappa(family, 0.0)
     u_eff = u - (alpha * b0) ** 2
-    if psi_e is None:
-        rep = spin_ground_space(build_hubbard(basis, hopping, u_eff), basis)
-        psi = rep.vectors[:, 0].astype(complex)
-    else:
-        psi = np.asarray(psi_e, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
+    rep = spin_ground_space(build_hubbard(basis, hopping, u_eff), basis)
+    psi = rep.vectors[:, 0].astype(complex)
     nu = basis.occupations()
     fg, ff = _continuum_bilinears(family, profiles)
     ff_total = float(np.sum(ff))

@@ -33,7 +33,7 @@ from .boson_fock import (
     field,
     mode_kron,
 )
-from .eigensolver import eigensolve
+from .eigensolver import CLUSTER_TOL, eigensolve
 from .errors import SizingError, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
@@ -272,7 +272,7 @@ def dress_state(model: CoupledModel, psi_e) -> DressedState:
     return DressedState(weights=psi, z=z, truncation_error=lost, model=model)
 
 
-def dressed_ground(model: CoupledModel, cluster_tol: float = 1e-8):
+def dressed_ground(model: CoupledModel, cluster_tol: float = CLUSTER_TOL):
     """Ground state of the effective electronic model, dressed.
 
     Returns ``(state, report)``; the dressed vector is the report's first,

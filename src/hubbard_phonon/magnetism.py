@@ -10,14 +10,12 @@ filling with repulsive interaction saturates the total spin.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import eigensolver
-from .eigensolver import GroundSpaceReport, ground_space
+from .eigensolver import CLUSTER_TOL, GroundSpaceReport, densify, ground_space
 from .errors import (
     AccuracyError,
     AmbiguousDegeneracyError,
@@ -110,7 +108,7 @@ class RegimeCheck:
     report: object = None
 
 
-def spin_ground_space(h, basis, cluster_tol: float = 1e-8) -> GroundSpaceReport:
+def spin_ground_space(h, basis, cluster_tol: float = CLUSTER_TOL) -> GroundSpaceReport:
     """:func:`ground_space` of a sector operator ``h`` on ``basis``, projected
     onto each total spin's highest-weight states (:func:`spin_spaces`)."""
     spaces = spin_spaces(basis)
@@ -118,7 +116,7 @@ def spin_ground_space(h, basis, cluster_tol: float = 1e-8) -> GroundSpaceReport:
 
 
 def check_lieb_regime(
-    hopping: HoppingMatrix, u_eff: float, n_e: int, cluster_tol: float = 1e-8
+    hopping: HoppingMatrix, u_eff: float, n_e: int, cluster_tol: float = CLUSTER_TOL
 ) -> RegimeCheck:
     """Attractive regime: a singlet sits among the ground states.
 
@@ -147,7 +145,7 @@ def check_lieb_regime(
 
 
 def check_tasaki_regime(
-    t0: float, amplitudes, u_eff: float, cluster_tol: float = 1e-8
+    t0: float, amplitudes, u_eff: float, cluster_tol: float = CLUSTER_TOL
 ) -> RegimeCheck:
     """Saturated-spin regime at one electron below half filling.
 
@@ -199,36 +197,33 @@ def sweep_alpha(
     b: float,
     alphas,
     kappa: float = np.nan,
-    cluster_tol: float = 1e-8,
-    threads: int = 1,
+    cluster_tol: float = CLUSTER_TOL,
 ):
     """Classify the effective ground state along a coupling grid.
 
     Reported energies include the chemical shift, i.e. they are ground
     energies of the effective electronic Hamiltonian whose kinetic diagonal
     is lowered by (alpha*b)**2/2 per electron.  Each total spin's
-    Hamiltonian without u is projected once, and densified once where
-    :func:`ground_space` would (``eigensolver.DENSE_MAX``); the double
-    occupancy is diagonal there, so a grid point only adds u_eff times it to
-    the diagonal.  Points that fail to classify (the solver's own errors)
-    are kept with classification "Error" and the message in
-    ``residual_flags``; any other exception propagates.
+    Hamiltonian without u and its double occupancy are projected once and
+    go through :func:`eigensolver.densify` once; a grid point only adds
+    u_eff times the double occupancy.  Points that fail to classify (the
+    solver's own errors) are kept with classification "Error" and the
+    message in ``residual_flags``; any other exception propagates.
     """
     basis = build_sector_basis(hopping.n_sites, n_e)
     spaces = spin_spaces(basis)
     h0 = build_hubbard(basis, hopping, 0.0)
     _, docc = number_operators(basis)
-    blocks = [(space.project(h0), docc[space.rep]) for space in spaces]
     blocks = [
-        (h.toarray(), d, np.diag) if h.shape[0] <= eigensolver.DENSE_MAX else (h, d, sp.diags)
-        for h, d in blocks
+        (densify(space.project(h0)), densify(sp.diags(docc[space.rep])))
+        for space in spaces
     ]
 
     def one(alpha: float) -> SweepRecord:
         par = effective_params(u, alpha, b)
         rec = SweepRecord(alpha, float(kappa), par.u_eff, np.nan, 0, "", "Error", "")
         try:
-            h = [h0s + diag(par.u_eff * d) for h0s, d, diag in blocks]
+            h = [h0s + par.u_eff * d for h0s, d in blocks]
             rep = ground_space(h, spaces=spaces, cluster_tol=cluster_tol)
         except (
             AccuracyError,
@@ -244,13 +239,7 @@ def sweep_alpha(
         rec.classification = classify(rep, n_e, hopping.n_sites)
         return rec
 
-    alphas = [float(a) for a in alphas]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, alphas))
-    else:
-        records = [one(a) for a in alphas]
-    return records
+    return [one(float(a)) for a in alphas]
 
 
 def flip_brackets(records):

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -19,7 +20,6 @@ from hubbard_phonon.boson_fock import (
     TAIL_BOUND,
     ModeSet,
     TruncatedFock,
-    annihilator,
     apply_displacement,
     apply_field,
     apply_ladder,
@@ -29,7 +29,6 @@ from hubbard_phonon.boson_fock import (
     coherent_weyl_overlap,
     displacement_1mode,
     field,
-    ladder,
     mode_kron,
     relative_bound_check,
 )
@@ -41,7 +40,29 @@ def _space(freqs, n_max):
     return TruncatedFock(ModeSet(np.asarray(freqs, dtype=float)), n_max)
 
 
-# -- dense oracles: the Weyl matrix and the normalized coherent state ----------
+# -- oracles: Kronecker ladders, the Weyl matrix, the coherent state ----------
+
+
+def ladder(space, j):
+    """Oracle: sparse (a_j, a_j^dagger), the single-mode annihilator
+    sqrt(n) on the first superdiagonal embedded between identities."""
+    n1 = space.n_max + 1
+    a1 = sp.csr_matrix(np.diag(np.sqrt(np.arange(1.0, n1)), 1))
+    left = sp.identity(n1**j, format="csr")
+    right = sp.identity(n1 ** (space.modes.m - 1 - j), format="csr")
+    a = sp.kron(sp.kron(left, a1), right).tocsr()
+    return a, a.T.tocsr()
+
+
+def annihilator(space, f):
+    """Oracle: sparse a(f) = sum_j conj(f_j) a_j from the Kronecker ladders."""
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f.dtype, np.float64))
+    out = sp.csr_matrix((space.dim, space.dim), dtype=f.dtype)
+    for j in range(space.modes.m):
+        if f[j] != 0:
+            out = out + np.conj(f[j]) * ladder(space, j)[0]
+    return out
 
 
 def weyl(space, f):
@@ -99,22 +120,25 @@ def test_occupation_layout():
 
 
 def test_ladder_matrices():
+    # on the identity stack, row i of the result is a @ e_i: column i of a
     space = _space([1.0], 5)
-    a, adag = ladder(space, 0)
     want = np.diag(np.sqrt(np.arange(1, 6)), 1)
-    assert np.max(np.abs(a.toarray() - want)) == 0.0
-    assert np.max(np.abs(adag.toarray() - want.T)) == 0.0
+    eye = np.eye(space.dim)
+    assert np.max(np.abs(apply_ladder(space, [1.0], eye).T - want)) == 0.0
+    assert np.max(np.abs(apply_ladder(space, [1.0], eye, dagger=True).T - want.T)) == 0.0
+    assert np.max(np.abs(field(space, [1.0]).toarray() - (want + want.T) / np.sqrt(2))) < 1e-15
 
 
 def test_ccr_on_interior_vectors():
     space = _space([1.0, 0.3], 5)
-    pairs = [ladder(space, j) for j in range(2)]
+    units = np.eye(2)
     rng = np.random.default_rng(31)
     v = rng.standard_normal(space.dim) * space.interior_mask(2)
     v /= np.linalg.norm(v)
-    for i, (ai, aid) in enumerate(pairs):
-        for j, (aj, ajd) in enumerate(pairs):
-            comm = ai @ (ajd @ v) - ajd @ (ai @ v)
+    for i, ei in enumerate(units):
+        for j, ej in enumerate(units):
+            comm = apply_ladder(space, ei, apply_ladder(space, ej, v, dagger=True))
+            comm -= apply_ladder(space, ej, apply_ladder(space, ei, v), dagger=True)
             want = v if i == j else 0.0
             assert np.max(np.abs(comm - want)) < 1e-14
 
@@ -190,7 +214,7 @@ def test_coherent_is_annihilator_eigenvector():
     assert err < 1e-10
     rng = np.random.default_rng(34)
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    lhs = annihilator(space, f) @ vec
+    lhs = apply_ladder(space, f, vec)
     assert np.linalg.norm(lhs - np.vdot(f, z) * vec) < 1e-7
 
 
@@ -198,8 +222,9 @@ def test_annihilator_antilinear():
     space = _space([1.0, 0.5], 4)
     f = np.array([0.3 + 1.0j, -0.7 + 0.2j])
     c = 0.8 - 1.1j
-    d = annihilator(space, c * f) - np.conj(c) * annihilator(space, f)
-    assert np.max(np.abs(d.toarray())) < 1e-15
+    eye = np.eye(space.dim)
+    d = apply_ladder(space, c * f, eye) - np.conj(c) * apply_ladder(space, f, eye)
+    assert np.max(np.abs(d)) < 1e-15
 
 
 def test_displacement_block_route_matches_weyl():
@@ -274,13 +299,21 @@ def _ladder_case(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=_ladder_case())
 def test_matrix_free_ladder_and_field_match_sparse(case):
+    """apply_ladder, apply_field and the assembled field against the
+    Kronecker oracle; field repeats its roundings bit for bit."""
     space, f, block = case
     a = annihilator(space, f)
+    phi = field(space, f)
+    want_phi = ((a + a.conj().T) * (1 / np.sqrt(2.0))).tocsr()
+    assert phi.dtype == want_phi.dtype
+    assert np.array_equal(phi.indptr, want_phi.indptr)
+    assert np.array_equal(phi.indices, want_phi.indices)
+    assert phi.data.tobytes() == want_phi.data.tobytes()
     rows = np.atleast_2d(block).T
     for got, oracle in [
         (apply_ladder(space, f, block), a),
         (apply_ladder(space, f, block, dagger=True), a.conj().T),
-        (apply_field(space, f, block), field(space, f)),
+        (apply_field(space, f, block), want_phi),
     ]:
         want = (oracle @ rows).T.reshape(block.shape)
         assert got.shape == block.shape

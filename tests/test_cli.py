@@ -2,9 +2,11 @@
 
 import csv
 import ctypes
+import importlib
 import io
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import astuple, fields
@@ -16,6 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hubbard_phonon
 from hubbard_phonon import cli, magnetism
 from hubbard_phonon.cli import main, validate_config, load_config
 from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
@@ -242,6 +245,34 @@ def test_sweep_point_failure_is_reported(tmp_path, capsys, monkeypatch, strict, 
     assert "alpha = 0.4: AmbiguousDegeneracyError: gap inside the grey zone" in err
     _, rows = _read_csv(out / "sweep.csv")
     assert [r["classification"] for r in rows][1] == "Error"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--threads", "2", "sweep"], "invalid choice: '2'"),
+        (["--threads=2", "sweep"], "unrecognized arguments: --threads=2"),
+    ],
+)
+def test_threads_flag_is_refused(tmp_path, capsys, argv, message):
+    """sweep solves its grid serially; a --threads flag is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(hubbard_phonon.__path__))
+)
+def test_every_exported_name_resolves(module):
+    """``from hubbard_phonon.<module> import *`` binds every name of the
+    module's ``__all__``; a stale export raises AttributeError."""
+    namespace = {}
+    exec(f"from hubbard_phonon.{module} import *", namespace)
+    exported = getattr(importlib.import_module(f"hubbard_phonon.{module}"), "__all__", [])
+    assert set(exported) <= set(namespace)
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

@@ -141,7 +141,6 @@ def test_ground_space_keeps_each_spin_energy_within_a_cluster():
     rep = ground_space([np.diag([1e-10, 1.0]), np.diag([0.0, 2.0])], spaces=spaces)
     assert rep.e0 == 0.0 and rep.degeneracy == 4
     assert rep.spins == (0.0, 1.0) and rep.s_tot == "mixed"
-    assert np.array_equal(rep.spectrum_head, [0.0] * 3 + [1e-10, 1.0] + [2.0] * 3)
     assert rep.gap == 1.0
 
 
@@ -163,19 +162,11 @@ def test_levels_too_inaccurate_to_cluster_are_refused():
         assert abs(ratio / want - 1.0) < 0.05
 
 
-def test_spectrum_head_recorded():
-    h = np.diag(np.arange(12, dtype=float))
-    rep = _one_space(h)
-    assert rep.spectrum_head[0] == 0.0
-    assert len(rep.spectrum_head) == 10
-
-
 def test_twelvefold_ground_level_outgrows_the_first_solve():
     """The first solve's 10 levels all lie in the ground cluster; the doubled
     solve finds its end."""
     rep = _one_space(np.diag([0.0] * 12 + [1.0] * 20))
     assert rep.degeneracy == 12 and rep.gap == 1.0
-    assert np.array_equal(rep.spectrum_head, np.zeros(10))
 
 
 # -- dense solves of block-structured matrices against np.linalg.eigh ---------

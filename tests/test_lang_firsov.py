@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hubbard_phonon import boson_fock
+from hubbard_phonon import boson_fock, lang_firsov
 from hubbard_phonon.boson_fock import (
     ModeSet,
     TruncatedFock,
@@ -447,9 +447,11 @@ def test_battery_never_assembles_ladder_operators(monkeypatch):
     ha = effective_hamiltonians(model)
 
     def spy(*args, **kwargs):
-        raise AssertionError("boson_fock.ladder called")
+        raise AssertionError("boson_fock.field called")
 
-    monkeypatch.setattr(boson_fock, "ladder", spy)
+    # field is the one assembled boson operator; lang_firsov binds it too
+    for module in (boson_fock, lang_firsov):
+        monkeypatch.setattr(module, "field", spy)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     verify_transform_hb(model, n_trials=1)
@@ -461,8 +463,8 @@ def test_battery_never_assembles_ladder_operators(monkeypatch):
     overlap_formula(model, state, [f, f.conj()], psi_e)
     relative_bound_check(model.fock, model.lam[0], n_trials=2)
     ha.transformed_matvec(rng.standard_normal(ha.sectors[0.0].dim), 0.0)
-    with pytest.raises(AssertionError, match="ladder called"):
-        boson_fock.field(model.fock, model.lam[0])  # the spy is live
+    with pytest.raises(AssertionError, match="field called"):
+        model.h_direct()  # the spy is live
 
 
 def _plain_lanczos_levels(ha, operator, k):

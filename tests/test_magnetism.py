@@ -158,17 +158,6 @@ def test_sweep_records_and_flip():
     assert abs(recs[0].e0 - (e_raw - 2 * par.chemical_shift)) < 1e-10
 
 
-def test_sweep_threads_match_serial():
-    hop = build_tasaki_hopping(1.0, [1.0, 0.8, 1.2])
-    alphas = [0.4, 0.8, 1.2, 1.6]
-    serial = sweep_alpha(hop, 2, 1.0, B_REF, alphas)
-    threaded = sweep_alpha(hop, 2, 1.0, B_REF, alphas, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.alpha == b.alpha
-        assert a.e0 == b.e0
-        assert a.classification == b.classification
-
-
 def test_sweep_captures_point_failures():
     hop = build_tasaki_hopping(1.0, [1.0, 1.0, 1.0])
     recs = sweep_alpha(hop, 2, 1.0, B_REF, [0.5, float("nan"), 1.5])
