@@ -16,7 +16,6 @@ the diagonals of an assembled matrix.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -24,12 +23,9 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import gammainc
 
-from .errors import SizingError, TruncationWarning, ValidationError
+from .errors import SizingError, ValidationError
 
 FOCK_DIM_CAP = 2_000_000
-
-# Coherent tail mass a truncation may cut; above it, warn (or raise the auto n_max).
-TAIL_BOUND = 1e-8
 
 __all__ = [
     "ModeSet",
@@ -37,7 +33,6 @@ __all__ = [
     "field",
     "apply_ladder",
     "apply_field",
-    "apply_weyl",
     "displacement_1mode",
     "coherent_amplitudes_1mode",
     "coherent_tail",
@@ -49,14 +44,9 @@ __all__ = [
 
 
 class ModeSet:
-    """Finite family of boson modes with positive frequencies.
+    """Finite family of boson modes with positive frequencies."""
 
-    ``site_of_mode`` optionally tags each mode with the lattice site whose
-    coupling channel owns it; disjoint channels make cross-site coupling
-    overlaps vanish identically.
-    """
-
-    def __init__(self, freqs, site_of_mode=None):
+    def __init__(self, freqs):
         w = np.asarray(freqs, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValidationError("freqs must be a non-empty 1-d array")
@@ -64,11 +54,6 @@ class ModeSet:
             raise ValidationError("mode frequencies must be strictly positive")
         self.freqs = w
         self.m = w.size
-        if site_of_mode is not None:
-            site_of_mode = np.asarray(site_of_mode, dtype=int)
-            if site_of_mode.shape != (self.m,):
-                raise ValidationError("site_of_mode must have one entry per mode")
-        self.site_of_mode = site_of_mode
 
     def __repr__(self):
         return f"ModeSet(m={self.m})"
@@ -297,29 +282,6 @@ def apply_displacement(space: TruncatedFock, z, block):
         else:
             t = np.matmul(d, t.reshape(-1, n, post))
     return t.reshape(shape)
-
-
-def _weyl_displacement(space, f):
-    """Per-mode displacements i f / sqrt 2 of W(f), tail-checked."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (space.modes.m,):
-        raise ValidationError("f must assign one amplitude per mode")
-    u = 1j * f / np.sqrt(2.0)
-    tail = float(coherent_tail(u, space.n_max).sum())
-    if tail > TAIL_BOUND:
-        warnings.warn(
-            f"Weyl displacement tail mass {tail:.3e} exceeds bound "
-            f"{TAIL_BOUND:.1e} at n_max = {space.n_max}",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return u
-
-
-def apply_weyl(space: TruncatedFock, f, vec):
-    """Matrix-free W(f) @ vec (or on each row of a (k, dim) stack)."""
-    u = _weyl_displacement(space, f)
-    return apply_displacement(space, u, vec)
 
 
 def coherent_weyl_overlap(z, w, f) -> complex:

@@ -10,8 +10,9 @@ Subcommands:
 * ``ir``        cutoff scans: coupling norms, divergence rate, overlap decay
   and the Weyl-observable limit.
 
-Exit codes: 0 success, 2 configuration rejected, 3 verification failure
-(or, under ``--strict``, any failed sweep point).
+Exit codes: 0 success, 2 configuration rejected, 3 verification failure,
+including a solve that cannot be certified or stalls (or, under
+``--strict``, any failed sweep point).
 
 BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 
@@ -42,6 +43,7 @@ from .errors import (
     AmbiguousDegeneracyError,
     DiscretizationError,
     InfraredDivergenceError,
+    IterationLimitError,
     SizingError,
     ValidationError,
 )
@@ -666,7 +668,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"config error: a value overflowed: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, AmbiguousDegeneracyError) as exc:
+    except (AccuracyError, AmbiguousDegeneracyError, IterationLimitError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 3
     finally:

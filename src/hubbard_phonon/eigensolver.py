@@ -188,7 +188,7 @@ def _chebyshev_filter(matvec, cut: float, hi: float, dtype):
     return apply
 
 
-def _filtered_lanczos(h, k: int, tol: float, maxiter):
+def _filtered_lanczos(h, k: int, tol: float):
     """Lowest ``k`` eigenpairs of ``h`` by ARPACK on a Chebyshev filter of it.
 
     ``eigsh`` takes the k largest eigenpairs of p(H) (:func:`_chebyshev_filter`
@@ -200,7 +200,7 @@ def _filtered_lanczos(h, k: int, tol: float, maxiter):
     interval moves up, at most FILTER_RETRIES times, then AccuracyError.
     Every attempt but the last runs at most FILTER_PROBE_ITERS iterations
     and, if ARPACK has not converged by then, also widens; only the last
-    runs to ``maxiter`` and raises IterationLimitError.
+    runs to ARPACK's default iteration limit and raises IterationLimitError.
     """
     _check_hermitian(h)
     matvec = h.matvec if _is_operator(h) else h.dot
@@ -212,7 +212,7 @@ def _filtered_lanczos(h, k: int, tol: float, maxiter):
         op = spla.LinearOperator(
             h.shape, matvec=_chebyshev_filter(matvec, cut, hi, dtype), dtype=dtype
         )
-        iters = maxiter if last else min(FILTER_PROBE_ITERS, maxiter or np.inf)
+        iters = None if last else FILTER_PROBE_ITERS
         try:
             _, y = spla.eigsh(op, k=k, which="LA", tol=tol, maxiter=iters, v0=v0)
         except spla.ArpackNoConvergence as exc:
@@ -251,7 +251,7 @@ def _filtered_lanczos(h, k: int, tol: float, maxiter):
     )
 
 
-def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
+def eigensolve(h, k: int = 6, tol: float = 0.0):
     """Lowest ``k`` eigenpairs of a Hermitian matrix or linear operator.
 
     Returns ``(vals, vecs)`` with eigenvalues ascending and eigenvectors in
@@ -263,12 +263,10 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
     otherwise all of them by ``np.linalg.eigh``, then truncated.
     ``k >= dim - 1`` always goes dense for matrices.  The rest, and every
     linear operator, goes to ARPACK on a Chebyshev filter p(H) of the matrix
-    (:func:`_filtered_lanczos`).  ``tol`` and ``maxiter`` are passed to
-    ``eigsh`` and so act on p(H), not on H: ``tol`` is ARPACK's relative
-    accuracy of the eigenvalues of p(H) (the returned pairs of H are then
-    held to residuals of max(tol, RESIDUAL_TOL) times the spectral radius),
-    and ``maxiter`` counts ARPACK iterations of the final attempt, each of
-    up to ncv - k filter applications of FILTER_DEGREE matvecs.  The dense
+    (:func:`_filtered_lanczos`).  ``tol`` is passed to ``eigsh`` and so acts
+    on p(H), not on H: it is ARPACK's relative accuracy of the eigenvalues
+    of p(H), and the returned pairs of H are then held to residuals of
+    max(tol, RESIDUAL_TOL) times the spectral radius.  The dense
     route checks Hermiticity on the dense array; the Lanczos route checks
     the sparse matrix, or probes a linear operator with two seeded matvecs.
     """
@@ -293,7 +291,7 @@ def eigensolve(h, k: int = 6, tol: float = 0.0, maxiter=None):
         raise ValidationError(
             f"k = {k} too close to dim = {dim} for the iterative path"
         )
-    return _filtered_lanczos(h, k, tol, maxiter)
+    return _filtered_lanczos(h, k, tol)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class ValidationError(ValueError):
@@ -47,7 +47,3 @@ class DiscretizationError(ValueError):
 
 class AccuracyError(RuntimeError):
     """Two independent evaluation routes disagree beyond their tolerance."""
-
-
-class TruncationWarning(UserWarning):
-    """A truncated-space operation lost more weight than the stated bound."""

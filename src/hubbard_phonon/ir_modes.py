@@ -240,7 +240,6 @@ def discretize(
 
     m = m_per_channel
     freqs = np.tile(k_nodes, n_sites)
-    site_of_mode = np.repeat(np.arange(n_sites), m)
     couplings = np.zeros((n_sites, n_sites * m))
     for x in range(n_sites):
         couplings[x, x * m : (x + 1) * m] = lam
@@ -249,7 +248,7 @@ def discretize(
         kappa=kappa,
         m_per_channel=m,
         n_sites=n_sites,
-        modes=ModeSet(freqs, site_of_mode),
+        modes=ModeSet(freqs),
         couplings=couplings,
         nodes=k_nodes,
         weights=weights,
@@ -287,17 +286,23 @@ def weyl_state(model: CoupledModel, a_e, f):
 
 
 def _continuum_bilinears(family: CutoffFamily, profiles):
-    """Per-site <f, g_x> and ||f_x||^2 for profile-specified f at kappa = 0."""
+    """Per-site <f, g_x> and ||f_x||^2 for profile-specified f at kappa = 0.
+
+    Breakpoints at K 10^-12 ... K 10^-1 let quad see a profile supported
+    near k = 0, which it would otherwise sample as zero.
+    """
     fg = np.zeros(len(profiles))
     ff = np.zeros(len(profiles))
+    points = family.big_k * 10.0 ** -np.arange(12, 0, -1)
     for x, prof in enumerate(profiles):
         if prof is None:
             continue
         fg[x], _ = integrate.quad(
-            lambda k: prof(k) * k ** (family.beta - 1.0), 0.0, family.big_k, limit=400
+            lambda k: prof(k) * k ** (family.beta - 1.0), 0.0, family.big_k,
+            limit=400, points=points,
         )
         ff[x], _ = integrate.quad(
-            lambda k: prof(k) ** 2, 0.0, family.big_k, limit=400
+            lambda k: prof(k) ** 2, 0.0, family.big_k, limit=400, points=points
         )
     return fg, ff
 

@@ -417,7 +417,7 @@ class EffectiveHamiltonians:
         self.model = model
         n = model.basis.dim
         hops = {}  # each (x, y) pair's hop matrix on the sector
-        for x, y, src, dst, amp in hopping_moves(model.basis, model.hopping):
+        for x, y, src, dst, amp in zip(*hopping_moves(model.basis, model.hopping)):
             hops.setdefault((x, y), np.zeros((n, n)))[dst, src] += amp
         self.sectors, self._dressed = {}, {}
         for space in spin_spaces(model.basis):

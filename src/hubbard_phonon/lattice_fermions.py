@@ -1,9 +1,11 @@
 """Fermionic sector bases and Hubbard Hamiltonians on small clusters.
 
-Spin orbitals are packed into machine integers: orbital ``p = 2*x + s`` for
-site ``x`` and spin ``s`` (0 = up, 1 = down), so a basis state is a bit word
-over ``2 * n_sites`` bits.  Operators carry the usual fermionic sign
-``(-1)**(number of occupied orbitals below p)``.
+Spin orbitals are packed into integers: orbital ``p = 2*x + s`` for site
+``x`` and spin ``s`` (0 = up, 1 = down), so a basis state is a bit word over
+``2 * n_sites`` bits.  Operators carry the usual fermionic sign
+``(-1)**(number of occupied orbitals below p)``; one kernel (:func:`_moves`)
+applies it to a whole word array at once, and every one-body operator here
+(hopping, S+, the full-Fock c and c+) is built from it.
 
 Every operator built here from hopping, u and site occupations is a spin
 scalar, so it can be solved one total spin S at a time on the highest-weight
@@ -14,12 +16,13 @@ states of S (2 S_z = 2S and S+ psi = 0), where each spin-S level occurs once
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
 from scipy.sparse.csgraph import connected_components
-from itertools import combinations
 
 from .errors import SizingError, ValidationError
 
@@ -33,8 +36,6 @@ __all__ = [
     "build_sector_basis",
     "SpinSpace",
     "spin_spaces",
-    "apply_c_dagger",
-    "apply_c",
     "fock_operator",
     "hopping_moves",
     "build_hubbard",
@@ -89,22 +90,19 @@ class HoppingMatrix:
 class SectorBasis:
     """Occupation basis of the fixed particle-number sector.
 
-    ``states`` lists the bit words in increasing integer order; ``index``
-    inverts the listing.
+    ``states`` is the array of bit words in increasing order, so the row of
+    a word ``w`` is ``np.searchsorted(states, w)``.
     """
 
     def __init__(self, n_sites, n_e, states):
         self.n_sites = n_sites
         self.n_e = n_e
         self.states = states
-        self.index = {w: i for i, w in enumerate(states)}
         self.dim = len(states)
 
     def spin_occupations(self):
         """Up and down occupation tables, each shape (dim, n_sites), in {0,1}."""
-        # bit words beyond 63 bits stay exact as Python integers
-        dtype = np.int64 if 2 * self.n_sites < 63 else object
-        w = np.array(self.states, dtype=dtype).reshape(-1, 1)
+        w = self.states.reshape(-1, 1)
         p = 2 * np.arange(self.n_sites)
         up, dn = (w >> p) & 1, (w >> (p + 1)) & 1
         return up.astype(np.int64), dn.astype(np.int64)
@@ -126,43 +124,41 @@ def build_sector_basis(n_sites: int, n_e: int) -> SectorBasis:
         raise ValidationError(
             f"n_e = {n_e} outside [0, {2 * n_sites}] for n_sites = {n_sites}"
         )
-    from math import comb
-
     dim = comb(2 * n_sites, n_e)
     if dim > DIM_CAP:
         raise SizingError(f"sector dimension {dim} exceeds cap {DIM_CAP}")
-    states = sorted(
+    words = sorted(
         sum(1 << p for p in orbs) for orbs in combinations(range(2 * n_sites), n_e)
     )
-    return SectorBasis(n_sites, n_e, states)
+    # words of 63 or more bits stay exact as Python integers
+    dtype = np.int64 if 2 * n_sites < 63 else object
+    return SectorBasis(n_sites, n_e, np.array(words, dtype=dtype))
 
 
-def _parity_below(word: int, p: int) -> int:
-    """(-1)**(occupied orbitals strictly below p)."""
-    return -1 if (word & ((1 << p) - 1)).bit_count() & 1 else 1
+def _parity_below(words, p):
+    """(-1)**(occupied orbitals strictly below p), elementwise: the bits
+    below p are folded onto bit 0 by xor, for int64 and Python-int words."""
+    p = np.asarray(p).astype(words.dtype)
+    below = words & ((1 << p) - 1)
+    for k in reversed(range((int(np.max(p, initial=0)) - 1).bit_length())):
+        below = below ^ (below >> (1 << k))
+    return (1 - 2 * (below & 1)).astype(np.int64)
 
 
-def apply_c_dagger(word: int, x: int, s: int, n_sites: int):
-    """Apply the creation operator for orbital (x, s) to a bit word.
+def _moves(words, p, q):
+    """Every nonzero matrix element of the terms c+_{p[i]} c_{q[i]}, p != q.
 
-    Returns ``(new_word, sign)`` or ``None`` when the orbital is occupied.
+    ``words`` is a sorted word array.  Returns ``(src, i, dst, sign)``: term
+    ``i`` takes row ``src`` to row ``dst`` with the fermionic sign, the
+    parity below q of the source times the parity below p after c_q.  The
+    moves come in the order (src, i).
     """
-    p = 2 * x + s
-    if not 0 <= x < n_sites or s not in (0, 1):
-        raise ValidationError(f"orbital ({x},{s}) outside lattice of {n_sites} sites")
-    if word >> p & 1:
-        return None
-    return word | (1 << p), _parity_below(word, p)
-
-
-def apply_c(word: int, x: int, s: int, n_sites: int):
-    """Annihilation counterpart of :func:`apply_c_dagger`."""
-    p = 2 * x + s
-    if not 0 <= x < n_sites or s not in (0, 1):
-        raise ValidationError(f"orbital ({x},{s}) outside lattice of {n_sites} sites")
-    if not word >> p & 1:
-        return None
-    return word & ~(1 << p), _parity_below(word, p)
+    p, q = (np.asarray(a).astype(words.dtype) for a in (p, q))
+    bp, bq = 1 << p, 1 << q
+    src, i = np.nonzero((words.reshape(-1, 1) & (bp | bq)) == bq)  # q full, p empty
+    after = words[src] ^ bq[i]
+    sign = _parity_below(words[src], q[i]) * _parity_below(after, p[i])
+    return src, i, np.searchsorted(words, after | bp[i]), sign
 
 
 def fock_operator(n_sites: int, x: int, s: int, dagger: bool = True):
@@ -172,44 +168,35 @@ def fock_operator(n_sites: int, x: int, s: int, dagger: bool = True):
     """
     if n_sites > 4:
         raise SizingError("full Fock operators limited to n_sites <= 4")
-    dim = 4**n_sites
-    m = np.zeros((dim, dim))
-    for w in range(dim):
-        out = apply_c_dagger(w, x, s, n_sites) if dagger else apply_c(w, x, s, n_sites)
-        if out is not None:
-            w2, sign = out
-            m[w2, w] = sign
+    if not 0 <= x < n_sites or s not in (0, 1):
+        raise ValidationError(f"orbital ({x},{s}) outside lattice of {n_sites} sites")
+    p = 2 * x + s
+    w = np.arange(4**n_sites)
+    w = w[(w >> p & 1) == (0 if dagger else 1)]
+    m = np.zeros((4**n_sites, 4**n_sites))
+    m[w ^ (1 << p), w] = _parity_below(w, p)
     return m
 
 
 def hopping_moves(basis: SectorBasis, hopping: HoppingMatrix):
     """Every nonzero term of sum_{x != y, s} t_xy c+_xs c_ys on the sector.
 
-    Yields ``(x, y, src, dst, amp)``: the move takes basis state ``src`` to
-    ``dst`` with amplitude ``t_xy`` times the fermionic sign.  Moves come in
-    the order (src, x, y, spin).
+    Returns arrays ``(x, y, src, dst, amp)``: move j takes basis state
+    ``src[j]`` to ``dst[j]`` with amplitude ``t_xy`` times the fermionic
+    sign.  Moves come in the order (src, x, y, spin).
     """
     t = hopping.mat
-    n = basis.n_sites
-    pairs = [(x, y) for x in range(n) for y in range(n) if x != y and t[x, y] != 0.0]
-    for i, w in enumerate(basis.states):
-        for x, y in pairs:
-            for s in (0, 1):
-                hop = apply_c(w, y, s, n)
-                if hop is None:
-                    continue
-                w1, sgn1 = hop
-                created = apply_c_dagger(w1, x, s, n)
-                if created is None:
-                    continue
-                w2, sgn2 = created
-                yield x, y, i, basis.index[w2], t[x, y] * sgn1 * sgn2
+    x, y = np.nonzero((t != 0.0) & ~np.eye(basis.n_sites, dtype=bool))
+    x, y, s = np.repeat(x, 2), np.repeat(y, 2), np.tile([0, 1], len(x))
+    src, i, dst, sign = _moves(basis.states, 2 * x + s, 2 * y + s)
+    return x[i], y[i], src, dst, t[x[i], y[i]] * sign
 
 
 def _assemble(dim, rows, cols, vals):
-    return sp.csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(dim, dim)
-    )
+    """CSR of entries at distinct positions; built sorted, skipping COO."""
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
 
 
 def build_hubbard(basis: SectorBasis, hopping: HoppingMatrix, u: float):
@@ -232,12 +219,9 @@ def build_hubbard(basis: SectorBasis, hopping: HoppingMatrix, u: float):
         diag += t[x, x] * (up[:, x] + dn[:, x]) + u * up[:, x] * dn[:, x]
     # zero diagonal entries stay out of the sparse pattern
     nz = np.flatnonzero(diag)
-    rows, cols, vals = list(nz), list(nz), list(diag[nz])
-    for _, _, src, dst, amp in hopping_moves(basis, hopping):
-        rows.append(dst)
-        cols.append(src)
-        vals.append(amp)
-    return _assemble(basis.dim, rows, cols, vals)
+    _, _, src, dst, amp = hopping_moves(basis, hopping)
+    rows, cols = np.concatenate([nz, dst]), np.concatenate([nz, src])
+    return _assemble(basis.dim, rows, cols, np.concatenate([diag[nz], amp]))
 
 
 def number_operators(basis: SectorBasis):
@@ -259,24 +243,12 @@ def build_spin_operators(basis: SectorBasis):
     assembled in ladder form S- S+ + Sz^2 + Sz, which keeps it real; sy is
     the only complex matrix.
     """
-    rows, cols, vals = [], [], []
     up, dn = basis.spin_occupations()
     sz_diag = 0.5 * (up - dn).sum(axis=1)
-    for i, w in enumerate(basis.states):
-        # S+ = sum_x c+_{x,up} c_{x,down}
-        for x in range(basis.n_sites):
-            lowered = apply_c(w, x, 1, basis.n_sites)
-            if lowered is None:
-                continue
-            w1, sgn1 = lowered
-            raised = apply_c_dagger(w1, x, 0, basis.n_sites)
-            if raised is None:
-                continue
-            w2, sgn2 = raised
-            rows.append(basis.index[w2])
-            cols.append(i)
-            vals.append(float(sgn1 * sgn2))
-    splus = _assemble(basis.dim, rows, cols, vals)
+    # S+ = sum_x c+_{x,up} c_{x,down}
+    x = np.arange(basis.n_sites)
+    src, _, dst, sign = _moves(basis.states, 2 * x, 2 * x + 1)
+    splus = _assemble(basis.dim, dst, src, sign.astype(float))
     sminus = splus.T.tocsr()
     sz = sp.diags(sz_diag).tocsr()
     s_squared = (sminus @ splus + sp.diags(sz_diag**2 + sz_diag)).tocsr()

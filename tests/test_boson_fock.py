@@ -15,15 +15,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import factorial
 
-from hubbard_phonon import boson_fock
 from hubbard_phonon.boson_fock import (
-    TAIL_BOUND,
     ModeSet,
     TruncatedFock,
     apply_displacement,
     apply_field,
     apply_ladder,
-    apply_weyl,
     coherent_amplitudes_1mode,
     coherent_tail,
     coherent_weyl_overlap,
@@ -33,7 +30,9 @@ from hubbard_phonon.boson_fock import (
     relative_bound_check,
 )
 from hubbard_phonon.eigensolver import DENSE_MAX
-from hubbard_phonon.errors import SizingError, TruncationWarning, ValidationError
+from hubbard_phonon.errors import SizingError, ValidationError
+
+from fock_oracles import TAIL_BOUND, TruncationWarning, apply_weyl, weyl_displacement
 
 
 def _space(freqs, n_max):
@@ -77,7 +76,7 @@ def weyl(space, f):
         raise SizingError(
             f"dense Weyl matrix at dim {space.dim} > {DENSE_MAX}; use apply_weyl"
         )
-    u = boson_fock._weyl_displacement(space, f)
+    u = weyl_displacement(space, f)
     return mode_kron([displacement_1mode(uj, space.n_max) for uj in u])
 
 

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hubbard_phonon
-from hubbard_phonon import cli, magnetism
+from hubbard_phonon import cli, eigensolver, magnetism
 from hubbard_phonon.cli import main, validate_config, load_config
 from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
 from hubbard_phonon.lang_firsov import dressed_ground, nb_expectation
@@ -221,6 +222,26 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "spectrum"])
     assert rc == 3
     assert "verification error: gap inside the grey zone" in capsys.readouterr().err
+
+
+def test_stalled_lanczos_exits_3(tmp_path, capsys, monkeypatch):
+    """A Lanczos solve that never converges ends in exit 3 and a
+    ``verification error:`` line, not in a traceback."""
+    calls = []
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs["maxiter"])
+        raise spla.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(eigensolver.spla, "eigsh", eigsh)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes:\n  n_max: 2\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "spectrum"])
+    err = capsys.readouterr().err
+    assert calls and calls[-1] is None
+    assert rc == 3
+    assert "verification error: Lanczos converged only 0/" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("strict, code", [(False, 0), (True, 3)])

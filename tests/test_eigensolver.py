@@ -497,14 +497,20 @@ def test_cut_a_hair_above_the_kth_level_is_caught_and_recovered(
 
 
 def test_iteration_limit_raises_on_the_last_attempt_only(monkeypatch):
-    # with no widening every attempt stalls; only the last, run to the
-    # caller's maxiter, raises
-    monkeypatch.setattr(eigensolver, "FILTER_WIDEN", 0.0)
-    h, stalled = _hair_above(monkeypatch, 3, False)
-    with pytest.raises(IterationLimitError):
-        eigensolve(spla.aslinearoperator(h), k=3, maxiter=50)
+    # every ARPACK solve stalls; only the last attempt, run to ARPACK's
+    # default iteration limit, raises
+    stalled = []
+
+    def eigsh(*args, **kwargs):
+        stalled.append(kwargs["maxiter"])
+        raise spla.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(eigensolver.spla, "eigsh", eigsh)
+    h = _planted(120, 35, False, copies=1, outlier=False)
+    with pytest.raises(IterationLimitError, match="converged only 0/3"):
+        eigensolve(spla.aslinearoperator(h), k=3)
     probe = eigensolver.FILTER_PROBE_ITERS
-    assert stalled == [probe] * eigensolver.FILTER_RETRIES + [50]
+    assert stalled == [probe] * eigensolver.FILTER_RETRIES + [None]
 
 
 def test_filter_failure_raises_accuracy_error(monkeypatch):

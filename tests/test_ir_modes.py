@@ -9,16 +9,16 @@ quadrature produces is checked against closed antiderivatives.
 import numpy as np
 import pytest
 
-from hubbard_phonon.boson_fock import apply_weyl
 from hubbard_phonon.errors import (
     DiscretizationError,
     InfraredDivergenceError,
     ValidationError,
 )
-from hubbard_phonon.lattice_fermions import HoppingMatrix
+from hubbard_phonon.lattice_fermions import HoppingMatrix, build_hubbard, build_sector_basis
 from hubbard_phonon.lang_firsov import CoupledModel, dressed_ground
 from hubbard_phonon.ir_modes import (
     CutoffFamily,
+    _continuum_bilinears,
     b_kappa,
     discretize,
     divergence_report,
@@ -27,6 +27,8 @@ from hubbard_phonon.ir_modes import (
     overlap_decay_curve,
     weyl_state,
 )
+
+from fock_oracles import apply_weyl
 
 CHAIN2 = HoppingMatrix.chain(2)
 
@@ -110,7 +112,6 @@ def test_disjoint_site_channels():
     # site x couples only to its own block of modes
     assert np.max(np.abs(lam[0, 3:])) == 0.0
     assert np.max(np.abs(lam[1, :3])) == 0.0
-    assert np.array_equal(disc.modes.site_of_mode, [0, 0, 0, 1, 1, 1])
 
 
 def test_mode_vector_bilinears_exact():
@@ -123,7 +124,7 @@ def test_mode_vector_bilinears_exact():
     f = disc.mode_vector([lambda k, c=c: c * np.sqrt(k) for c in cs])
     g = disc.couplings / disc.modes.freqs
     for x, c in enumerate(cs):
-        block = disc.modes.site_of_mode == x
+        block = disc.couplings[x] != 0  # site x's own modes
         want_fg = c * (1.0 - kappa)  # integral of c sqrt(k) k^beta / k
         got_fg = np.vdot(f, g[x]).real  # g[x] vanishes off its own block
         assert abs(got_fg - want_fg) < 1e-12
@@ -199,6 +200,31 @@ def test_limit_state_singular_decoheres():
         vac.append(float(np.sum(np.abs(st.weights) ** 2 * np.exp(-0.5 * znorm2))))
     assert diffs[0] > diffs[1] > diffs[2]
     assert vac[0] > vac[1] > vac[2]
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_limit_state_resolves_a_profile_near_zero(eps):
+    """The non-Fock witness f_eps = c k^(-1/2) on (eps^2, eps) with
+    c = theta / ln(1/eps): <f_eps, g> = theta at every eps while
+    ||f_eps||^2 = theta^2 / ln(1/eps).  At beta = 1/2 the limit state is
+    sum_c |psi_c|^2 exp(-i alpha nu_c0 theta) exp(-||f||^2 / 4) for A_e = 1,
+    with psi the effective ground state at u - (alpha b(0))^2."""
+    fam = CutoffFamily(beta=0.5, big_k=1.0)
+    theta, alpha, u = 2.0, 0.5, 1.0
+    c = theta / np.log(1.0 / eps)
+    profiles = [lambda k: c / np.sqrt(k) if eps**2 < k < eps else 0.0, None]
+    fg, ff = _continuum_bilinears(fam, profiles)
+    assert abs(fg[0] - theta) <= 1e-12
+    assert abs(ff[0] - theta**2 / np.log(1.0 / eps)) <= 1e-12
+    basis = build_sector_basis(2, 2)
+    h = build_hubbard(basis, CHAIN2, u - (alpha * b_kappa(fam, 0.0)) ** 2)
+    psi = np.linalg.eigh(h.toarray())[1][:, 0]  # the unique singlet
+    nu0 = basis.occupations()[:, 0]
+    want = np.sum(np.abs(psi) ** 2 * np.exp(-1j * alpha * nu0 * theta)) * np.exp(
+        -0.25 * theta**2 / np.log(1.0 / eps)
+    )
+    got = limit_state(fam, CHAIN2, 2, u, alpha, np.eye(basis.dim), profiles)
+    assert abs(got - want) <= 1e-12
 
 
 def test_overlap_decay_curve_single_electron():

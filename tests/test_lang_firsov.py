@@ -394,7 +394,7 @@ def _dense_transformed(model):
         model.he_diagonal() - model.alpha**2 * model.r_diag(), model.fock.hb_diag()
     )
     h = np.diag(diag.ravel())
-    for x, y, src, dst, amp in hopping_moves(model.basis, model.hopping):
+    for x, y, src, dst, amp in zip(*hopping_moves(model.basis, model.hopping)):
         z = (model.alpha / np.sqrt(2.0)) * (model.g[x] - model.g[y])
         d = mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in z])
         h[dst * b : (dst + 1) * b, src * b : (src + 1) * b] += amp * d.real

@@ -2,25 +2,27 @@
 
 Oracles here are worked by hand: binomial dimensions, the exact two-site
 ground energy U/2 - sqrt((U/2)^2 + 4t^2), and canonical anticommutation
-relations evaluated on the full Fock space of a small lattice.
+relations evaluated on the full Fock space of a small lattice.  The
+array-wide sign kernel is also held to a word-at-a-time oracle: scalar
+c and c+ on one bit word, and the operator loops built on them.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hubbard_phonon.errors import SizingError, ValidationError
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
-    apply_c,
-    apply_c_dagger,
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
     fock_operator,
+    hopping_moves,
     number_operators,
     s_max,
     spin_spaces,
@@ -34,10 +36,12 @@ def test_sector_dimensions():
     for n_sites, n_e in [(1, 1), (2, 2), (3, 2), (4, 4), (3, 5)]:
         basis = build_sector_basis(n_sites, n_e)
         assert basis.dim == math.comb(2 * n_sites, n_e)
-        # states sorted ascending, index is the inverse map
+        # states sorted ascending, so searchsorted is the inverse map
+        assert basis.states.dtype == np.int64
         assert list(basis.states) == sorted(basis.states)
-        for i, w in enumerate(basis.states):
-            assert basis.index[w] == i
+        assert np.array_equal(
+            np.searchsorted(basis.states, basis.states), np.arange(basis.dim)
+        )
 
 
 def test_sector_occupations_sum():
@@ -54,6 +58,8 @@ def test_occupations_beyond_64_bit_words():
     assert np.all(up.sum(axis=1) + dn.sum(axis=1) == 2)
     # the largest word fills orbitals 78 and 79: site 39, both spins
     assert up[-1, 39] == 1 and dn[-1, 39] == 1
+    # words of 63 or more bits are exact Python integers
+    assert basis.states.dtype == object and basis.states[-1] == 3 << 78
 
 
 def test_sector_cap():
@@ -70,29 +76,35 @@ def test_electron_count_validation():
 
 def test_creation_sign_convention():
     # orbital p = 2x + s; the sign is the parity of occupied orbitals below p
-    w, sign = apply_c_dagger(0, 1, 0, 2)  # create in orbital 2 of empty word
-    assert w == 0b100 and sign == 1
-    w2, sign2 = apply_c_dagger(0b1, 1, 0, 2)  # one occupied orbital below
-    assert w2 == 0b101 and sign2 == -1
+    cd = fock_operator(2, 1, 0)  # c+ of orbital 2; the Fock row is the word
+    assert cd[0b100, 0] == 1  # create in orbital 2 of the empty word
+    assert cd[0b101, 0b1] == -1  # one occupied orbital below
     # double creation in the same orbital is forbidden
-    assert apply_c_dagger(0b100, 1, 0, 2) is None
+    assert not cd[:, 0b100].any()
     # annihilating an empty orbital is forbidden
-    assert apply_c(0, 0, 0, 2) is None
+    assert not fock_operator(2, 0, 0, dagger=False)[:, 0].any()
+
+
+def test_hopping_sign_convention():
+    # 2-site chain, t = -1, n_e = 2: from word 0b0011 (site 0 doubly
+    # occupied) the up electron hops by c+_2 c_0, sign (+1)(-1) (orbital 1
+    # is below 2 after c_0), and the down one by c+_3 c_1, sign (-1)(-1)
+    basis = build_sector_basis(2, 2)
+    x, y, src, dst, amp = hopping_moves(basis, HoppingMatrix.chain(2, t=-1.0))
+    first = [tuple(a[:2].tolist()) for a in (x, y, src, dst, amp)]
+    assert first == [(1, 1), (0, 0), (0, 0), (2, 3), (1.0, -1.0)]
+    assert basis.states[2] == 0b0110 and basis.states[3] == 0b1001
 
 
 def test_creation_anticommutes():
     # c_p^+ c_q^+ = - c_q^+ c_p^+ for p != q, checked on the empty word
-    def create2(x1, s1, x2, s2):
-        w, sgn = apply_c_dagger(0, x1, s1, 2)
-        out = apply_c_dagger(w, x2, s2, 2)
-        return (out[0], sgn * out[1]) if out is not None else None
-
     orbitals = [(x, s) for x in range(2) for s in range(2)]
-    for (x1, s1), (x2, s2) in itertools.combinations(orbitals, 2):
-        w_a, sgn_a = create2(x1, s1, x2, s2)
-        w_b, sgn_b = create2(x2, s2, x1, s1)
-        assert w_a == w_b
-        assert sgn_a == -sgn_b
+    cds = {o: fock_operator(2, *o) for o in orbitals}
+    for p, q in itertools.combinations(orbitals, 2):
+        a = (cds[p] @ cds[q])[:, 0]
+        b = (cds[q] @ cds[p])[:, 0]
+        assert np.count_nonzero(a) == 1
+        assert np.array_equal(a, -b)
 
 
 def test_car_full_fock_two_sites():
@@ -295,3 +307,147 @@ def test_spin_spaces_are_cached_and_read_only():
                 arr[0] = arr[0]
     spin_spaces.cache_clear()
     assert spin_spaces(build_sector_basis(4, 3)) is not spaces
+
+
+# -- the sign kernel against a word-at-a-time oracle ----------------------------
+
+
+def _parity_below(word, p):
+    """Oracle: (-1)**(occupied orbitals strictly below p) of one word."""
+    return -1 if (word & ((1 << p) - 1)).bit_count() & 1 else 1
+
+
+def _apply_c_dagger(word, x, s):
+    """Oracle: c+ of orbital (x, s) on one word: ``(new_word, sign)``, or
+    None when the orbital is occupied."""
+    p = 2 * x + s
+    if word >> p & 1:
+        return None
+    return word | (1 << p), _parity_below(word, p)
+
+
+def _apply_c(word, x, s):
+    """Oracle: annihilation counterpart of :func:`_apply_c_dagger`."""
+    p = 2 * x + s
+    if not word >> p & 1:
+        return None
+    return word & ~(1 << p), _parity_below(word, p)
+
+
+def _coo_csr(dim, rows, cols, vals):
+    return sp.csr_matrix(
+        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(dim, dim)
+    )
+
+
+def _oracle_hopping_moves(basis, hopping):
+    """Oracle: ``(x, y, src, dst, amp)`` per move, in (src, x, y, spin) order."""
+    t = hopping.mat
+    n = basis.n_sites
+    index = {w: i for i, w in enumerate(basis.states.tolist())}
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y and t[x, y] != 0.0]
+    for i, w in enumerate(index):
+        for x, y in pairs:
+            for s in (0, 1):
+                hop = _apply_c(w, y, s)
+                if hop is None:
+                    continue
+                w1, sgn1 = hop
+                created = _apply_c_dagger(w1, x, s)
+                if created is None:
+                    continue
+                w2, sgn2 = created
+                yield x, y, i, index[w2], t[x, y] * sgn1 * sgn2
+
+
+def _oracle_hubbard(basis, hopping, u):
+    t = hopping.mat
+    up, dn = basis.spin_occupations()
+    diag = np.zeros(basis.dim)
+    for x in range(basis.n_sites):
+        diag += t[x, x] * (up[:, x] + dn[:, x]) + u * up[:, x] * dn[:, x]
+    nz = np.flatnonzero(diag)
+    rows, cols, vals = list(nz), list(nz), list(diag[nz])
+    for _, _, src, dst, amp in _oracle_hopping_moves(basis, hopping):
+        rows.append(dst)
+        cols.append(src)
+        vals.append(amp)
+    return _coo_csr(basis.dim, rows, cols, vals)
+
+
+def _oracle_spin_operators(basis):
+    index = {w: i for i, w in enumerate(basis.states.tolist())}
+    rows, cols, vals = [], [], []
+    up, dn = basis.spin_occupations()
+    sz_diag = 0.5 * (up - dn).sum(axis=1)
+    for i, w in enumerate(index):
+        for x in range(basis.n_sites):
+            lowered = _apply_c(w, x, 1)
+            if lowered is None:
+                continue
+            w1, sgn1 = lowered
+            raised = _apply_c_dagger(w1, x, 0)
+            if raised is None:
+                continue
+            w2, sgn2 = raised
+            rows.append(index[w2])
+            cols.append(i)
+            vals.append(float(sgn1 * sgn2))
+    splus = _coo_csr(basis.dim, rows, cols, vals)
+    sminus = splus.T.tocsr()
+    sz = sp.diags(sz_diag).tocsr()
+    s_squared = (sminus @ splus + sp.diags(sz_diag**2 + sz_diag)).tocsr()
+    return 0.5 * (splus + sminus), -0.5j * (splus - sminus), sz, s_squared
+
+
+def _oracle_fock_operator(n_sites, x, s, dagger):
+    dim = 4**n_sites
+    m = np.zeros((dim, dim))
+    for w in range(dim):
+        out = _apply_c_dagger(w, x, s) if dagger else _apply_c(w, x, s)
+        if out is not None:
+            w2, sign = out
+            m[w2, w] = sign
+    return m
+
+
+def _csr_bytes(m):
+    arrays = (m.indptr, m.indices, m.data)
+    return m.shape, [a.dtype for a in arrays], [a.tobytes() for a in arrays]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.sampled_from([1, 2, 3, 4, 5, 32, 33]),
+    seed=st.integers(0, 2**32 - 1),
+    u=st.floats(-4.0, 4.0),
+)
+@example(n_sites=32, seed=1, u=0.5)
+@example(n_sites=33, seed=2, u=-1.5)
+def test_sign_kernel_matches_the_word_at_a_time_oracle(n_sites, seed, u):
+    """Moves (values and order), the Hubbard and spin CSRs (index pointers,
+    indices, data and their dtypes) and the full-Fock c and c+ equal the
+    scalar oracle's, on a random symmetric hopping with zero bonds, at every
+    n_e up to 5 sites and n_e <= 2 on 32 and 33 sites (64- and 66-bit
+    words)."""
+    rng = np.random.default_rng(seed)
+    density = 0.6 if n_sites <= 5 else 6.0 / n_sites**2
+    a = np.where(rng.random((n_sites, n_sites)) < density,
+                 rng.standard_normal((n_sites, n_sites)), 0.0)
+    hop = HoppingMatrix(a + a.T)
+    for n_e in range(2 * n_sites + 1 if n_sites <= 5 else 3):
+        basis = build_sector_basis(n_sites, n_e)
+        moves = hopping_moves(basis, hop)
+        assert moves[-1].dtype == np.float64
+        got = list(zip(*(m.tolist() for m in moves)))
+        assert got == list(_oracle_hopping_moves(basis, hop))
+        assert _csr_bytes(build_hubbard(basis, hop, u)) == _csr_bytes(
+            _oracle_hubbard(basis, hop, u)
+        )
+        spins = zip(build_spin_operators(basis), _oracle_spin_operators(basis))
+        for op, want in spins:
+            assert _csr_bytes(op) == _csr_bytes(want)
+    if n_sites <= 3:
+        for x, s, dagger in itertools.product(range(n_sites), (0, 1), (True, False)):
+            want = _oracle_fock_operator(n_sites, x, s, dagger)
+            assert fock_operator(n_sites, x, s, dagger).tobytes() == want.tobytes()
