@@ -63,12 +63,14 @@ class TruncatedFock:
     """Occupation-number truncation of the boson Fock space.
 
     Every mode keeps levels 0..n_max.  Operators that raise occupation are
-    exact on vectors supported strictly below the truncation edge.
+    exact on vectors supported strictly below the truncation edge.  At
+    ``n_max`` 0 the space holds the vacuum alone: a model that only does
+    coherent-cloud arithmetic takes it, and no size cap can fire.
     """
 
     def __init__(self, modes: ModeSet, n_max: int):
-        if n_max < 1:
-            raise ValidationError("n_max must be >= 1")
+        if n_max < 0:
+            raise ValidationError("n_max must be >= 0")
         self.modes = modes
         self.n_max = int(n_max)
         dim = (self.n_max + 1) ** modes.m

@@ -582,7 +582,7 @@ def cmd_ir(cfg, args) -> int:
     for kap, b2, g2 in scan:
         model = CoupledModel.from_family(
             hopping.n_sites, n_e, hopping, u, alpha, fam, kap,
-            modes_per_site=int(cfg["modes"]["per_site"]), n_max=2,
+            modes_per_site=int(cfg["modes"]["per_site"]), n_max=0,
         )
         disc = discretize(fam, kap, int(cfg["modes"]["per_site"]), hopping.n_sites)
         f = disc.mode_vector(profiles)

@@ -11,7 +11,6 @@ precision) by a handful of modes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .lang_firsov import CoupledModel, dressed_ground
 from .lattice_fermions import build_hubbard, build_sector_basis
-from .magnetism import spin_ground_space
+from .magnetism import effective_params, spin_ground_space
 
 DEFAULT_KAPPAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -90,8 +89,12 @@ def norm_omega_power(family: CutoffFamily, s: float, kappa: float) -> NormValue:
     """||omega**(-s) lambda||^2 = int_kappa^K k**(2(beta-s)) dk, two ways.
 
     The closed form and an adaptive quadrature are both returned and must
-    agree to 1e-10 relative.  At kappa = 0 a divergent integral raises
-    :class:`InfraredDivergenceError` tagged with its divergence class.
+    agree to 1e-10 relative.  The quadrature integrates e^((p+1) v) over
+    v = ln k in (ln kappa, ln K), -inf at kappa = 0: a singular k**p puts
+    its mass next to a tiny kappa, where a rule in k misses it, while the
+    integrand in v is smooth at every cutoff.  At kappa = 0 a divergent
+    integral raises :class:`InfraredDivergenceError` tagged with its
+    divergence class.
     """
     if kappa < 0 or kappa >= family.big_k:
         raise ValidationError("kappa must lie in [0, K)")
@@ -105,11 +108,14 @@ def norm_omega_power(family: CutoffFamily, s: float, kappa: float) -> NormValue:
     closed = _closed_power_integral(p, kappa, family.big_k) if kappa > 0 else float(
         family.big_k ** (p + 1.0) / (p + 1.0)
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        quad_val, _ = integrate.quad(
-            lambda k: k**p, kappa, family.big_k, epsabs=0.0, epsrel=1e-13, limit=200
-        )
+    quad_val, _ = integrate.quad(
+        lambda v: np.exp((p + 1.0) * v),
+        np.log(kappa) if kappa > 0 else -np.inf,
+        np.log(family.big_k),
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=200,
+    )
     if abs(quad_val - closed) > 1e-10 * max(1.0, abs(closed)):
         raise AccuracyError(
             f"quadrature {quad_val!r} and closed form {closed!r} disagree "
@@ -330,8 +336,7 @@ def limit_state(
     a_e = np.asarray(a_e)
     if a_e.shape != (basis.dim, basis.dim):
         raise ValidationError("A_e must act on the electron sector")
-    b0 = b_kappa(family, 0.0)
-    u_eff = u - (alpha * b0) ** 2
+    u_eff = effective_params(u, alpha, b_kappa(family, 0.0)).u_eff
     rep = spin_ground_space(build_hubbard(basis, hopping, u_eff), basis)
     psi = rep.vectors[:, 0].astype(complex)
     nu = basis.occupations()
@@ -378,9 +383,11 @@ def overlap_decay_curve(
 ):
     """|<psi_ref x vacuum, dressed ground>| along a cutoff sequence.
 
-    Works entirely in coherent-cloud arithmetic, so no Fock truncation
-    enters.  The reference electronic vector defaults to the effective
-    ground state at the first (largest) kappa.
+    Works entirely in coherent-cloud arithmetic, so each cutoff's model sits
+    on the vacuum-only space (``n_max`` 0) and no Fock truncation enters;
+    every ``modes_per_site`` from 2 to 12 runs.  The reference electronic
+    vector defaults to the effective ground state at the first (largest)
+    kappa.
     """
     rows = []
     for kap in kappas:
@@ -393,7 +400,7 @@ def overlap_decay_curve(
             family,
             kap,
             modes_per_site=modes_per_site,
-            n_max=2,  # metadata only; nothing is materialized
+            n_max=0,
         )
         state, rep = dressed_ground(model)
         if psi_ref is None:

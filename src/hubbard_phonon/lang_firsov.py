@@ -73,6 +73,10 @@ class CoupledModel:
 
     ``basis`` is a whole particle-number sector (:class:`SectorBasis`) or
     one total spin's highest-weight states in it (:class:`SpinSpace`).
+    ``couplings`` is any real (n_sites, m) matrix; channels of different
+    sites may overlap.  Routes that never materialize a boson vector (the
+    coherent-cloud arithmetic of ``ir``) take the vacuum-only space,
+    ``n_max`` 0.
     """
 
     def __init__(
@@ -113,25 +117,6 @@ class CoupledModel:
         self.he = build_hubbard(basis, hopping, u)
         self.dim = basis.dim * fock.dim
 
-    # -- scalar structure -------------------------------------------------
-
-    def channel_norm(self) -> float:
-        """Common per-site coupling norm b = ||lambda_x / sqrt(omega)||.
-
-        Requires exactly orthogonal channels across sites and equal norms;
-        both hold by construction for per-site disjoint mode blocks.
-        """
-        g = self.overlap_w1
-        off = g - np.diag(np.diag(g))
-        if np.max(np.abs(off)) > 0.0:
-            raise ValidationError(
-                "coupling channels overlap across sites; no common norm"
-            )
-        d = np.diag(g)
-        if np.max(d) - np.min(d) > 1e-12 * max(1.0, np.max(np.abs(d))):
-            raise ValidationError("per-site coupling norms differ")
-        return float(np.sqrt(d[0]))
-
     def z_table(self) -> np.ndarray:
         """Per-configuration displacement amplitudes, shape (F, m), read-only."""
         return self._z
@@ -140,18 +125,15 @@ class CoupledModel:
         """Diagonal of R = (1/2) sum_xy <l_x/sqrt w, l_y/sqrt w> n_x n_y."""
         return 0.5 * np.einsum("cx,xy,cy->c", self.nu, self.overlap_w1, self.nu)
 
-    def he_diagonal(self) -> np.ndarray:
-        return self.he.diagonal()
-
-    # -- effective electronic model ---------------------------------------
-
     def effective_electronic(self):
-        """H_e with u -> u - (alpha b)^2 and the per-electron shift."""
-        b2 = self.channel_norm() ** 2
-        g2 = self.alpha**2 * b2
-        h = build_hubbard(self.basis, self.hopping, self.u - g2)
-        shift = 0.5 * g2 * self.basis.n_e
-        return (h - shift * sp.identity(self.basis.dim)).tocsr()
+        """H_e^eff = H_e - alpha^2 R, CSR: the dressing V^{-1} H V turns the
+        coupling into -alpha^2 R x 1 exactly, for every real coupling matrix.
+
+        For disjoint channels of equal norm b this is H_e at u - (alpha b)^2
+        with every electron's energy lowered by (alpha b)^2 / 2, the scalar
+        form of :func:`magnetism.effective_params`.
+        """
+        return (self.he - sp.diags(self.alpha**2 * self.r_diag())).tocsr()
 
     # -- block application of V -------------------------------------------
 
@@ -437,9 +419,7 @@ class EffectiveHamiltonians:
                     rights.append(vt[:rank])
                     zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
                     pairs.append((slice(start, start + rank), zdiff))
-            diag = np.add.outer(
-                sec.he_diagonal() - sec.alpha**2 * sec.r_diag(), sec.fock.hb_diag()
-            )
+            diag = np.add.outer(sec.effective_electronic().diagonal(), sec.fock.hb_diag())
             self._dressed[space.s] = diag, np.hstack(lefts), np.vstack(rights), pairs
 
     def transformed_matvec(self, vec, s: float):
@@ -549,23 +529,25 @@ def heisenberg_evolution_check(
     evals, evecs = eigensolve(model.effective_electronic(), k=model.basis.dim)
     fock = model.fock
 
+    def free_step(y, t):
+        """e^{-i t He_eff} x e^{-i t H_b} on an (F, B) array; the product is
+        taken while no row temporary is alive, the boson phase in place."""
+        y = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T @ y
+        y *= np.exp(-1j * t * fock.hb_diag())
+        return y
+
     def residual(kept, mask, t):
         f_t = np.exp(1j * t * fock.modes.freqs) * f
         scalar, scalar_t = _dressed_scalar(model, f), _dressed_scalar(model, f_t)
-        # each (F, B) product is taken while no row temporary is alive
         y = model.apply_unitary(_unpack(kept, mask), inverse=True).reshape(-1, fock.dim)
-        y = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T @ y  # e^{-i t He_eff}
-        phase = np.exp(-1j * t * fock.hb_diag())
+        y = free_step(y, t)
         for c, row in enumerate(y):  # V^{-1} a_dressed(f) U(t) psi
-            row *= phase
             y[c] = model.displace_row(
                 c, _annihilate_row(fock, f, scalar[c], model.displace_row(c, row)), inverse=True
             )
-        y = (evecs * np.exp(-1j * (-t) * evals)) @ evecs.conj().T @ y
-        phase = np.exp(-1j * (-t) * fock.hb_diag())
+        y = free_step(y, -t)
         sq = 0.0
         for c, row in enumerate(y):  # U(-t) a_dressed(f) U(t) psi - a_dressed(f_t) psi
-            row *= phase
             lhs = model.displace_row(c, row)
             lhs -= _annihilate_row(fock, f_t, scalar_t[c], _unpack(kept[c], mask))
             sq += np.vdot(lhs, lhs).real

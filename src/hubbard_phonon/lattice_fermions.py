@@ -59,8 +59,10 @@ class HoppingMatrix:
             raise ValidationError("hopping matrix must be square")
         if a.shape[0] < 1:
             raise ValidationError("hopping matrix must have at least one site")
-        asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-        scale = np.max(np.abs(a)) if a.size else 0.0
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("hopping amplitudes must be finite")
+        asym = np.max(np.abs(a - a.T))
+        scale = np.max(np.abs(a))
         if asym > 1e-12 * max(1.0, scale):
             raise ValidationError(
                 "hopping matrix must be symmetric: max|t - t.T| = %g" % asym

@@ -393,6 +393,16 @@ def test_weyl_guards():
         weyl(_space([1.0, 1.0], 4), np.array([0.1]))
 
 
+def test_vacuum_only_space():
+    """n_max 0 keeps the vacuum alone however many modes there are: the space
+    of a model that only does coherent-cloud arithmetic."""
+    space = _space(np.ones(24), 0)
+    assert space.dim == 1 and space.occupations().shape == (1, 24)
+    assert space.hb_diag().tolist() == [0.0]
+    with pytest.raises(ValidationError):
+        _space([1.0], -1)
+
+
 def test_relative_field_bound_margin():
     # ||phi(f) psi|| <= (1/sqrt 2)(2 ||f/sqrt(omega)|| ||(H_b)^(1/2) psi|| + ||f||)
     space = _space([1.0, 0.2], 8)

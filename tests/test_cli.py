@@ -448,6 +448,34 @@ def test_ir_csv(tmp_path):
     assert wl[0] > wl[1] > wl[2]
 
 
+def test_ir_runs_every_per_site_on_the_vacuum_space(tmp_path):
+    """ir builds no boson space, so per_site 6-12 (up to 24 modes) run, and
+    the moment-matched norms make their rows those of per_site 2."""
+
+    def values(per_site):
+        cfg = tmp_path / f"ps{per_site}.yaml"
+        cfg.write_text(f"modes: {{per_site: {per_site}}}\n")
+        out = tmp_path / f"ps{per_site}"
+        assert main(["--config", str(cfg), "--out", str(out), "ir"]) == 0
+        _, rows = _read_csv(out / "ir.csv")
+        return np.array([[float(v) for v in r.values()] for r in rows])
+
+    want = values(2)
+    for per_site in (6, 9, 12):
+        assert np.max(np.abs(values(per_site) - want)) <= 1e-10
+
+
+def test_ir_scans_a_power_singular_family_to_tiny_cutoffs(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {beta: 0.3, kappas: [1.0e-2, 1.0e-8]}\n")
+    out = tmp_path / "runs"
+    assert main(["--config", str(cfg), "--out", str(out), "ir"]) == 0
+    meta, rows = _read_csv(out / "ir.csv")
+    assert meta["singularity_class"] == "PowerSingular"
+    assert abs(float(meta["fitted_rate"]) - (2 * 0.3 - 1)) < 0.02
+    assert len(rows) == 2
+
+
 BAD_CONFIGS = [
     ("lattice: 5\n", "lattice"),
     ("electrons:\n", "electrons"),

@@ -26,7 +26,6 @@ from hubbard_phonon.boson_fock import (
     mode_kron,
     relative_bound_check,
 )
-from hubbard_phonon.eigensolver import eigensolve
 from hubbard_phonon.errors import SizingError, ValidationError
 from hubbard_phonon.lang_firsov import (
     TRIAL_OCCUPATION,
@@ -137,8 +136,23 @@ def oracle_annihilation(model, state, f):
     return float(np.linalg.norm(_oracle_dressed_annihilator(model, f, state.vector())))
 
 
+def oracle_effective_electronic(model):
+    """Dense H_e - alpha^2 R with R_c = (1/2) sum_xy nu_x nu_y sum_j
+    lambda_xj lambda_yj / omega_j, summed term by term over sites and modes."""
+    w = model.fock.modes.freqs
+    n = model.basis.n_sites
+    r = np.zeros(model.basis.dim)
+    for c, nu in enumerate(model.basis.occupations()):
+        for x in range(n):
+            for y in range(n):
+                for j in range(w.size):
+                    r[c] += 0.5 * nu[x] * nu[y] * model.lam[x, j] * model.lam[y, j] / w[j]
+    he = build_hubbard(model.basis, model.hopping, model.u).toarray()
+    return he - model.alpha**2 * np.diag(r)
+
+
 def oracle_heisenberg(model, f, times, n_trials, rng):
-    evals, evecs = eigensolve(model.effective_electronic(), k=model.basis.dim)
+    evals, evecs = np.linalg.eigh(oracle_effective_electronic(model))
     hb = model.fock.hb_diag()
     w = model.fock.modes.freqs
 
@@ -179,7 +193,8 @@ def _interior(model, rng, occ_cap=2):
 
 def test_channel_metadata():
     m = M6
-    assert abs(m.channel_norm() - np.sqrt(0.9)) < 1e-12
+    # per-site coupling norm b^2 = ||lambda_x / sqrt(omega)||^2 = 0.9
+    assert np.max(np.abs(np.diag(m.overlap_w1) - 0.9)) < 1e-12
     # per-site boson channels are disjoint by construction
     off = m.overlap_w1 - np.diag(np.diag(m.overlap_w1))
     assert np.max(np.abs(off)) == 0.0
@@ -387,11 +402,36 @@ def _random_model(n_sites, n_e, seed, u, alpha, n_max):
     )
 
 
+@pytest.mark.parametrize("n_sites, n_e", [(2, 1), (2, 2), (3, 2), (3, 3)])
+def test_overlapping_channels_read_the_general_shift(n_sites, n_e):
+    """Random couplings put every site on both modes, so the channels
+    overlap and no common norm b exists.  The effective model H_e - alpha^2 R
+    still holds: the dressed ground state, the product levels and the
+    Heisenberg check all read the term-by-term oracle's shift."""
+    model = _random_model(n_sites, n_e, 31 * n_sites + n_e, 1.5, 0.8, 3)
+    off = model.overlap_w1 - np.diag(np.diag(model.overlap_w1))
+    assert np.max(np.abs(off)) > 0.1
+    he_eff = oracle_effective_electronic(model)
+    levels = np.linalg.eigvalsh(he_eff)
+    state, rep = dressed_ground(model)
+    assert abs(rep.e0 - levels[0]) <= 1e-12
+    assert np.linalg.norm(he_eff @ state.weights - levels[0] * state.weights) <= 1e-10
+    grid = np.sort(np.add.outer(levels, model.fock.hb_diag()).ravel())
+    product = effective_hamiltonians(model).product_lowest(6)
+    assert np.max(np.abs(product - grid[:6])) <= 1e-12
+    f = _unit_amplitudes(np.random.default_rng(n_e), model.fock.modes.m)
+    times = (0.1, 1.0, 10.0)
+    assert _close(
+        heisenberg_evolution_check(model, f, times, 2, np.random.default_rng(5)),
+        oracle_heisenberg(model, f, times, 2, np.random.default_rng(5)),
+    )
+
+
 def _dense_transformed(model):
     """The transformed Hamiltonian assembled entry block by entry block."""
     b = model.fock.dim
     diag = np.add.outer(
-        model.he_diagonal() - model.alpha**2 * model.r_diag(), model.fock.hb_diag()
+        model.he.diagonal() - model.alpha**2 * model.r_diag(), model.fock.hb_diag()
     )
     h = np.diag(diag.ravel())
     for x, y, src, dst, amp in zip(*hopping_moves(model.basis, model.hopping)):

@@ -204,6 +204,15 @@ def test_hopping_validation_and_connectivity():
     assert not HoppingMatrix(blocks).connected
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+def test_non_finite_hopping_is_refused(bad, where):
+    a = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    a[where] = a[where[::-1]] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        HoppingMatrix(a)
+
+
 def test_s_max_values():
     assert s_max(3, 4) == 1.5
     assert s_max(6, 4) == 1.0
