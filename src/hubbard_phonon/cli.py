@@ -567,11 +567,13 @@ def cmd_ir(cfg, args) -> int:
     u = float(cfg["interaction"]["u"])
     alpha = float(cfg["coupling"]["alpha"])
     scan, rate, expected = divergence_report(fam, kappas)
+    # one discretization per cutoff serves the overlap curve and the rows
+    per_site = int(cfg["modes"]["per_site"])
+    discs = {kap: discretize(fam, kap, per_site, hopping.n_sites) for kap in kappas}
     curve = dict(
-        (k, v)
-        for k, v in overlap_decay_curve(
-            fam, hopping, n_e, u, alpha, kappas=sorted(kappas, reverse=True),
-            modes_per_site=int(cfg["modes"]["per_site"]),
+        overlap_decay_curve(
+            fam, hopping, n_e, u, alpha,
+            discretizations=[discs[k] for k in sorted(kappas, reverse=True)],
         )
     )
     basis = build_sector_basis(hopping.n_sites, n_e)
@@ -580,11 +582,8 @@ def cmd_ir(cfg, args) -> int:
     lim = limit_state(fam, hopping, n_e, u, alpha, a_e, profiles)
     rows = []
     for kap, b2, g2 in scan:
-        model = CoupledModel.from_family(
-            hopping.n_sites, n_e, hopping, u, alpha, fam, kap,
-            modes_per_site=int(cfg["modes"]["per_site"]), n_max=0,
-        )
-        disc = discretize(fam, kap, int(cfg["modes"]["per_site"]), hopping.n_sites)
+        disc = discs[kap]
+        model = CoupledModel.from_discretization(disc, n_e, hopping, u, alpha, n_max=0)
         f = disc.mode_vector(profiles)
         wv = weyl_state(model, a_e, f)
         rows.append(

@@ -261,7 +261,8 @@ def eigensolve(h, k: int = 6, tol: float = 0.0):
     densified once and solved dense for the pairs asked for only:
     ``k < dim - 1`` by ``scipy.linalg.eigh(subset_by_index=[0, k - 1])``,
     otherwise all of them by ``np.linalg.eigh``, then truncated.
-    ``k >= dim - 1`` always goes dense for matrices.  The rest, and every
+    ``k >= dim - 1`` always goes dense, a linear operator applied to the
+    identity first (ARPACK needs k < dim - 1).  The rest, and every other
     linear operator, goes to ARPACK on a Chebyshev filter p(H) of the matrix
     (:func:`_filtered_lanczos`).  ``tol`` is passed to ``eigsh`` and so acts
     on p(H), not on H: it is ARPACK's relative accuracy of the eigenvalues
@@ -276,6 +277,8 @@ def eigensolve(h, k: int = 6, tol: float = 0.0):
     if k < 1:
         raise ValidationError("k must be >= 1")
     k = min(k, dim)
+    if _is_operator(h) and k >= dim - 1:
+        h = h.matmat(np.eye(dim))
 
     if isinstance(h, np.ndarray) or (sp.issparse(h) and _dense_pays(k, dim)):
         a = h if isinstance(h, np.ndarray) else h.toarray()
@@ -286,11 +289,6 @@ def eigensolve(h, k: int = 6, tol: float = 0.0):
             return sla.eigh(a, subset_by_index=[0, k - 1])
         vals, vecs = np.linalg.eigh(a)
         return vals[:k], vecs[:, :k]
-
-    if _is_operator(h) and k >= dim - 1:
-        raise ValidationError(
-            f"k = {k} too close to dim = {dim} for the iterative path"
-        )
     return _filtered_lanczos(h, k, tol)
 
 

@@ -380,6 +380,7 @@ def overlap_decay_curve(
     kappas=DEFAULT_KAPPAS,
     modes_per_site: int = 2,
     psi_ref=None,
+    discretizations=None,
 ):
     """|<psi_ref x vacuum, dressed ground>| along a cutoff sequence.
 
@@ -387,27 +388,23 @@ def overlap_decay_curve(
     on the vacuum-only space (``n_max`` 0) and no Fock truncation enters;
     every ``modes_per_site`` from 2 to 12 runs.  The reference electronic
     vector defaults to the effective ground state at the first (largest)
-    kappa.
+    kappa.  A caller that has discretized the cutoffs already passes one
+    :class:`Discretization` per cutoff as ``discretizations``, which then
+    stand for ``kappas`` and ``modes_per_site``.
     """
+    if discretizations is None:
+        discretizations = [
+            discretize(family, kap, modes_per_site, hopping.n_sites) for kap in kappas
+        ]
     rows = []
-    for kap in kappas:
-        model = CoupledModel.from_family(
-            hopping.n_sites,
-            n_e,
-            hopping,
-            u,
-            alpha,
-            family,
-            kap,
-            modes_per_site=modes_per_site,
-            n_max=0,
-        )
+    for disc in discretizations:
+        model = CoupledModel.from_discretization(disc, n_e, hopping, u, alpha, n_max=0)
         state, rep = dressed_ground(model)
         if psi_ref is None:
             psi_ref = rep.vectors[:, 0].astype(complex)
         z2 = np.sum(np.abs(state.z) ** 2, axis=1)
         val = np.sum(np.conj(psi_ref) * state.weights * np.exp(-0.5 * z2))
-        rows.append((float(kap), float(np.abs(val))))
+        rows.append((float(disc.kappa), float(np.abs(val))))
     return rows
 
 

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .boson_fock import (
+    ModeSet,
     TruncatedFock,
     apply_displacement,
     apply_field,
@@ -57,6 +58,7 @@ __all__ = [
     "verify_transform_hb",
     "TransformNbReport",
     "verify_transform_nb",
+    "active_frame",
     "EffectiveHamiltonians",
     "effective_hamiltonians",
     "annihilation_residual",
@@ -190,9 +192,16 @@ class CoupledModel:
         from .ir_modes import discretize
 
         disc = discretize(family, kappa, modes_per_site, n_sites=n_sites)
-        basis = build_sector_basis(n_sites, n_e)
-        fock = TruncatedFock(disc.modes, n_max)
-        return cls(basis, hopping, u, alpha, fock, disc.couplings)
+        return cls.from_discretization(disc, n_e, hopping, u, alpha, n_max=n_max)
+
+    @classmethod
+    def from_discretization(
+        cls, disc, n_e: int, hopping: HoppingMatrix, u: float, alpha: float, *, n_max: int
+    ):
+        """Build the model on the modes and couplings of a
+        :class:`ir_modes.Discretization` already made."""
+        basis = build_sector_basis(disc.n_sites, n_e)
+        return cls(basis, hopping, u, alpha, TruncatedFock(disc.modes, n_max), disc.couplings)
 
     def __repr__(self):
         return (
@@ -375,20 +384,67 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
 # -- effective Hamiltonians ---------------------------------------------------
 
 
+def active_frame(freqs, g):
+    """Active and free modes of the transformed route.
+
+    A hop x -> y displaces the bosons by (alpha/sqrt 2)(g_x - g_y).  H_b is
+    unchanged by any orthogonal rotation inside a shell of equal
+    frequencies, so a shell of n modes on which the site differences
+    g_x - g_y span a rank 0 < r < n is rotated onto an orthonormal basis of
+    that span: r active modes, and n - r free modes that no hop displaces.
+    Every other shell keeps its modes, unrotated and in their order.
+
+    Returns ``(rotation, active, free)``: the (m, m_active) isometry whose
+    columns are the active modes, their frequencies and the free modes'.
+    """
+    x, y = np.triu_indices(g.shape[0], 1)
+    diffs = g[x] - g[y]
+    columns, active, free = [], [], []
+    for j, w in enumerate(freqs):
+        shell = np.flatnonzero(freqs == w)
+        _, sv, vt = np.linalg.svd(diffs[:, shell])
+        rank = int(np.sum(sv > sv.max(initial=0.0) * max(diffs.shape) * np.finfo(float).eps))
+        if not 0 < rank < shell.size:
+            columns.append(np.eye(freqs.size)[j])
+            active.append(w)
+        elif j == shell[0]:
+            rotated = np.zeros((rank, freqs.size))
+            rotated[:, shell] = vt[:rank]
+            columns += list(rotated)
+            active += [w] * rank
+            free += [w] * (shell.size - rank)
+    return np.column_stack(columns), np.array(active), np.array(free)
+
+
+def _free_ladder(freqs, k: int) -> np.ndarray:
+    """Lowest k values of sum_f n_f omega_f over all occupations n_f >= 0:
+    the exact spectrum of free oscillators, merged one mode at a time."""
+    levels = np.zeros(1)
+    for w in freqs:
+        levels = np.sort(np.add.outer(levels, w * np.arange(k)).ravel())[:k]
+    return levels
+
+
 class EffectiveHamiltonians:
     """Direct, transformed-assembled and product-form Hamiltonians.
 
     ``transformed`` realizes V^{-1} (H_e x 1) V - alpha^2 R x 1 + 1 x H_b
     analytically: hopping terms pick up the displacement D((alpha/sqrt 2)
-    (g_x - g_y)) while all diagonal pieces stay diagonal.  The displacement
+    (g_x - g_y)) while all diagonal pieces stay diagonal.  No hop displaces
+    the free modes of :func:`active_frame`, so V^{-1} H V is exactly
+    (active operator) x 1 + 1 x sum_f omega_f n_f: ``transformed`` acts on
+    the active modes' box at the model's ``n_max`` only, with the full
+    model's H_e - alpha^2 R on its diagonal, and ``transformed_lowest``
+    adds the free ladder (:func:`_free_ladder`) exactly.  A model without a
+    split shell keeps every mode active and unrotated.  The displacement
     of a pair (x, y) acts on the boson index and its hop matrix H_xy on the
     configuration index, so the two commute: with H_xy = L R factored to
     its rank, the matvec displaces the rows of R t, not every source row.
     Its spectrum must match the direct Hamiltonian's because the two are
-    exactly unitarily equivalent.  The product form H_e^eff x 1 + 1 x H_b
-    drops the dressing of the hopping; its spectrum is NOT equal to the
-    direct one in general and is exposed separately so the deviation can be
-    measured.
+    exactly unitarily equivalent; each route has its own truncation.  The
+    product form H_e^eff x 1 + 1 x H_b drops the dressing of the hopping;
+    its spectrum is NOT equal to the direct one in general and is exposed
+    separately so the deviation can be measured.
 
     Both commute with S^2 and S_z (n_x is a spin scalar), so both act per
     total spin s on ``sectors[s]``, the model on the highest-weight states
@@ -397,6 +453,8 @@ class EffectiveHamiltonians:
 
     def __init__(self, model: CoupledModel):
         self.model = model
+        self.rotation, active, self.free_freqs = active_frame(model.fock.modes.freqs, model.g)
+        self.active = TruncatedFock(ModeSet(active), model.fock.n_max)
         n = model.basis.dim
         hops = {}  # each (x, y) pair's hop matrix on the sector
         for x, y, src, dst, amp in zip(*hopping_moves(model.basis, model.hopping)):
@@ -408,7 +466,7 @@ class EffectiveHamiltonians:
             )
             # each pair's hop on the space factored at its numerical rank
             # (SVD) as left @ right; the factors of all pairs are stacked,
-            # and each pair names its rows and displacement
+            # and each pair names its rows and its active displacement
             lefts, rights, pairs = [np.zeros((space.dim, 0))], [np.zeros((0, space.dim))], []
             for (x, y), hop in hops.items():
                 u, sv, vt = np.linalg.svd(space.q.T @ hop @ space.q)
@@ -418,23 +476,23 @@ class EffectiveHamiltonians:
                     lefts.append(u[:, :rank] * sv[:rank])
                     rights.append(vt[:rank])
                     zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
-                    pairs.append((slice(start, start + rank), zdiff))
-            diag = np.add.outer(sec.effective_electronic().diagonal(), sec.fock.hb_diag())
+                    pairs.append((slice(start, start + rank), zdiff @ self.rotation))
+            diag = np.add.outer(sec.effective_electronic().diagonal(), self.active.hb_diag())
             self._dressed[space.s] = diag, np.hstack(lefts), np.vstack(rights), pairs
 
     def transformed_matvec(self, vec, s: float):
-        sec = self.sectors[s]
         diag, left, right, pairs = self._dressed[s]
-        t = np.asarray(vec).reshape(sec.basis.dim, sec.fock.dim)
+        t = np.asarray(vec).reshape(diag.shape)
         y = right @ t
         for rows, zdiff in pairs:
-            y[rows] = apply_displacement(sec.fock, zdiff, y[rows])
+            y[rows] = apply_displacement(self.active, zdiff, y[rows])
         out = left @ y
         out += diag * t
         return out.reshape(-1)
 
     def transformed(self, s: float) -> spla.LinearOperator:
-        dim = self.sectors[s].dim
+        """The active operator of spin s, on (spin space) x (active box)."""
+        dim = self._dressed[s][0].size
         return spla.LinearOperator(
             shape=(dim, dim),
             matvec=lambda v: self.transformed_matvec(v, s),
@@ -452,25 +510,27 @@ class EffectiveHamiltonians:
         return np.sort(np.partition(grid, min(k, grid.size - 1))[:k])
 
     def direct_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        return self._lowest(self.direct, k, tol)
+        return self._lowest(self.direct, k, tol, np.zeros(1))
 
     def transformed_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        return self._lowest(self.transformed, k, tol)
+        """Each spin's active levels plus the exact free ladder."""
+        return self._lowest(self.transformed, k, tol, _free_ladder(self.free_freqs, k))
 
-    def _lowest(self, operator, k: int, tol: float) -> np.ndarray:
+    def _lowest(self, operator, k: int, tol: float, ladder) -> np.ndarray:
         """Lowest ``k`` levels: ceil(k / (2s+1)) of every spin s (a higher spin
-        can lie lower), each repeated 2s+1 times.  One level more is solved
+        can lie lower) from the levels of ``operator(s)`` plus each entry of
+        ``ladder``, each repeated 2s+1 times.  One level more is solved
         than used, so the last one used is not the edge of the wanted set
         inside an exactly degenerate pair, where ARPACK's iteration count
-        followed the BLAS thread count; an operator takes at most dim - 2."""
+        followed the BLAS thread count."""
         levels = []
-        for s, sec in self.sectors.items():
+        for s in self.sectors:
             h = operator(s)
             mult = int(round(2.0 * s + 1.0))
-            cap = sec.dim - 2 if isinstance(h, spla.LinearOperator) else sec.dim
             need = -(-k // mult)
-            vals, _ = eigensolve(h, k=min(need + 1, cap), tol=tol)
-            levels.append(np.repeat(vals[:need], mult))
+            vals, _ = eigensolve(h, k=min(need + 1, h.shape[0]), tol=tol)
+            merged = np.sort(np.add.outer(vals, ladder).ravel())[:need]
+            levels.append(np.repeat(merged, mult))
         return np.sort(np.concatenate(levels))[:k]
 
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hubbard_phonon
-from hubbard_phonon import cli, eigensolver, magnetism
+from hubbard_phonon import cli, eigensolver, ir_modes, magnetism
 from hubbard_phonon.cli import main, validate_config, load_config
 from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
 from hubbard_phonon.lang_firsov import dressed_ground, nb_expectation
@@ -664,6 +664,22 @@ def test_spectrum_without_hopping_merges_both_spins(tmp_path, capsys):
         levels = [float(r[route]) for r in rows]
         assert max(levels[:4]) - min(levels[:4]) <= 1e-12
         assert levels[4] - levels[3] > 1e-2
+
+
+def test_ir_discretizes_each_cutoff_once(tmp_path, monkeypatch):
+    """The overlap curve, the row models and the Weyl mode vectors share
+    one discretization per cutoff."""
+    calls = []
+    real = ir_modes.discretize
+
+    def spy(family, kappa, *args, **kwargs):
+        calls.append(kappa)
+        return real(family, kappa, *args, **kwargs)
+
+    for module in (cli, ir_modes):
+        monkeypatch.setattr(module, "discretize", spy)
+    assert main(["--out", str(tmp_path), "ir"]) == 0
+    assert sorted(calls) == sorted(load_config(None)["modes"]["kappas"])
 
 
 # -- the BLAS thread pin -------------------------------------------------------

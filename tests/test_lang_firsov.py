@@ -5,6 +5,7 @@ The displacement-block route is the production path; the matrix-exponential
 route and the commutator ladder below are its independent oracles.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -27,9 +28,11 @@ from hubbard_phonon.boson_fock import (
     relative_bound_check,
 )
 from hubbard_phonon.errors import SizingError, ValidationError
+from hubbard_phonon.cli import load_config
 from hubbard_phonon.lang_firsov import (
     TRIAL_OCCUPATION,
     CoupledModel,
+    active_frame,
     annihilation_residual,
     dress_state,
     dressed_ground,
@@ -46,8 +49,9 @@ from hubbard_phonon.lattice_fermions import (
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
-    hopping_moves,
 )
+
+from fock_oracles import dense_transformed, transformed_levels
 
 M6 = reference_model(n_max=6)
 M12 = reference_model(n_max=12)
@@ -402,6 +406,23 @@ def _random_model(n_sites, n_e, seed, u, alpha, n_max):
     )
 
 
+def _copies_model(n_sites, n_e, seed, u, alpha, n_max):
+    """Every site carries its own copy of one random channel (4 // n_sites
+    modes of random frequency), as a discretized family does: each shell
+    of equal frequencies splits into relative and centre-of-mass modes."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_sites, n_sites))
+    per_site = 4 // n_sites
+    return CoupledModel(
+        build_sector_basis(n_sites, n_e),
+        HoppingMatrix(a + a.T),
+        u,
+        alpha,
+        TruncatedFock(ModeSet(np.tile(rng.uniform(0.5, 1.5, per_site), n_sites)), n_max),
+        np.kron(np.eye(n_sites), rng.standard_normal(per_site)),
+    )
+
+
 @pytest.mark.parametrize("n_sites, n_e", [(2, 1), (2, 2), (3, 2), (3, 3)])
 def test_overlapping_channels_read_the_general_shift(n_sites, n_e):
     """Random couplings put every site on both modes, so the channels
@@ -427,20 +448,6 @@ def test_overlapping_channels_read_the_general_shift(n_sites, n_e):
     )
 
 
-def _dense_transformed(model):
-    """The transformed Hamiltonian assembled entry block by entry block."""
-    b = model.fock.dim
-    diag = np.add.outer(
-        model.he.diagonal() - model.alpha**2 * model.r_diag(), model.fock.hb_diag()
-    )
-    h = np.diag(diag.ravel())
-    for x, y, src, dst, amp in zip(*hopping_moves(model.basis, model.hopping)):
-        z = (model.alpha / np.sqrt(2.0)) * (model.g[x] - model.g[y])
-        d = mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in z])
-        h[dst * b : (dst + 1) * b, src * b : (src + 1) * b] += amp * d.real
-    return h
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     sites_and_electrons=st.integers(2, 3).flatmap(
@@ -454,31 +461,32 @@ def _dense_transformed(model):
 )
 def test_sector_levels_match_full_space(sites_and_electrons, seed, u, alpha, n_max, k):
     n_sites, n_e = sites_and_electrons
-    model = _random_model(n_sites, n_e, seed, u, alpha, n_max)
-    ha = effective_hamiltonians(model)
-    direct = np.linalg.eigvalsh(model.h_direct().toarray())[:k]
-    transformed = np.linalg.eigvalsh(_dense_transformed(model))[:k]
-    assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
-    assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
+    for build in (_random_model, _copies_model):
+        model = build(n_sites, n_e, seed, u, alpha, n_max)
+        ha = effective_hamiltonians(model)
+        direct = np.linalg.eigvalsh(model.h_direct().toarray())[:k]
+        transformed = transformed_levels(ha, k)
+        assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
+        assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
 
 
 @pytest.mark.parametrize(
     "n_sites, n_e", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 5)]
 )
 def test_factored_transformed_matvec_matches_assembled(n_sites, n_e):
-    model = _random_model(n_sites, n_e, 100 * n_sites + n_e, 2.0, 0.7, 2)
-    ha = effective_hamiltonians(model)
-    dense = _dense_transformed(model)
     rng = np.random.default_rng(n_e)
-    for s, sec in ha.sectors.items():
-        # the whole sector's transformed Hamiltonian restricted by Q x 1
-        lift = sp.kron(sec.basis.q, sp.identity(sec.fock.dim)).toarray()
-        restricted = lift.T @ dense @ lift
-        for _ in range(3):
-            v = rng.standard_normal(sec.dim)
-            want = restricted @ v
-            got = ha.transformed_matvec(v, s)
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for build in (_random_model, _copies_model):
+        ha = effective_hamiltonians(build(n_sites, n_e, 100 * n_sites + n_e, 2.0, 0.7, 2))
+        dense = dense_transformed(ha)
+        for s, sec in ha.sectors.items():
+            # the whole sector's transformed Hamiltonian restricted by Q x 1
+            lift = sp.kron(sec.basis.q, sp.identity(ha.active.dim)).toarray()
+            restricted = lift.T @ dense @ lift
+            for _ in range(3):
+                v = rng.standard_normal(lift.shape[1])
+                want = restricted @ v
+                got = ha.transformed_matvec(v, s)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_battery_never_assembles_ladder_operators(monkeypatch):
@@ -502,32 +510,38 @@ def test_battery_never_assembles_ladder_operators(monkeypatch):
     psi_e[0] = 1.0
     overlap_formula(model, state, [f, f.conj()], psi_e)
     relative_bound_check(model.fock, model.lam[0], n_trials=2)
-    ha.transformed_matvec(rng.standard_normal(ha.sectors[0.0].dim), 0.0)
+    ha.transformed_matvec(rng.standard_normal(ha.transformed(0.0).shape[0]), 0.0)
     with pytest.raises(AssertionError, match="field called"):
         model.h_direct()  # the spy is live
 
 
-def _plain_lanczos_levels(ha, operator, k):
+def _plain_lanczos_levels(ha, operator, k, free_freqs=()):
     """Oracle: ARPACK on each spin's operator itself (no filter), each level
-    repeated 2S+1 times."""
+    raised by every free-mode occupation of at most k - 1 quanta per mode
+    and repeated 2S+1 times."""
+    occupations = itertools.product(range(k), repeat=len(free_freqs))
+    ladder = [np.dot(n, free_freqs) for n in occupations]
     levels = []
-    for s, sec in ha.sectors.items():
+    for s in ha.sectors:
         mult = int(round(2 * s + 1))
+        h = operator(s)
         vals = spla.eigsh(
-            operator(s), k=-(-k // mult), which="SA", v0=np.ones(sec.dim),
+            h, k=-(-k // mult), which="SA", v0=np.ones(h.shape[0]),
             return_eigenvectors=False,
         )
+        vals = np.sort(np.add.outer(vals, ladder).ravel())[: -(-k // mult)]
         levels += [e for e in vals for _ in range(mult)]
     return np.sort(levels)[:k]
 
 
 def test_coupled_levels_match_plain_lanczos():
     ha = effective_hamiltonians(reference_model(n_max=4))
-    for levels, operator in (
-        (ha.direct_lowest(5), ha.direct),
-        (ha.transformed_lowest(5), ha.transformed),
+    for levels, operator, free in (
+        (ha.direct_lowest(5), ha.direct, ()),
+        (ha.transformed_lowest(5), ha.transformed, ha.free_freqs),
     ):
-        assert np.max(np.abs(levels - _plain_lanczos_levels(ha, operator, 5))) <= 1e-10
+        oracle = _plain_lanczos_levels(ha, operator, 5, free)
+        assert np.max(np.abs(levels - oracle)) <= 1e-10
     full = spla.eigsh(ha.model.h_direct(), k=5, which="SA", return_eigenvectors=False)
     assert np.max(np.abs(ha.direct_lowest(5) - np.sort(full))) <= 1e-10
 
@@ -545,7 +559,7 @@ def test_sector_levels_restore_triplet():
     ha = effective_hamiltonians(model)
     for levels, full in (
         (ha.direct_lowest(5), model.h_direct().toarray()),
-        (ha.transformed_lowest(5), _dense_transformed(model)),
+        (ha.transformed_lowest(5), dense_transformed(ha)),
     ):
         assert np.max(np.abs(levels - np.linalg.eigvalsh(full)[:5])) <= 1e-9
         assert levels[1] - levels[0] > 1e-2
@@ -563,12 +577,70 @@ def test_degenerate_levels_within_one_spin_are_all_returned(n_max):
     ha = effective_hamiltonians(model)
     k = 12
     direct = np.linalg.eigvalsh(model.h_direct().toarray())[:k]
-    transformed = np.linalg.eigvalsh(_dense_transformed(model))[:k]
+    transformed = transformed_levels(ha, k)
     # an S = 1 pair among the k levels: six equal values
     runs = np.split(direct, np.flatnonzero(np.diff(direct) > 1e-9) + 1)
     assert [len(r) for r in runs] == [1, 3, 1, 1, 6]
     assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
     assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
+
+
+def test_active_frame_splits_shared_shells_only():
+    """Each reference frequency is carried by both sites' copies of the
+    channel, and a hop displaces only their difference: 2 active and 2 free
+    modes.  Every g_x - g_y lies in the active span; distinct frequencies
+    keep every mode, unrotated."""
+    for model, n_free in ((M6, 2), (_copies_model(3, 2, 7, 1.0, 0.5, 1), 1)):
+        freqs = model.fock.modes.freqs
+        rotation, active, free = active_frame(freqs, model.g)
+        assert free.size == n_free
+        assert rotation.shape == (freqs.size, freqs.size - n_free) == (freqs.size, active.size)
+        assert np.max(np.abs(rotation.T @ rotation - np.eye(active.size))) <= 1e-15
+        for column, w in zip(rotation.T, active):
+            assert np.all(freqs[column != 0] == w)
+        for x, y in zip(*np.triu_indices(model.basis.n_sites, 1)):
+            diff = model.g[x] - model.g[y]
+            assert np.max(np.abs(diff - rotation @ (rotation.T @ diff))) <= 1e-14
+    model = _random_model(3, 2, 5, 1.0, 0.5, 2)
+    rotation, active, free = active_frame(model.fock.modes.freqs, model.g)
+    assert np.array_equal(rotation, np.eye(2))
+    assert np.array_equal(active, model.fock.modes.freqs)
+    assert free.size == 0
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1e-4])
+def test_transformed_route_agrees_with_direct_at_small_kappa(kappa):
+    """A total-quanta transformed list carried a spurious level 2.2e-2 below
+    the ground level at kappa 1e-3, whose soft mode costs 0.005 a quantum.
+    The active modes keep a per-mode box, so at n_max 12 the two routes
+    agree to the reference config's equivalence tolerance."""
+    ha = effective_hamiltonians(reference_model(kappa=kappa, n_max=12))
+    gap = np.max(np.abs(ha.transformed_lowest(5) - ha.direct_lowest(5)))
+    assert gap <= load_config(None)["tolerances"]["equivalence"]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_small_active_boxes_return_every_level_asked_for(n_max):
+    """At n_max 1 the reference S = 1 active space holds 4 states, and with
+    one mode of omega 3 per site only 2, while k = 12 asks for 4 levels of
+    S = 1, more than ARPACK's dim - 2: such a solve runs dense, and every
+    spin gives the levels it owes.  With omega 3 the free ladder's first
+    step lies above active levels that a capped solve would miss."""
+    one_mode = CoupledModel(
+        build_sector_basis(2, 2),
+        HoppingMatrix.chain(2, -1.0),
+        1.0,
+        0.8,
+        TruncatedFock(ModeSet([3.0, 3.0]), n_max),
+        0.9 * np.eye(2),
+    )
+    for model, active_modes in ((reference_model(n_max=n_max), 2), (one_mode, 1)):
+        ha = effective_hamiltonians(model)
+        assert ha.transformed(1.0).shape[0] == (n_max + 1) ** active_modes
+        for k in (5, 12):
+            levels = ha.transformed_lowest(k)
+            assert levels.size == k
+            assert np.max(np.abs(levels - transformed_levels(ha, k))) <= 1e-9
 
 
 def test_sector_operators_are_csr_below_the_dense_crossover():
