@@ -117,8 +117,11 @@ class TruncatedFock:
 
     def random_interior(self, rng, headroom: int, rows: int):
         """Unit-norm complex (rows, dim) stack, zero outside the interior mask;
-        normals are drawn only for the kept states, real parts first."""
+        normals are drawn only for the kept states, real parts first.  An
+        empty interior raises :class:`ValidationError`."""
         mask = self.interior_mask(headroom)
+        if not mask.any():
+            raise ValidationError(f"n_max {self.n_max} leaves an empty interior")
         kept = rng.standard_normal((2, rows, np.count_nonzero(mask)))
         v = np.zeros((rows, self.dim), dtype=complex)
         v.real[:, mask] = kept[0]

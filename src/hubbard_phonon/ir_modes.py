@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .boson_fock import ModeSet, coherent_weyl_overlap
+from .boson_fock import ModeSet
 from .errors import (
     AccuracyError,
     DiscretizationError,
@@ -264,31 +264,42 @@ def discretize(
 # -- states against Weyl observables ------------------------------------------
 
 
-def _pairwise_weyl(psi, z, a_e, f) -> complex:
-    """sum over c, c2 of conj(psi_c) psi_c2 (A_e)_{c c2} <z_c|W(f)|z_c2>,
-    the nonzero terms added in row-major order."""
-    nz = np.flatnonzero(psi)
-    val = 0.0 + 0.0j
-    for c in nz:
-        for c2 in nz:
-            if a_e[c, c2] == 0:
-                continue
-            overlap = coherent_weyl_overlap(z[c], z[c2], f)
-            val += np.conj(psi[c]) * psi[c2] * a_e[c, c2] * overlap
-    return complex(val)
+def _weyl_functional(psi, a_e, nu, w2, fg, ff, alpha) -> complex:
+    """sum over c, c2 of conj(psi_c) psi_c2 (A_e)_{c c2} <z_c|W(f)|z_c2>.
+
+    The clouds are z_c = -(alpha/sqrt 2) sum_x nu_cx g_x and W(f) shifts by
+    u = i f / sqrt 2, so every term is the exponential of one (F, F) array
+    built from the Gram matrix G = (alpha^2/2) nu W2 nu^T (W2 = <g_x, g_y>),
+    from <z_c, u> = -(i alpha/2) nu_c . fg (fg = <g_x, f>) and from
+    ff = ||f||^2:  G_cc2 - (G_cc + G_c2c2)/2 + <z_c, u> - conj(<z_c2, u>)
+    - ff/4.  ``w2`` None is the singular limit ||g||^2 -> infinity: clouds
+    of different occupation pattern are orthogonal, and equal patterns keep
+    their phase.
+    """
+    p = -0.5j * alpha * (nu @ fg)
+    e = p[:, None] - np.conj(p)[None, :] - 0.25 * ff
+    if w2 is None:
+        same = np.all(nu[:, None, :] == nu[None, :, :], axis=2)
+        terms = np.where(same, np.exp(e), 0.0)
+    else:
+        gram = 0.5 * alpha**2 * (nu @ w2 @ nu.T)
+        half = 0.5 * np.diag(gram)
+        terms = np.exp(gram - half[:, None] - half[None, :] + e)
+    return complex(np.conj(psi) @ (a_e * terms) @ psi)
 
 
 def weyl_state(model: CoupledModel, a_e, f):
-    """<Psi, (A_e x W(f)) Psi> in the dressed ground state.
-
-    Evaluated pairwise over configurations from coherent-state overlaps in
-    closed form (:func:`coherent_weyl_overlap`), so no truncation enters.
-    """
+    """<Psi, (A_e x W(f)) Psi> in the dressed ground state, in closed form
+    from the model's Gram matrix (:func:`_weyl_functional`): no truncation."""
     a_e = np.asarray(a_e)
     if a_e.shape != (model.basis.dim, model.basis.dim):
         raise ValidationError("A_e must act on the electron sector")
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (model.fock.modes.m,):
+        raise ValidationError("f must assign one amplitude per mode")
     state, _ = dressed_ground(model)
-    return _pairwise_weyl(state.weights, state.z, a_e, np.asarray(f, dtype=complex))
+    w2, fg, ff = model.overlap_w2, model.g @ f, np.vdot(f, f).real
+    return _weyl_functional(state.weights, a_e, model.nu, w2, fg, ff, model.alpha)
 
 
 def _continuum_bilinears(family: CutoffFamily, profiles):
@@ -325,50 +336,27 @@ def limit_state(
     """Cutoff-removed value of <Psi, (A_e x W(f)) Psi>.
 
     The electronic vector is the ground state of the effective model at
-    kappa = 0 (coupling norm b(0)).  For a regular family the boson clouds
-    keep finite displacements and the full coherent pairwise sum survives;
-    for singular families every cross term between distinct site-occupation
-    patterns dies with the cutoff and only occupation-diagonal pairs
-    contribute, each carrying its limiting phase.
+    kappa = 0 (coupling norm b(0)), and the value is the closed form of
+    :func:`weyl_state` at the limiting Gram data: a regular family keeps
+    W2 = ||g||^2(0) 1, finite clouds and every coherent cross term; for a
+    singular family (W2 None) the cross terms between distinct occupation
+    patterns die with the cutoff and equal patterns keep their phase.
     """
-    n_sites = hopping.n_sites
-    basis = build_sector_basis(n_sites, n_e)
+    basis = build_sector_basis(hopping.n_sites, n_e)
     a_e = np.asarray(a_e)
     if a_e.shape != (basis.dim, basis.dim):
         raise ValidationError("A_e must act on the electron sector")
+    if len(profiles) != hopping.n_sites:
+        raise ValidationError("need one profile (or None) per site")
     u_eff = effective_params(u, alpha, b_kappa(family, 0.0)).u_eff
     rep = spin_ground_space(build_hubbard(basis, hopping, u_eff), basis)
-    psi = rep.vectors[:, 0].astype(complex)
-    nu = basis.occupations()
     fg, ff = _continuum_bilinears(family, profiles)
-    ff_total = float(np.sum(ff))
-
+    w2 = None
     if family.singularity_class == "Regular":
-        g2 = norm_omega_power(family, 1.0, 0.0).closed
-        # embed each site channel in a 2-d span {g-direction, orthogonal}
-        z_emb = np.zeros((basis.dim, 2 * n_sites))
-        for c in range(basis.dim):
-            z_emb[c, 0::2] = -(alpha / np.sqrt(2.0)) * nu[c] * np.sqrt(g2)
-        f_emb = np.zeros(2 * n_sites)
-        for x in range(n_sites):
-            f_emb[2 * x] = fg[x] / np.sqrt(g2)
-            orth = ff[x] - fg[x] ** 2 / g2
-            f_emb[2 * x + 1] = np.sqrt(max(0.0, orth))
-        return _pairwise_weyl(psi, z_emb, a_e, f_emb)
-
-    # singular family: occupation classes decohere, phases survive
-    damp = np.exp(-0.25 * ff_total)
-    val = 0.0 + 0.0j
-    keys = [tuple(row) for row in nu]
-    for c in range(basis.dim):
-        if psi[c] == 0:
-            continue
-        theta = -alpha * float(nu[c] @ fg)
-        for c2 in range(basis.dim):
-            if keys[c2] != keys[c] or psi[c2] == 0 or a_e[c, c2] == 0:
-                continue
-            val += np.conj(psi[c]) * psi[c2] * a_e[c, c2] * np.exp(1j * theta) * damp
-    return complex(val)
+        w2 = norm_omega_power(family, 1.0, 0.0).closed * np.eye(hopping.n_sites)
+    return _weyl_functional(
+        rep.vectors[:, 0], a_e, basis.occupations(), w2, fg, np.sum(ff), alpha
+    )
 
 
 def overlap_decay_curve(

@@ -340,6 +340,9 @@ def test_random_interior_draws_only_the_kept_states():
     # exactly one real and one imaginary normal per kept state and row
     twin.standard_normal(2 * 4 * int(mask.sum()))
     assert rng.standard_normal() == twin.standard_normal()
+    # a headroom above n_max leaves no state to draw: refused, never 0 / 0
+    with pytest.raises(ValidationError, match="empty interior"):
+        space.random_interior(rng, 6, 1)
 
 
 def test_displacement_1mode_cached_read_only():

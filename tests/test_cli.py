@@ -1,5 +1,6 @@
 """Command-line entry points: config validation, CSV layout, exit codes."""
 
+import contextlib
 import csv
 import ctypes
 import importlib
@@ -619,6 +620,64 @@ def test_mutated_reference_loads_or_is_rejected(tmp_path_factory, entry, value, 
     if not added and _is_number(old) and bad_number:
         field = ".".join(str(k) for k in path[:2])
         assert any(e.startswith(field) for e in errs), (path, value, errs)
+
+
+REAL = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _small_configs(draw):
+    """A valid config of 1-3 sites with chain, rank-one or matrix hopping,
+    two nodes per site channel, n_max 1-2 and a short coupling grid.  Three
+    nodes on three sites stay out: a near-degenerate direct spectrum there
+    can take minutes (ROADMAP item 9)."""
+    n_sites = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["chain", "rank_one", "matrix"]))
+    hopping = {"kind": kind, "t": draw(REAL)}
+    if kind == "rank_one":
+        amp = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+        hopping["t0"] = draw(REAL)
+        hopping["amplitudes"] = draw(st.lists(amp, min_size=n_sites, max_size=n_sites))
+    elif kind == "matrix":
+        a = draw(st.lists(REAL, min_size=n_sites**2, max_size=n_sites**2))
+        a = np.reshape(a, (n_sites, n_sites))
+        hopping["matrix"] = (np.triu(a) + np.triu(a, 1).T).tolist()
+    kappas = draw(st.lists(st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]),
+                           min_size=2, max_size=3, unique=True))
+    return {
+        "lattice": {"n_sites": n_sites, "hopping": hopping},
+        "electrons": {"n_e": draw(st.integers(1, 2 * n_sites))},
+        "interaction": {"u": draw(st.floats(-4.0, 4.0))},
+        "coupling": {
+            "alpha": draw(st.floats(0.0, 2.0)),
+            "alpha_grid": draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3)),
+        },
+        "modes": {
+            "beta": draw(st.floats(0.2, 1.0)),
+            "kappa": draw(st.floats(1e-4, 0.5)),
+            "kappas": kappas,
+            "per_site": 2,
+            "n_max": draw(st.integers(1, 2)),
+        },
+        "solver": {"levels": draw(st.integers(1, 5))},
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tree=_small_configs())
+def test_random_small_configs_run_or_exit_with_a_code(tmp_path_factory, tree):
+    """Every small config that validates runs through spectrum, verify,
+    sweep and ir to exit 0, 2 or 3, and never to a traceback."""
+    base = tmp_path_factory.getbasetemp()
+    cfg = base / "small.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    assert validate_config(load_config(cfg)) == []
+    for command in ("spectrum", "verify", "sweep", "ir"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["--config", str(cfg), "--out", str(base / "small"), command])
+        assert rc in (0, 2, 3), (command, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 # -- spectra the spin-resolved solve must refuse or resolve -------------------

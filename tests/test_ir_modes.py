@@ -14,11 +14,13 @@ from hubbard_phonon.errors import (
     InfraredDivergenceError,
     ValidationError,
 )
+from hubbard_phonon.boson_fock import ModeSet, TruncatedFock, coherent_weyl_overlap
 from hubbard_phonon.lattice_fermions import HoppingMatrix, build_hubbard, build_sector_basis
-from hubbard_phonon.lang_firsov import CoupledModel, dressed_ground
+from hubbard_phonon.lang_firsov import CoupledModel, dressed_ground, reference_model
 from hubbard_phonon.ir_modes import (
     CutoffFamily,
     _continuum_bilinears,
+    _weyl_functional,
     b_kappa,
     discretize,
     divergence_report,
@@ -158,6 +160,84 @@ def test_weyl_state_routes_agree():
     disc = discretize(fam, 0.1, 2, n_sites=2)
     f = disc.mode_vector([lambda k: 0.8 * np.sqrt(k), lambda k: 0.5 * np.sqrt(k)])
     assert abs(weyl_state(m, a_e, f) - weyl_state_matrix(m, a_e, f)) < 1e-6
+
+
+def _pairwise_weyl(psi, z, a_e, f):
+    """Oracle: sum over c, c2 of conj(psi_c) psi_c2 (A_e)_{c c2}
+    <z_c|W(f)|z_c2>, one coherent_weyl_overlap per pair."""
+    return sum(
+        np.conj(psi[c]) * psi[c2] * a_e[c, c2] * coherent_weyl_overlap(z[c], z[c2], f)
+        for c in range(len(psi))
+        for c2 in range(len(psi))
+    )
+
+
+def _overlapping_model(seed):
+    """2 sites on 3 shared modes of random couplings: the channels overlap."""
+    rng = np.random.default_rng(seed)
+    return CoupledModel(
+        build_sector_basis(2, 2), CHAIN2, 1.0, 0.7,
+        TruncatedFock(ModeSet(rng.uniform(0.5, 1.5, 3)), 0),
+        rng.standard_normal((2, 3)),
+    )
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("name", ["reference", "overlapping"])
+def test_weyl_state_matches_the_pairwise_oracle(name):
+    m = reference_model(n_max=0) if name == "reference" else _overlapping_model(54)
+    rng = np.random.default_rng(55)
+    a_e = _complex(rng, m.basis.dim, m.basis.dim)
+    f = _complex(rng, m.fock.modes.m)
+    state, _ = dressed_ground(m)
+    want = _pairwise_weyl(state.weights, m.z_table(), a_e, f)
+    assert abs(weyl_state(m, a_e, f) - want) < 1e-13
+
+
+def test_regular_limit_matches_the_pairwise_oracle():
+    """At kappa = 0 a regular family's clouds are finite: each site channel
+    spans the g direction (norm ||g||^2(0)) and the part of f orthogonal
+    to it, and the pairwise oracle over that span gives limit_state."""
+    fam, alpha = CutoffFamily(beta=0.8), 0.7
+    profiles = [lambda k: 0.9 * k**0.8, lambda k: 0.6 * np.sqrt(k)]
+    fg, ff = _continuum_bilinears(fam, profiles)
+    g2 = norm_omega_power(fam, 1.0, 0.0).closed
+    basis = build_sector_basis(2, 2)
+    z = np.zeros((basis.dim, 4))
+    z[:, 0::2] = -(alpha / np.sqrt(2.0)) * basis.occupations() * np.sqrt(g2)
+    f = np.zeros(4)
+    f[0::2] = fg / np.sqrt(g2)
+    f[1::2] = np.sqrt(ff - fg**2 / g2)
+    h = build_hubbard(basis, CHAIN2, 1.0 - (alpha * b_kappa(fam, 0.0)) ** 2)
+    psi = np.linalg.eigh(h.toarray())[1][:, 0]  # the unique singlet
+    a_e = _complex(np.random.default_rng(57), basis.dim, basis.dim)
+    got = limit_state(fam, CHAIN2, 2, 1.0, alpha, a_e, profiles)
+    assert abs(got - _pairwise_weyl(psi, z, a_e, f)) < 1e-13
+
+
+def test_singular_limit_is_the_finite_form_at_a_large_gram():
+    """At W2 = 1e4 1 the cross terms between different occupation patterns
+    underflow to zero and equal patterns cancel their Gram terms exactly,
+    so the finite form is the singular one (W2 None) bit for bit."""
+    basis = build_sector_basis(3, 3)
+    nu = basis.occupations()
+    rng = np.random.default_rng(56)
+    psi, a_e = _complex(rng, basis.dim), _complex(rng, basis.dim, basis.dim)
+    fg = rng.standard_normal(3)
+    singular = _weyl_functional(psi, a_e, nu, None, fg, 0.8, 0.7)
+    assert singular == _weyl_functional(psi, a_e, nu, 1e4 * np.eye(3), fg, 0.8, 0.7)
+    assert abs(singular - _weyl_functional(psi, a_e, nu, np.eye(3), fg, 0.8, 0.7)) > 1e-3
+
+
+def test_weyl_inputs_must_match_the_model():
+    with pytest.raises(ValidationError, match="one amplitude per mode"):
+        weyl_state(reference_model(n_max=0), np.eye(6), [0.3])
+    with pytest.raises(ValidationError, match="one profile"):
+        limit_state(CutoffFamily(beta=0.5), CHAIN2, 2, 1.0, 0.5, np.eye(6),
+                    [lambda k: np.sqrt(k)])
 
 
 def test_limit_state_is_kappa_limit_regular():

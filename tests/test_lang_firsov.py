@@ -292,6 +292,23 @@ def test_transform_energy_identity():
     assert r12 < 1e-4
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m: verify_transform_hb(m),
+        lambda m: verify_transform_nb(m),
+        lambda m: heisenberg_evolution_check(m, m.lam[0]),
+        lambda m: relative_bound_check(m.fock, m.lam[0]),
+    ],
+    ids=["hb", "nb", "heisenberg", "relative_bound"],
+)
+def test_identity_checks_refuse_the_vacuum_only_space(check):
+    """n_max 0 leaves no interior state to draw a trial from: each check
+    raises instead of passing on a zero vector."""
+    with pytest.raises(ValidationError, match="empty interior"):
+        check(reference_model(n_max=0))
+
+
 def test_transform_number_identity_and_coefficients():
     rep = verify_transform_nb(M12, n_trials=3)
     assert rep.residual < 1e-3
