@@ -197,8 +197,8 @@ def validate_config(cfg):
                 "lattice.hopping.matrix must be an n_sites x n_sites table of numbers"
             )
     elif kind == "rank_one":
-        if "t0" in hop and not _is_num(hop["t0"]):
-            errs.append("lattice.hopping.t0 must be a number")
+        if "t0" in hop and not (_is_num(hop["t0"]) and hop["t0"] != 0):
+            errs.append("lattice.hopping.t0 must be a nonzero number")
         amps = hop.get("amplitudes")
         if not isinstance(amps, list) or (
             n_sites is not None and len(amps) != n_sites
@@ -250,10 +250,11 @@ def validate_config(cfg):
             _is_num(k) and 0 < k < (big_k if _is_num(big_k) else np.inf)
             for k in kappas
         )
-        or len(set(kappas)) < 2
+        or not 2 <= len(set(kappas)) == len(kappas)
     ):
         errs.append(
-            "modes.kappas must list at least two distinct cutoffs inside (0, big_k)"
+            "modes.kappas must list at least two distinct cutoffs inside (0, big_k), "
+            "none repeated"
         )
     per_site = modes["per_site"]
     if not _is_int(per_site) or not 2 <= per_site <= 12:
@@ -476,14 +477,13 @@ def cmd_verify(cfg, args) -> int:
 
     nb_rep = verify_transform_nb(model, n_trials=3, rng=rng)
     checks.append(("transform_number", nb_rep.residual, tols["transform"]))
-    coef_dev = abs(nb_rep.quadratic_fit - nb_rep.quadratic_exact) / max(
-        nb_rep.quadratic_exact, 1e-30
-    )
+    exact = 0.5 * model.alpha**2
+    coef_dev = abs(nb_rep.quadratic_fit - exact) / max(exact, 1e-30)
     checks.append(("number_quadratic_coefficient", coef_dev, tols["coefficient"]))
     print(
         "transformed number operator: quadratic fit "
         f"{nb_rep.quadratic_fit:.8f} vs exact alpha^2/2 = "
-        f"{nb_rep.quadratic_exact:.8f} (alpha^2 itself = {nb_rep.alpha_squared:.8f})"
+        f"{exact:.8f} (alpha^2 itself = {model.alpha**2:.8f})"
     )
 
     state, rep = dressed_ground(model, float(cfg["solver"]["cluster_tol"]))

@@ -279,22 +279,36 @@ def dressed_ground(model: CoupledModel, cluster_tol: float = CLUSTER_TOL):
 
 def verify_transform_hb(model: CoupledModel, n_trials: int = 4, rng=None) -> float:
     """Residual of V (1 x H_b) V^{-1} = 1 x H_b + alpha sum n_x x phi(l_x)
-    + alpha^2 R x 1 on random low-occupation vectors (worst over trials).
-
-    The identity is exact in the untruncated space; on the truncated one the
-    residual is displacement leakage at the occupation edge, which dies as
-    n_max grows while the test states stay at bounded occupation.  Squared
-    residuals are summed one configuration row at a time.
-    """
+    + alpha^2 R x 1, the conjugation identity at d = omega (d g_x = l_x),
+    worst over random low-occupation vectors."""
     if rng is None:
         rng = np.random.default_rng(7)
-    r = model.alpha**2 * model.r_diag()
-    sq = np.zeros(n_trials)  # squared residual per trial
-    trials = _conjugation_trials(model, model.fock.hb_diag(), model.lam, n_trials, rng)
-    for i, c, psi, delta, field_psi in trials:
-        res = delta - model.alpha * field_psi - r[c] * psi
-        sq[i] += np.vdot(res, res).real
-    return float(np.sqrt(sq.max(initial=0.0)))
+    diag = model.fock.hb_diag()
+    return _conjugation_check(model, diag, model.lam, model.overlap_w1, n_trials, rng)[0]
+
+
+@dataclass
+class TransformNbReport:
+    residual: float
+    linear_fit: float  # alpha when the identity holds
+    quadratic_fit: float  # alpha^2 / 2, not the single-commutator alpha^2
+
+
+def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
+    """Check V (1 x N_b) V^{-1} = N_b + alpha K1 + (alpha^2/2) K2, the
+    conjugation identity at d = 1: K1 = sum_x n_x x phi(g_x) and
+    K2 = sum_xy <g_x, g_y> n_x n_y x 1.
+
+    Besides the identity residual the report carries a least-squares fit of
+    the two coefficients from the data, so the quadratic coefficient is
+    measured rather than assumed: the fit lands on alpha^2/2, half of what
+    a single application of the commutator expansion would suggest.
+    """
+    if rng is None:
+        rng = np.random.default_rng(11)
+    diag = model.fock.nb_diag()
+    residual, coef = _conjugation_check(model, diag, model.g, model.overlap_w2, n_trials, rng)
+    return TransformNbReport(residual, float(coef[0].real), float(coef[1].real))
 
 
 def _interior_trials(model: CoupledModel, n_trials: int, rng):
@@ -316,69 +330,39 @@ def _unpack(kept, mask):
     return out
 
 
-def _conjugation_trials(model: CoupledModel, diag, w, n_trials: int, rng):
-    """Trials of V (1 x D) V^{-1} psi - D psi = alpha sum_x n_x phi(w_x) psi
-    + alpha^2 Q psi with D = diag(diag), one per random low-occupation psi.
+def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
+    """The Lang-Firsov conjugation identity V (1 x D) V^{-1} = D + alpha K1
+    + (alpha^2/2) K2 for a diagonal boson form D = sum_j d_j n_j with Fock
+    diagonal ``diag``: K1 = sum_x n_x x phi(w_x) with w_x = d g_x, and
+    K2 = sum_xy gram_xy n_x n_y x 1 with gram_xy = <g_x, d g_y>.
 
-    Yields, trial i by trial and configuration c by configuration, (i, c)
-    and the rows of psi, of the left side and of sum_x n_x phi(w_x) psi;
-    the caller supplies Q.  Each row is conjugated on its own, V^{-1} then V.
+    Returns the worst residual over random low-occupation trials and the
+    least-squares fit of the two coefficients.  The identity is exact in the
+    untruncated space; on the truncated one the residual is displacement
+    leakage at the occupation edge, which dies as n_max grows.  Each
+    configuration row is conjugated on its own, V^{-1} then V, and the
+    squared residuals and the fit's normal equations are summed row by row.
     """
+    k2 = np.einsum("cx,xy,cy->c", model.nu, gram, model.nu)
+    sq = np.zeros(n_trials)  # squared residual per trial
+    ata = np.zeros((2, 2), dtype=complex)
+    atb = np.zeros(2, dtype=complex)
     for i, (kept, mask) in enumerate(_interior_trials(model, n_trials, rng)):
         for c, k in enumerate(kept):
             psi = _unpack(k, mask)
             delta = model.displace_row(c, model.displace_row(c, psi, inverse=True) * diag)
             delta -= psi * diag
-            field_psi = np.zeros_like(psi)
+            k1psi = np.zeros_like(psi)
             for x, nu in enumerate(model.nu[c]):
                 if nu:
-                    field_psi += nu * apply_field(model.fock, w[x], psi)
-            yield i, c, psi, delta, field_psi
-
-
-@dataclass
-class TransformNbReport:
-    residual: float
-    linear_fit: float
-    quadratic_fit: float
-    linear_exact: float  # alpha
-    quadratic_exact: float  # alpha^2 / 2
-    alpha_squared: float  # single-commutator guess, kept for comparison
-
-
-def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
-    """Check V (1 x N_b) V^{-1} = N_b + alpha K1 + (alpha^2/2) K2.
-
-    Here K1 = sum_x n_x x phi(g_x) and K2 = sum_xy <g_x, g_y> n_x n_y x 1.
-    Besides the identity residual the report carries a least-squares fit of
-    the two coefficients from the data, so the quadratic coefficient is
-    measured rather than assumed: the fit lands on alpha^2/2, half of what
-    a single application of the commutator expansion would suggest.  The
-    residuals and the fit's normal equations are summed row by row.
-    """
-    if rng is None:
-        rng = np.random.default_rng(11)
-    k2 = np.einsum("cx,xy,cy->c", model.nu, model.overlap_w2, model.nu)
-    sq = np.zeros(n_trials)  # squared residual per trial
-    ata = np.zeros((2, 2), dtype=complex)
-    atb = np.zeros(2, dtype=complex)
-    trials = _conjugation_trials(model, model.fock.nb_diag(), model.g, n_trials, rng)
-    for i, c, psi, delta, k1psi in trials:
-        k2psi = k2[c] * psi
-        res = delta - (model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi)
-        sq[i] += np.vdot(res, res).real
-        cols = (k1psi, k2psi)
-        ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
-        atb += [np.vdot(ci, delta) for ci in cols]
-    coef = np.linalg.solve(ata, atb)
-    return TransformNbReport(
-        residual=float(np.sqrt(sq.max(initial=0.0))),
-        linear_fit=float(coef[0].real),
-        quadratic_fit=float(coef[1].real),
-        linear_exact=model.alpha,
-        quadratic_exact=0.5 * model.alpha**2,
-        alpha_squared=model.alpha**2,
-    )
+                    k1psi += nu * apply_field(model.fock, w[x], psi)
+            k2psi = k2[c] * psi
+            res = delta - (model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi)
+            sq[i] += np.vdot(res, res).real
+            cols = (k1psi, k2psi)
+            ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
+            atb += [np.vdot(ci, delta) for ci in cols]
+    return float(np.sqrt(sq.max(initial=0.0))), np.linalg.solve(ata, atb)
 
 
 # -- effective Hamiltonians ---------------------------------------------------

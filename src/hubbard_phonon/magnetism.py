@@ -243,9 +243,11 @@ def sweep_alpha(
 
 
 def flip_brackets(records):
-    """Alpha intervals across which the classification changes."""
-    out = []
-    for a, b_ in zip(records, records[1:]):
-        if a.classification != b_.classification:
-            out.append((a.alpha, b_.alpha))
-    return out
+    """Alpha intervals across which the classification changes, between
+    consecutive classified points: an "Error" point brackets nothing."""
+    done = [r for r in records if r.classification != "Error"]
+    return [
+        (a.alpha, b_.alpha)
+        for a, b_ in zip(done, done[1:])
+        if a.classification != b_.classification
+    ]

@@ -74,6 +74,14 @@ def test_validate_config_collects_messages():
     assert any("per_site" in m for m in msgs)
 
 
+@pytest.mark.parametrize("t0", [0, 0.0, -0.0])
+def test_validation_refuses_a_zero_hopping_scale(t0):
+    """t0 0 would validate and then fail while the hopping is built."""
+    cfg = load_config(None)
+    cfg["lattice"]["hopping"] = {"kind": "rank_one", "t0": t0, "amplitudes": [1.0, 1.0]}
+    assert validate_config(cfg) == ["lattice.hopping.t0 must be a nonzero number"]
+
+
 def test_defaults_match_reference_config():
     ref = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
     assert load_config(None) == load_config(ref)
@@ -136,8 +144,12 @@ def test_bad_levels_and_ragged_matrix_exit_2(tmp_path, capsys, text, key):
             "kind: rank_one\n    t0: abc\n    amplitudes: [1.0, 1.0]\n",
             "lattice.hopping.t0",
         ),
+        (
+            "kind: rank_one\n    t0: 0\n    amplitudes: [1.0, 1.0]\n",
+            "lattice.hopping.t0 must be a nonzero number",
+        ),
     ],
-    ids=["chain-t", "rank-one-amplitude", "rank-one-t0"],
+    ids=["chain-t", "rank-one-amplitude", "rank-one-t0", "rank-one-t0-zero"],
 )
 def test_non_numeric_hopping_scalars_exit_2(tmp_path, capsys, hopping, key):
     cfg = tmp_path / "bad.yaml"
@@ -147,7 +159,7 @@ def test_non_numeric_hopping_scalars_exit_2(tmp_path, capsys, hopping, key):
     assert f"config error: {key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kappas", ["[]", "[0.1]", "[0.1, 0.1]"])
+@pytest.mark.parametrize("kappas", ["[]", "[0.1]", "[0.1, 0.1]", "[0.1, 0.01, 0.01]"])
 def test_kappas_need_two_distinct_cutoffs(tmp_path, capsys, kappas):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(f"modes:\n  kappas: {kappas}\n")
@@ -263,10 +275,14 @@ def test_sweep_point_failure_is_reported(tmp_path, capsys, monkeypatch, strict, 
     flags = ["--strict"] * strict
     rc = main(["--config", str(cfg), "--out", str(out), *flags, "sweep"])
     assert rc == code
-    err = capsys.readouterr().err
-    assert "alpha = 0.4: AmbiguousDegeneracyError: gap inside the grey zone" in err
-    _, rows = _read_csv(out / "sweep.csv")
-    assert [r["classification"] for r in rows][1] == "Error"
+    captured = capsys.readouterr()
+    assert "alpha = 0.4: AmbiguousDegeneracyError: gap inside the grey zone" in captured.err
+    meta, rows = _read_csv(out / "sweep.csv")
+    labels = [r["classification"] for r in rows]
+    assert labels[1] == "Error" and labels[0] == labels[2]
+    # the failed point is no flip: its classified neighbours agree
+    assert "flips at []" in captured.out
+    assert meta["flip_brackets"] == ""
 
 
 @pytest.mark.parametrize(
@@ -636,7 +652,7 @@ def _small_configs(draw):
     hopping = {"kind": kind, "t": draw(REAL)}
     if kind == "rank_one":
         amp = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
-        hopping["t0"] = draw(REAL)
+        hopping["t0"] = draw(REAL.filter(lambda t: t != 0))
         hopping["amplitudes"] = draw(st.lists(amp, min_size=n_sites, max_size=n_sites))
     elif kind == "matrix":
         a = draw(st.lists(REAL, min_size=n_sites**2, max_size=n_sites**2))

@@ -312,10 +312,29 @@ def test_identity_checks_refuse_the_vacuum_only_space(check):
 def test_transform_number_identity_and_coefficients():
     rep = verify_transform_nb(M12, n_trials=3)
     assert rep.residual < 1e-3
-    assert abs(rep.linear_fit - rep.linear_exact) < 1e-5
-    assert abs(rep.quadratic_fit - rep.quadratic_exact) < 1e-5
+    assert abs(rep.linear_fit - M12.alpha) < 1e-5
+    assert abs(rep.quadratic_fit - 0.5 * M12.alpha**2) < 1e-5
     # the measured quadratic coefficient is alpha^2/2, not alpha^2
-    assert abs(rep.quadratic_fit - rep.alpha_squared) > 0.1
+    assert abs(rep.quadratic_fit - M12.alpha**2) > 0.1
+
+
+def test_conjugation_identity_holds_for_any_diagonal_boson_form():
+    """V (1 x D) V^{-1} = D + alpha sum_x n_x phi(d g_x) + (alpha^2/2)
+    sum_xy <g_x, d g_y> n_x n_y for D = sum_j d_j n_j with random positive
+    weights d, neither omega nor 1: the fit lands on (alpha, alpha^2/2) and
+    the truncation leakage dies as n_max grows."""
+    d = np.random.default_rng(3).uniform(0.3, 2.0, M12.fock.modes.m)
+    residuals = []
+    for model in (reference_model(n_max=8), M12):
+        w = model.g * d
+        diag = model.fock.occupations() @ d
+        residual, coef = lang_firsov._conjugation_check(
+            model, diag, w, w @ model.g.T, 3, np.random.default_rng(5)
+        )
+        residuals.append(residual)
+    assert abs(coef[0] - M12.alpha) < 1e-6
+    assert abs(coef[1] - 0.5 * M12.alpha**2) < 1e-6
+    assert residuals[1] < residuals[0]
 
 
 def test_unitary_inverse_roundtrip():

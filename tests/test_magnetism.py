@@ -165,6 +165,8 @@ def test_sweep_captures_point_failures():
     assert labels[0] == "Ferromagnetic"
     assert labels[1] == "Error" and recs[1].residual_flags
     assert labels[2] == "UniqueSinglet"
+    # the failed point brackets nothing: one flip, across it
+    assert flip_brackets(recs) == [(0.5, 1.5)]
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
