@@ -85,8 +85,12 @@ from .ir_modes import (
     weyl_state,
 )
 
-# Largest spin-space dimension on which verify solves both coupled routes
-# for spectral_equivalence; above it the check is skipped with a notice.
+# Largest full-box spin-space dimension (highest-weight states times the
+# Fock dimension) on which verify runs spectral_equivalence; above it the
+# check is skipped with a notice.  The routes solve far smaller active
+# spaces (867 states for S = 0 at n_max 16), but perfbench/expected.json
+# records no such row at n_max 16 and the benchmark counts an unexpected
+# row as a failed operation: the gate goes when that file records it.
 EQUIVALENCE_DIM_CAP = 200_000
 
 # Keys a config may add to those of the reference file, and the one section

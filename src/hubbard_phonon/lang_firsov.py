@@ -35,7 +35,7 @@ from .boson_fock import (
     mode_kron,
 )
 from .eigensolver import CLUSTER_TOL, eigensolve
-from .errors import SizingError, ValidationError
+from .errors import AccuracyError, SizingError, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
@@ -49,6 +49,10 @@ COUPLED_DIM_CAP = 2_000_000
 
 # Largest mode occupation of the random trial vectors of the identity checks.
 TRIAL_OCCUPATION = 2
+
+# Largest departure of R - R_active from its closed form, relative to R,
+# that :func:`active_frame` accepts as rounding.
+FRAME_TOL = 1e-12
 
 __all__ = [
     "CoupledModel",
@@ -368,8 +372,8 @@ def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
 # -- effective Hamiltonians ---------------------------------------------------
 
 
-def active_frame(freqs, g):
-    """Active and free modes of the transformed route.
+def active_frame(model: CoupledModel):
+    """The polaron frame both coupled routes solve on.
 
     A hop x -> y displaces the bosons by (alpha/sqrt 2)(g_x - g_y).  H_b is
     unchanged by any orthogonal rotation inside a shell of equal
@@ -378,11 +382,20 @@ def active_frame(freqs, g):
     that span: r active modes, and n - r free modes that no hop displaces.
     Every other shell keeps its modes, unrotated and in their order.
 
-    Returns ``(rotation, active, free)``: the (m, m_active) isometry whose
-    columns are the active modes, their frequencies and the free modes'.
+    No g_x - g_y reaches a free mode f, so every site has the same coupling
+    lambda_f on it, where the coupling acts as alpha n_e phi(lambda_f).
+    Completing the square as for the Lang-Firsov shift, the free part has
+    the ladder sum_f n_f omega_f lowered by alpha^2 R_free, with R_free =
+    R - R_active = (1/2) n_e^2 sum_f lambda_f^2 / omega_f on every
+    configuration of the sector (checked).
+
+    Returns ``(rotation, active, free, shift)``: the (m, m_active) isometry
+    whose columns are the active modes, their frequencies, the free modes'
+    and -alpha^2 R_free (0 without a split shell).
     """
-    x, y = np.triu_indices(g.shape[0], 1)
-    diffs = g[x] - g[y]
+    freqs = model.fock.modes.freqs
+    x, y = np.triu_indices(model.basis.n_sites, 1)
+    diffs = model.g[x] - model.g[y]
     columns, active, free = [], [], []
     for j, w in enumerate(freqs):
         shell = np.flatnonzero(freqs == w)
@@ -397,7 +410,19 @@ def active_frame(freqs, g):
             columns += list(rotated)
             active += [w] * rank
             free += [w] * (shell.size - rank)
-    return np.column_stack(columns), np.array(active), np.array(free)
+    rotation, active = np.column_stack(columns), np.array(active)
+    lam = model.lam @ rotation
+    # <l_x/sqrt w, l_y/sqrt w> over the free modes: lambda_f^2 / omega_f summed
+    free_gram = model.overlap_w1 - lam @ (lam / active).T
+    r_free = 0.5 * model.basis.n_e**2 * free_gram[0, 0]
+    r_split = 0.5 * np.einsum("cx,xy,cy->c", model.nu, free_gram, model.nu)
+    off = np.max(np.abs(r_split - r_free))
+    if off > FRAME_TOL * max(1.0, np.max(model.r_diag())):
+        raise AccuracyError(
+            f"R - R_active departs from (1/2) n_e^2 sum_f lambda_f^2 / omega_f "
+            f"by {off:.3e} on the sector"
+        )
+    return rotation, active, np.array(free), -model.alpha**2 * r_free
 
 
 def _free_ladder(freqs, k: int) -> np.ndarray:
@@ -412,33 +437,38 @@ def _free_ladder(freqs, k: int) -> np.ndarray:
 class EffectiveHamiltonians:
     """Direct, transformed-assembled and product-form Hamiltonians.
 
-    ``transformed`` realizes V^{-1} (H_e x 1) V - alpha^2 R x 1 + 1 x H_b
-    analytically: hopping terms pick up the displacement D((alpha/sqrt 2)
-    (g_x - g_y)) while all diagonal pieces stay diagonal.  No hop displaces
-    the free modes of :func:`active_frame`, so V^{-1} H V is exactly
-    (active operator) x 1 + 1 x sum_f omega_f n_f: ``transformed`` acts on
-    the active modes' box at the model's ``n_max`` only, with the full
-    model's H_e - alpha^2 R on its diagonal, and ``transformed_lowest``
-    adds the free ladder (:func:`_free_ladder`) exactly.  A model without a
-    split shell keeps every mode active and unrotated.  The displacement
-    of a pair (x, y) acts on the boson index and its hop matrix H_xy on the
-    configuration index, so the two commute: with H_xy = L R factored to
-    its rank, the matvec displaces the rows of R t, not every source row.
-    Its spectrum must match the direct Hamiltonian's because the two are
-    exactly unitarily equivalent; each route has its own truncation.  The
-    product form H_e^eff x 1 + 1 x H_b drops the dressing of the hopping;
-    its spectrum is NOT equal to the direct one in general and is exposed
-    separately so the deviation can be measured.
+    Both coupled routes act on ``sectors[s]``: the model on the
+    highest-weight states of spin s (:func:`spin_spaces`), with its
+    couplings rotated onto the active modes of :func:`active_frame` and the
+    box of those modes at the model's ``n_max``.  The free modes split off
+    both Hamiltonians exactly, so ``direct_lowest`` and
+    ``transformed_lowest`` add the free ladder (:func:`_free_ladder`) and
+    ``shift`` to each spin's levels.  Without a split shell every mode is
+    active and unrotated and the shift is 0: the box operators of all the
+    modes, bit for bit.
+
+    ``direct`` is the CSR H_e x 1 + 1 x H_b + alpha sum_x n_x x phi(lambda_x)
+    of the active modes.  ``transformed`` realizes V^{-1} (H_e x 1) V -
+    alpha^2 R_active x 1 + 1 x H_b analytically: hopping terms pick up the
+    displacement D((alpha/sqrt 2)(g_x - g_y)) while all diagonal pieces
+    stay diagonal.  The displacement of a pair (x, y) acts on the boson
+    index and its hop matrix H_xy on the configuration index, so the two
+    commute: with H_xy = L R factored to its rank, the matvec displaces the
+    rows of R t, not every source row.  The two spectra must match because
+    the operators are exactly unitarily equivalent; each has its own
+    truncation.  The product form H_e^eff x 1 + 1 x H_b drops the dressing
+    of the hopping; its spectrum is NOT equal to the direct one in general
+    and is exposed separately so the deviation can be measured.
 
     Both commute with S^2 and S_z (n_x is a spin scalar), so both act per
-    total spin s on ``sectors[s]``, the model on the highest-weight states
-    of s (:func:`spin_spaces`), where a pair's hop matrix is Q^T H_xy Q.
+    total spin s, where a pair's hop matrix is Q^T H_xy Q.
     """
 
     def __init__(self, model: CoupledModel):
         self.model = model
-        self.rotation, active, self.free_freqs = active_frame(model.fock.modes.freqs, model.g)
+        self.rotation, active, self.free_freqs, self.shift = active_frame(model)
         self.active = TruncatedFock(ModeSet(active), model.fock.n_max)
+        lam = model.lam @ self.rotation
         n = model.basis.dim
         hops = {}  # each (x, y) pair's hop matrix on the sector
         for x, y, src, dst, amp in zip(*hopping_moves(model.basis, model.hopping)):
@@ -446,11 +476,11 @@ class EffectiveHamiltonians:
         self.sectors, self._dressed = {}, {}
         for space in spin_spaces(model.basis):
             sec = self.sectors[space.s] = CoupledModel(
-                space, model.hopping, model.u, model.alpha, model.fock, model.lam
+                space, model.hopping, model.u, model.alpha, self.active, lam
             )
             # each pair's hop on the space factored at its numerical rank
             # (SVD) as left @ right; the factors of all pairs are stacked,
-            # and each pair names its rows and its active displacement
+            # and each pair names its rows and its displacement
             lefts, rights, pairs = [np.zeros((space.dim, 0))], [np.zeros((0, space.dim))], []
             for (x, y), hop in hops.items():
                 u, sv, vt = np.linalg.svd(space.q.T @ hop @ space.q)
@@ -460,7 +490,7 @@ class EffectiveHamiltonians:
                     lefts.append(u[:, :rank] * sv[:rank])
                     rights.append(vt[:rank])
                     zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
-                    pairs.append((slice(start, start + rank), zdiff @ self.rotation))
+                    pairs.append((slice(start, start + rank), zdiff))
             diag = np.add.outer(sec.effective_electronic().diagonal(), self.active.hb_diag())
             self._dressed[space.s] = diag, np.hstack(lefts), np.vstack(rights), pairs
 
@@ -484,6 +514,7 @@ class EffectiveHamiltonians:
         )
 
     def direct(self, s: float) -> sp.csr_matrix:
+        """The direct CSR of spin s, on (spin space) x (active box)."""
         return self.sectors[s].h_direct()
 
     def product_lowest(self, k: int) -> np.ndarray:
@@ -494,19 +525,19 @@ class EffectiveHamiltonians:
         return np.sort(np.partition(grid, min(k, grid.size - 1))[:k])
 
     def direct_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        return self._lowest(self.direct, k, tol, np.zeros(1))
+        return self._lowest(self.direct, k, tol)
 
     def transformed_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        """Each spin's active levels plus the exact free ladder."""
-        return self._lowest(self.transformed, k, tol, _free_ladder(self.free_freqs, k))
+        return self._lowest(self.transformed, k, tol)
 
-    def _lowest(self, operator, k: int, tol: float, ladder) -> np.ndarray:
+    def _lowest(self, operator, k: int, tol: float) -> np.ndarray:
         """Lowest ``k`` levels: ceil(k / (2s+1)) of every spin s (a higher spin
-        can lie lower) from the levels of ``operator(s)`` plus each entry of
-        ``ladder``, each repeated 2s+1 times.  One level more is solved
-        than used, so the last one used is not the edge of the wanted set
-        inside an exactly degenerate pair, where ARPACK's iteration count
-        followed the BLAS thread count."""
+        can lie lower) from the levels of ``operator(s)`` plus each level
+        of the free ladder and the shift, each repeated 2s+1 times.  One
+        level more is solved than used, so the last one used is not the
+        edge of the wanted set inside an exactly degenerate pair, where
+        ARPACK's iteration count followed the BLAS thread count."""
+        ladder = _free_ladder(self.free_freqs, k) + self.shift
         levels = []
         for s in self.sectors:
             h = operator(s)

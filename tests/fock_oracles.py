@@ -5,18 +5,22 @@
 mass than ``TAIL_BOUND`` to the truncation.  ``dense_transformed`` assembles
 the transformed Hamiltonian on the active modes entry block by entry block,
 and ``transformed_levels`` adds the free modes' ladder to its levels by
-brute force.
+brute force.  ``dense_direct`` and ``direct_levels`` do the same for the
+direct Hamiltonian, whose free modes also lower every level by the ground
+energy of their displaced oscillators.
 """
 
 import itertools
 import warnings
 
 import numpy as np
+from scipy.linalg import null_space
 
 from hubbard_phonon.boson_fock import (
     apply_displacement,
     coherent_tail,
     displacement_1mode,
+    field,
     mode_kron,
 )
 from hubbard_phonon.errors import ValidationError
@@ -70,10 +74,53 @@ def dense_transformed(ha):
     return h
 
 
+def _ladder(ha, k):
+    """sum_f n_f omega_f over every free-mode occupation of at most k - 1
+    quanta per mode."""
+    occupations = itertools.product(range(k), repeat=ha.free_freqs.size)
+    return [np.dot(n, ha.free_freqs) for n in occupations]
+
+
 def transformed_levels(ha, k):
     """Lowest k transformed levels: every level of :func:`dense_transformed`
     plus every free-mode occupation of at most k - 1 quanta per mode."""
     active = np.linalg.eigvalsh(dense_transformed(ha))
-    occupations = itertools.product(range(k), repeat=ha.free_freqs.size)
-    ladder = [np.dot(n, ha.free_freqs) for n in occupations]
-    return np.sort(np.add.outer(active, ladder).ravel())[:k]
+    return np.sort(np.add.outer(active, _ladder(ha, k)).ravel())[:k]
+
+
+def dense_direct(ha):
+    """The direct Hamiltonian of ``ha.model``'s whole sector on the active
+    modes, assembled dense: H_e x 1 + 1 x H_b + alpha sum_x n_x x
+    phi(lambda_x), with lambda_x rotated onto the active modes."""
+    model, fock = ha.model, ha.active
+    lam = model.lam @ ha.rotation
+    h = np.kron(model.he.toarray(), np.eye(fock.dim))
+    h += np.kron(np.eye(model.basis.dim), np.diag(fock.hb_diag()))
+    for x in range(model.basis.n_sites):
+        h += model.alpha * np.kron(np.diag(model.nu[:, x]), field(fock, lam[x]).toarray())
+    return h
+
+
+def free_ground_energy(ha):
+    """Ground energy of the free modes' oscillators, sum_f [omega_f n_f +
+    alpha n_e phi(lambda_f)]: -(alpha n_e lambda_f)^2 / (2 omega_f) summed.
+    The free modes of a shell are spelled out as the orthonormal complement
+    of its active columns, and lambda_f is read from every site."""
+    model = ha.model
+    freqs, active = model.fock.modes.freqs, ha.active.modes.freqs
+    energy = 0.0
+    for w in np.unique(ha.free_freqs):
+        shell = freqs == w
+        modes = null_space(ha.rotation[shell][:, active == w].T)
+        lam_f = model.lam[:, shell] @ modes  # (n_sites, free modes of the shell)
+        assert np.max(np.ptp(lam_f, axis=0)) <= 1e-12
+        energy -= np.sum((model.alpha * model.basis.n_e * lam_f[0]) ** 2) / (2.0 * w)
+    return energy
+
+
+def direct_levels(ha, k):
+    """Lowest k direct levels: every level of :func:`dense_direct` plus every
+    free-mode occupation of at most k - 1 quanta per mode, plus the free
+    modes' ground energy."""
+    active = np.linalg.eigvalsh(dense_direct(ha)) + free_ground_energy(ha)
+    return np.sort(np.add.outer(active, _ladder(ha, k)).ravel())[:k]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubbard_phonon import eigensolver
+from hubbard_phonon.boson_fock import ModeSet, TruncatedFock
 from hubbard_phonon.eigensolver import (
     DENSE_MAX,
     LANCZOS_K_RATIO,
@@ -25,7 +26,7 @@ from hubbard_phonon.errors import (
     IterationLimitError,
     ValidationError,
 )
-from hubbard_phonon.lang_firsov import effective_hamiltonians, reference_model
+from hubbard_phonon.lang_firsov import CoupledModel, effective_hamiltonians, reference_model
 from hubbard_phonon.lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
@@ -328,16 +329,19 @@ def test_non_hermitian_operator_rejected():
 def test_transformed_operator_passes_probe():
     ha = effective_hamiltonians(reference_model(n_max=3))
     vals, _ = eigensolve(ha.transformed(0.0), k=3, tol=1e-12)
-    # the S = 0 active operator, assembled entry by entry
+    # the S = 0 active operator, assembled entry by entry; the assembly
+    # carries H_e - alpha^2 R, the operator H_e - alpha^2 R_active, so the
+    # two differ by the shift
     lift = sp.kron(ha.sectors[0.0].basis.q, sp.identity(ha.active.dim)).toarray()
     dense = np.linalg.eigvalsh(lift.T @ dense_transformed(ha) @ lift)
-    assert np.max(np.abs(vals - dense[:3])) <= 1e-10
-    # with the free modes' ladder the two routes differ by truncation only,
-    # ~2e-3 at n_max 3
+    assert np.max(np.abs(vals + ha.shift - dense[:3])) <= 1e-10
+    # with the free modes' ladder and shift on both sides the two routes
+    # differ by truncation only
     occupations = itertools.product(range(3), repeat=ha.free_freqs.size)
-    ladder = [np.dot(n, ha.free_freqs) for n in occupations]
+    ladder = [np.dot(n, ha.free_freqs) + ha.shift for n in occupations]
     merged = np.sort(np.add.outer(vals, ladder).ravel())[:3]
     direct, _ = eigensolve(ha.direct(0.0), k=3, tol=1e-12)
+    direct = np.sort(np.add.outer(direct, ladder).ravel())[:3]
     assert np.max(np.abs(merged - direct)) < 1e-2
 
 
@@ -377,13 +381,29 @@ def test_crossover_reads_k_and_dim(monkeypatch):
 
 
 def test_direct_levels_below_dense_max_take_lanczos(monkeypatch):
-    # n_max 4: the spin spaces hold 1,875 (S = 0) and 625 (S = 1) states
-    ha = effective_hamiltonians(reference_model(n_max=4))
+    # four modes of distinct frequencies split no shell, so the direct
+    # route keeps the whole box: at n_max 4 the spin spaces hold 1,875
+    # (S = 0) and 625 (S = 1) states
+    model = CoupledModel(
+        build_sector_basis(2, 2),
+        HoppingMatrix.chain(2, -1.0),
+        1.0,
+        0.5,
+        TruncatedFock(ModeSet([0.6, 0.9, 1.2, 1.5]), 4),
+        [[0.7, 0.3, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4]],
+    )
+    ha = effective_hamiltonians(model)
+    assert ha.free_freqs.size == 0
+    plain = []  # oracle: unfiltered ARPACK on each spin's box
     for s in ha.sectors:
-        assert LANCZOS_MIN_DIM <= ha.direct(s).shape[0] <= DENSE_MAX
+        h = ha.direct(s)
+        assert LANCZOS_MIN_DIM <= h.shape[0] <= DENSE_MAX
+        vals = spla.eigsh(h, k=3, which="SA", v0=np.ones(h.shape[0]), return_eigenvectors=False)
+        plain += list(np.repeat(vals, int(round(2 * s + 1))))
     solves = _spy_eigsh(monkeypatch)
-    ha.direct_lowest(3)  # levels: test_coupled_levels_match_plain_lanczos
+    levels = ha.direct_lowest(3)
     assert solves == ["LA", "LA"]
+    assert np.max(np.abs(levels - np.sort(plain)[:3])) <= 1e-10
 
 
 # -- the Chebyshev-filtered Lanczos path against eigvalsh ----------------------

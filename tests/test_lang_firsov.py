@@ -49,9 +49,10 @@ from hubbard_phonon.lattice_fermions import (
     build_hubbard,
     build_sector_basis,
     build_spin_operators,
+    spin_spaces,
 )
 
-from fock_oracles import dense_transformed, transformed_levels
+from fock_oracles import dense_transformed, direct_levels, transformed_levels
 
 M6 = reference_model(n_max=6)
 M12 = reference_model(n_max=12)
@@ -498,12 +499,87 @@ def test_overlapping_channels_read_the_general_shift(n_sites, n_e):
 def test_sector_levels_match_full_space(sites_and_electrons, seed, u, alpha, n_max, k):
     n_sites, n_e = sites_and_electrons
     for build in (_random_model, _copies_model):
-        model = build(n_sites, n_e, seed, u, alpha, n_max)
-        ha = effective_hamiltonians(model)
-        direct = np.linalg.eigvalsh(model.h_direct().toarray())[:k]
-        transformed = transformed_levels(ha, k)
-        assert np.max(np.abs(ha.direct_lowest(k) - direct)) <= 1e-9
-        assert np.max(np.abs(ha.transformed_lowest(k) - transformed)) <= 1e-9
+        ha = effective_hamiltonians(build(n_sites, n_e, seed, u, alpha, n_max))
+        assert np.max(np.abs(ha.direct_lowest(k) - direct_levels(ha, k))) <= 1e-9
+        assert np.max(np.abs(ha.transformed_lowest(k) - transformed_levels(ha, k))) <= 1e-9
+
+
+def _box_levels(model, k):
+    """Oracle: the lowest k levels of the full-box ``h_direct`` of every
+    spin space, by ARPACK, each repeated 2S+1 times."""
+    levels = []
+    for space in spin_spaces(model.basis):
+        h = CoupledModel(
+            space, model.hopping, model.u, model.alpha, model.fock, model.lam
+        ).h_direct()
+        mult = int(round(2 * space.s + 1))
+        vals = spla.eigsh(
+            h, k=-(-k // mult), which="SA", v0=np.ones(h.shape[0]),
+            return_eigenvectors=False,
+        )
+        levels += [e for e in vals for _ in range(mult)]
+    return np.sort(levels)[:k]
+
+
+def _shared_mode_model(n_max):
+    """2 sites, one mode each, of one shared frequency."""
+    return CoupledModel(
+        build_sector_basis(2, 2),
+        HoppingMatrix.chain(2, -1.0),
+        1.0,
+        0.5,
+        TruncatedFock(ModeSet([0.8, 0.8]), n_max),
+        0.7 * np.eye(2),
+    )
+
+
+def _overlapping_model(n_max):
+    """Both sites on every mode; the two modes of frequency 0.7 split."""
+    return CoupledModel(
+        build_sector_basis(2, 2),
+        HoppingMatrix.chain(2, -1.0),
+        2.0,
+        0.5,
+        TruncatedFock(ModeSet([0.7, 0.7, 1.3]), n_max),
+        [[0.5, 0.2, 0.3], [0.1, 0.4, -0.2]],
+    )
+
+
+def _rank_one_model(n_max):
+    """3 sites, rank-one hopping, each site its own copy of one mode."""
+    v = np.array([0.8, -1.2, 0.6])
+    return CoupledModel(
+        build_sector_basis(3, 3),
+        HoppingMatrix(np.outer(v, v)),
+        3.0,
+        0.5,
+        TruncatedFock(ModeSet([1.1] * 3), n_max),
+        0.7 * np.eye(3),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, n_max",
+    [
+        (_shared_mode_model, 12),
+        (lambda n_max: _copies_model(3, 2, 7, 1.0, 0.4, n_max), 8),
+        (_overlapping_model, 10),
+        (_rank_one_model, 10),
+    ],
+    ids=["shared_mode", "copies", "overlapping", "rank_one"],
+)
+def test_direct_route_matches_converged_full_box(build, n_max):
+    """The direct route solves the active modes only and adds the free
+    modes' ladder and shift.  Both production routes share that split, so
+    spectral_equivalence cannot see it go wrong; this test holds it to the
+    direct Hamiltonian of every mode's box, at an n_max where the box has
+    converged (n_max and n_max + 2 agree to 1e-12)."""
+    k = 5
+    box = _box_levels(build(n_max), k)
+    assert np.max(np.abs(box - _box_levels(build(n_max + 2), k))) <= 1e-12
+    ha = effective_hamiltonians(build(n_max))
+    assert ha.free_freqs.size and ha.shift < 0.0
+    assert np.max(np.abs(ha.direct_lowest(k) - box)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -521,7 +597,7 @@ def test_factored_transformed_matvec_matches_assembled(n_sites, n_e):
             for _ in range(3):
                 v = rng.standard_normal(lift.shape[1])
                 want = restricted @ v
-                got = ha.transformed_matvec(v, s)
+                got = ha.transformed_matvec(v, s) + ha.shift * v
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -551,12 +627,12 @@ def test_battery_never_assembles_ladder_operators(monkeypatch):
         model.h_direct()  # the spy is live
 
 
-def _plain_lanczos_levels(ha, operator, k, free_freqs=()):
+def _plain_lanczos_levels(ha, operator, k):
     """Oracle: ARPACK on each spin's operator itself (no filter), each level
     raised by every free-mode occupation of at most k - 1 quanta per mode
-    and repeated 2S+1 times."""
-    occupations = itertools.product(range(k), repeat=len(free_freqs))
-    ladder = [np.dot(n, free_freqs) for n in occupations]
+    and the shift, and repeated 2S+1 times."""
+    occupations = itertools.product(range(k), repeat=ha.free_freqs.size)
+    ladder = [np.dot(n, ha.free_freqs) + ha.shift for n in occupations]
     levels = []
     for s in ha.sectors:
         mult = int(round(2 * s + 1))
@@ -572,14 +648,12 @@ def _plain_lanczos_levels(ha, operator, k, free_freqs=()):
 
 def test_coupled_levels_match_plain_lanczos():
     ha = effective_hamiltonians(reference_model(n_max=4))
-    for levels, operator, free in (
-        (ha.direct_lowest(5), ha.direct, ()),
-        (ha.transformed_lowest(5), ha.transformed, ha.free_freqs),
+    for levels, operator in (
+        (ha.direct_lowest(5), ha.direct),
+        (ha.transformed_lowest(5), ha.transformed),
     ):
-        oracle = _plain_lanczos_levels(ha, operator, 5, free)
+        oracle = _plain_lanczos_levels(ha, operator, 5)
         assert np.max(np.abs(levels - oracle)) <= 1e-10
-    full = spla.eigsh(ha.model.h_direct(), k=5, which="SA", return_eigenvectors=False)
-    assert np.max(np.abs(ha.direct_lowest(5) - np.sort(full))) <= 1e-10
 
 
 def test_sector_levels_restore_triplet():
@@ -607,12 +681,12 @@ def test_sector_levels_restore_triplet():
 def test_degenerate_levels_within_one_spin_are_all_returned(n_max):
     """The reference S = 1 space is two identical one-site problems (no hop
     reaches it), so its levels pair up exactly; with weak hopping they fall
-    among the lowest.  Both routes must return every copy of a pair, by
-    single-vector Lanczos at n_max 4 (and always on the transformed route)."""
-    model = reference_model(t=-0.1, u=4.0, n_max=n_max)
-    ha = effective_hamiltonians(model)
+    among the lowest.  Both routes must return every copy of a pair: the
+    direct one by a dense solve of its active space (75 states for S = 0
+    at n_max 4), the transformed one by single-vector Lanczos."""
+    ha = effective_hamiltonians(reference_model(t=-0.1, u=4.0, n_max=n_max))
     k = 12
-    direct = np.linalg.eigvalsh(model.h_direct().toarray())[:k]
+    direct = direct_levels(ha, k)
     transformed = transformed_levels(ha, k)
     # an S = 1 pair among the k levels: six equal values
     runs = np.split(direct, np.flatnonzero(np.diff(direct) > 1e-9) + 1)
@@ -628,7 +702,7 @@ def test_active_frame_splits_shared_shells_only():
     keep every mode, unrotated."""
     for model, n_free in ((M6, 2), (_copies_model(3, 2, 7, 1.0, 0.5, 1), 1)):
         freqs = model.fock.modes.freqs
-        rotation, active, free = active_frame(freqs, model.g)
+        rotation, active, free, _ = active_frame(model)
         assert free.size == n_free
         assert rotation.shape == (freqs.size, freqs.size - n_free) == (freqs.size, active.size)
         assert np.max(np.abs(rotation.T @ rotation - np.eye(active.size))) <= 1e-15
@@ -638,18 +712,20 @@ def test_active_frame_splits_shared_shells_only():
             diff = model.g[x] - model.g[y]
             assert np.max(np.abs(diff - rotation @ (rotation.T @ diff))) <= 1e-14
     model = _random_model(3, 2, 5, 1.0, 0.5, 2)
-    rotation, active, free = active_frame(model.fock.modes.freqs, model.g)
+    rotation, active, free, shift = active_frame(model)
     assert np.array_equal(rotation, np.eye(2))
     assert np.array_equal(active, model.fock.modes.freqs)
-    assert free.size == 0
+    assert free.size == 0 and shift == 0.0
 
 
-@pytest.mark.parametrize("kappa", [1e-3, 1e-4])
+@pytest.mark.parametrize("kappa", [1e-3, 1e-4, 1e-6, 1e-8])
 def test_transformed_route_agrees_with_direct_at_small_kappa(kappa):
     """A total-quanta transformed list carried a spurious level 2.2e-2 below
     the ground level at kappa 1e-3, whose soft mode costs 0.005 a quantum.
     The active modes keep a per-mode box, so at n_max 12 the two routes
-    agree to the reference config's equivalence tolerance."""
+    agree to the reference config's equivalence tolerance, down to kappa
+    1e-8.  Both solve 507- and 169-state active spaces, about 0.1 s a
+    case."""
     ha = effective_hamiltonians(reference_model(kappa=kappa, n_max=12))
     gap = np.max(np.abs(ha.transformed_lowest(5) - ha.direct_lowest(5)))
     assert gap <= load_config(None)["tolerances"]["equivalence"]
