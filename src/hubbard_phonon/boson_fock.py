@@ -65,7 +65,8 @@ class TruncatedFock:
     Every mode keeps levels 0..n_max.  Operators that raise occupation are
     exact on vectors supported strictly below the truncation edge.  At
     ``n_max`` 0 the space holds the vacuum alone: a model that only does
-    coherent-cloud arithmetic takes it, and no size cap can fire.
+    coherent-cloud arithmetic takes it, and no size cap can fire.  The
+    occupation table and the H_b and N_b diagonals are cached read-only.
     """
 
     def __init__(self, modes: ModeSet, n_max: int):
@@ -80,52 +81,40 @@ class TruncatedFock:
             )
         self.dim = dim
         self.shape = (self.n_max + 1,) * modes.m
-        self._occ = None
-        self._root_occ = None
-        self._masks = {}
+        self._cache = {}
+
+    def _cached(self, key, make):
+        """make(), computed once per key and kept read-only."""
+        if key not in self._cache:
+            self._cache[key] = make()
+            self._cache[key].flags.writeable = False
+        return self._cache[key]
 
     def occupations(self):
         """Occupation table, shape (dim, m)."""
-        if self._occ is None:
-            idx = np.unravel_index(np.arange(self.dim), self.shape)
-            self._occ = np.stack(idx, axis=1).astype(np.int32)
-        return self._occ
-
-    def _root_occupations(self):
-        """sqrt(n_j) per mode, shape (m, dim): the ladder matrix elements."""
-        if self._root_occ is None:
-            self._root_occ = np.sqrt(self.occupations().T.astype(np.float64))
-        return self._root_occ
-
-    def interior_mask(self, headroom: int):
-        """States whose every mode occupation is <= n_max - headroom.
-
-        Cached per headroom; the mask is read-only.
-        """
-        mask = self._masks.get(headroom)
-        if mask is None:
-            mask = np.all(self.occupations() <= self.n_max - headroom, axis=1)
-            mask.flags.writeable = False
-            self._masks[headroom] = mask
-        return mask
+        return self._cached(
+            "occ", lambda: np.indices(self.shape, np.int32).reshape(self.modes.m, -1).T.copy()
+        )
 
     def hb_diag(self):
-        return self.occupations() @ self.modes.freqs
+        """Diagonal of H_b = sum_j omega_j n_j."""
+        return self._cached("hb", lambda: self.occupations() @ self.modes.freqs)
 
     def nb_diag(self):
-        return self.occupations().sum(axis=1).astype(float)
+        """Diagonal of N_b = sum_j n_j."""
+        return self._cached("nb", lambda: self.occupations().sum(axis=1).astype(float))
 
     def random_interior(self, rng, headroom: int, rows: int):
-        """Unit-norm complex (rows, dim) stack, zero outside the interior mask;
-        normals are drawn only for the kept states, real parts first.  An
-        empty interior raises :class:`ValidationError`."""
-        mask = self.interior_mask(headroom)
-        if not mask.any():
+        """Unit-norm complex (rows, dim) stack of normals, real parts first,
+        written in C order into the sub-box where every mode holds at most
+        n_max - headroom; an empty one raises :class:`ValidationError`."""
+        side = self.n_max + 1 - headroom
+        if side < 1:
             raise ValidationError(f"n_max {self.n_max} leaves an empty interior")
-        kept = rng.standard_normal((2, rows, np.count_nonzero(mask)))
+        kept = rng.standard_normal((2, rows) + (side,) * self.modes.m)
         v = np.zeros((rows, self.dim), dtype=complex)
-        v.real[:, mask] = kept[0]
-        v.imag[:, mask] = kept[1]
+        box = v.reshape((rows,) + self.shape)[(slice(None),) + (slice(side),) * self.modes.m]
+        box.real, box.imag = kept
         v /= np.linalg.norm(v)
         return v
 
@@ -152,14 +141,14 @@ def field(space: TruncatedFock, f) -> sp.csr_matrix:
     conjugate; the zeros at block edges are not stored.
     """
     f = _amplitudes(space, f)
-    m = space.modes.m
-    root = space._root_occupations()
+    m, n = space.modes.m, space.n_max + 1
     diagonals, offsets = [], []
     for j in range(m):
         if f[j] == 0:
             continue
-        post = (space.n_max + 1) ** (m - 1 - j)
-        upper = (np.conj(f[j]) * root[j, post:]) * (1 / np.sqrt(2.0))
+        post = n ** (m - 1 - j)
+        root = np.repeat(np.tile(np.sqrt(np.arange(n, dtype=float)), n**j), post)  # sqrt(n_j)
+        upper = (np.conj(f[j]) * root[post:]) * (1 / np.sqrt(2.0))
         diagonals += [upper, np.conj(upper)]
         offsets += [post, -post]
     if not offsets:
@@ -170,23 +159,23 @@ def field(space: TruncatedFock, f) -> sp.csr_matrix:
 def _apply_ladder_terms(space: TruncatedFock, block, lower, upper, scale=1.0):
     """sum_j (lower_j a_j + upper_j a_j^dagger) @ block, times ``scale``.
 
-    Each row of the block is a flat vector over the occupation lattice, on
-    which a_j links the states ``post = (n_max+1)^(m-1-j)`` entries apart
-    with weight sqrt(n_j) of the upper state (0 across a block edge, where
-    n_j = 0).  So every term is one shifted, weighted slice; modes whose
+    For mode j each row of the block is viewed as (pre, n, post) with
+    n = n_max + 1 levels on the middle axis, where a_j lowers the level by
+    one with weight sqrt(k) of the upper level k.  So every term is one
+    product of the level slice shifted by one with the length-(n - 1)
+    weight vector (c sqrt(k)) * scale along the level axis; modes whose
     coefficient is 0 are skipped.  The terms are summed in the column order
     of the assembled CSR matrix (raisings from mode 0 on, then lowerings
     from the last mode back), with the same per-entry weights, so for real
     coefficients the result repeats the sparse product's roundings.
     """
-    m = space.modes.m
+    m, n = space.modes.m, space.n_max + 1
     t = np.asarray(block)
     rows = t.reshape(-1, space.dim)
     coefs = [c for c in (lower, upper) if c is not None]
     dtype = np.result_type(t.dtype, *coefs, np.float64)
     out = np.zeros(rows.shape, dtype)
-    prod = np.empty(rows.shape, dtype)
-    root = space._root_occupations()
+    root = np.sqrt(np.arange(1, n, dtype=float))[:, None]  # sqrt(k), upper level k
     terms = []
     if upper is not None:
         terms += [(j, upper[j], True) for j in range(m)]
@@ -195,15 +184,13 @@ def _apply_ladder_terms(space: TruncatedFock, block, lower, upper, scale=1.0):
     for j, c, raising in terms:
         if c == 0:
             continue
-        post = (space.n_max + 1) ** (m - 1 - j)
-        w = ((c * root[j, post:]) * scale).astype(dtype, copy=False)
-        p = prod[:, post:]
+        post = n ** (m - 1 - j)
+        src, dst = rows.reshape(-1, n, post), out.reshape(-1, n, post)
+        w = ((c * root) * scale).astype(dtype, copy=False)
         if raising:
-            np.multiply(w, rows[:, :-post], out=p)
-            out[:, post:] += p
+            dst[:, 1:] += w * src[:, :-1]
         else:
-            np.multiply(w, rows[:, post:], out=p)
-            out[:, :-post] += p
+            dst[:, :-1] += w * src[:, 1:]
     return out.reshape(t.shape)
 
 

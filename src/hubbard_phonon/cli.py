@@ -373,6 +373,9 @@ def cmd_spectrum(cfg, args) -> int:
     if got < k:
         raise ValidationError(f"solver.levels = {k} exceeds the {got} levels solved")
     rows = list(zip(range(k), direct, transformed, product))
+    gap, tol = float(np.max(np.abs(direct - transformed))), cfg["tolerances"]["equivalence"]
+    if gap > tol:
+        print(f"WARN spectrum: direct and transformed levels differ by {gap:.3e} > {tol:.1e}")
     meta = _meta(
         cfg,
         {

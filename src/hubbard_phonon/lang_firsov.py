@@ -316,21 +316,27 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
 
 
 def _interior_trials(model: CoupledModel, n_trials: int, rng):
-    """One random unit psi per trial, drawn by
-    :meth:`TruncatedFock.random_interior` on the states whose every mode
-    holds at most TRIAL_OCCUPATION quanta (n_max - 1 if lower), and yielded
-    as its entries there, shape (F, n_interior), with their boson mask."""
+    """The identity checks' random trials and their support box.
+
+    A trial (:meth:`TruncatedFock.random_interior`) holds at most
+    TRIAL_OCCUPATION quanta per mode (n_max - 1 if lower); phi, a(f), D and
+    K2 raise it by one level at most.  Returns that box one level larger,
+    the flat indices of its states in the model's box and a generator of
+    the trials' entries there, shape (F, box.dim)."""
     fock = model.fock
     headroom = max(fock.n_max - TRIAL_OCCUPATION, 1)
-    mask = fock.interior_mask(headroom)
-    for _ in range(n_trials):
-        yield fock.random_interior(rng, headroom, model.basis.dim)[:, mask], mask
+    box = TruncatedFock(fock.modes, fock.n_max + 1 - headroom)
+    idx = np.ravel_multi_index(box.occupations().T, fock.shape)
+    # the whole (F, B) draw is never bound, so no trial keeps it alive
+    return box, idx, (
+        fock.random_interior(rng, headroom, model.basis.dim)[:, idx] for _ in range(n_trials)
+    )
 
 
-def _unpack(kept, mask):
-    """psi, or one row of it, on whole boson rows from its interior entries."""
-    out = np.zeros(kept.shape[:-1] + mask.shape, dtype=complex)
-    out[..., mask] = kept
+def _unpack(kept, idx, dim):
+    """psi, or one row of it, on whole boson rows from its support-box entries."""
+    out = np.zeros(kept.shape[:-1] + (dim,), dtype=complex)
+    out[..., idx] = kept
     return out
 
 
@@ -344,28 +350,30 @@ def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
     least-squares fit of the two coefficients.  The identity is exact in the
     untruncated space; on the truncated one the residual is displacement
     leakage at the occupation edge, which dies as n_max grows.  Each
-    configuration row is conjugated on its own, V^{-1} then V, and the
-    squared residuals and the fit's normal equations are summed row by row.
+    configuration row is conjugated on its own, V^{-1} then V; D psi, K1 psi
+    and K2 psi are formed on the trials' support box and subtracted there.
+    The squared residuals and the fit's normal equations are summed row by row.
     """
+    box, idx, trials = _interior_trials(model, n_trials, rng)
     k2 = np.einsum("cx,xy,cy->c", model.nu, gram, model.nu)
     sq = np.zeros(n_trials)  # squared residual per trial
     ata = np.zeros((2, 2), dtype=complex)
     atb = np.zeros(2, dtype=complex)
-    for i, (kept, mask) in enumerate(_interior_trials(model, n_trials, rng)):
-        for c, k in enumerate(kept):
-            psi = _unpack(k, mask)
-            delta = model.displace_row(c, model.displace_row(c, psi, inverse=True) * diag)
-            delta -= psi * diag
+    for i, kept in enumerate(trials):
+        for c, psi in enumerate(kept):
+            row = model.displace_row(c, _unpack(psi, idx, model.fock.dim), inverse=True)
+            delta = model.displace_row(c, row * diag)
+            delta[idx] -= psi * diag[idx]
             k1psi = np.zeros_like(psi)
             for x, nu in enumerate(model.nu[c]):
                 if nu:
-                    k1psi += nu * apply_field(model.fock, w[x], psi)
+                    k1psi += nu * apply_field(box, w[x], psi)
             k2psi = k2[c] * psi
-            res = delta - (model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi)
-            sq[i] += np.vdot(res, res).real
             cols = (k1psi, k2psi)
             ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
-            atb += [np.vdot(ci, delta) for ci in cols]
+            atb += [np.vdot(ci, delta[idx]) for ci in cols]
+            delta[idx] -= model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi
+            sq[i] += np.vdot(delta, delta).real
     return float(np.sqrt(sq.max(initial=0.0))), np.linalg.solve(ata, atb)
 
 
@@ -596,8 +604,9 @@ def heisenberg_evolution_check(
     The evolution U(t) = V (e^{-i t He_eff} x e^{-i t H_b}) V^{-1} mixes
     configurations only through e^{-i t He_eff}, one (F, F) by (F, B)
     product; V, V^{-1}, the boson phase and the dressed annihilator act row
-    by row in place.  A trial holds psi on its interior states and at most
-    two (F, B) buffers at a time.
+    by row in place on whole boson rows; a_dressed(f_t) psi is formed on the
+    trials' support box and subtracted there.  A trial holds psi on that box
+    and at most two (F, B) buffers at a time, none across ``times``.
     """
     if rng is None:
         rng = np.random.default_rng(23)
@@ -611,11 +620,11 @@ def heisenberg_evolution_check(
         y *= np.exp(-1j * t * fock.hb_diag())
         return y
 
-    def residual(kept, mask, t):
+    def residual(kept, t):
         f_t = np.exp(1j * t * fock.modes.freqs) * f
         scalar, scalar_t = _dressed_scalar(model, f), _dressed_scalar(model, f_t)
-        y = model.apply_unitary(_unpack(kept, mask), inverse=True).reshape(-1, fock.dim)
-        y = free_step(y, t)
+        y = model.apply_unitary(_unpack(kept, idx, fock.dim), inverse=True)
+        y = free_step(y.reshape(-1, fock.dim), t)
         for c, row in enumerate(y):  # V^{-1} a_dressed(f) U(t) psi
             y[c] = model.displace_row(
                 c, _annihilate_row(fock, f, scalar[c], model.displace_row(c, row)), inverse=True
@@ -624,12 +633,12 @@ def heisenberg_evolution_check(
         sq = 0.0
         for c, row in enumerate(y):  # U(-t) a_dressed(f) U(t) psi - a_dressed(f_t) psi
             lhs = model.displace_row(c, row)
-            lhs -= _annihilate_row(fock, f_t, scalar_t[c], _unpack(kept[c], mask))
+            lhs[idx] -= _annihilate_row(box, f_t, scalar_t[c], kept[c])
             sq += np.vdot(lhs, lhs).real
         return float(np.sqrt(sq))
 
-    trials = _interior_trials(model, n_trials, rng)
-    return max((residual(kept, mask, t) for kept, mask in trials for t in times), default=0.0)
+    box, idx, trials = _interior_trials(model, n_trials, rng)
+    return max((residual(kept, t) for kept in trials for t in times), default=0.0)
 
 
 # -- overlaps and observables -------------------------------------------------

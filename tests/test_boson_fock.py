@@ -132,7 +132,7 @@ def test_ccr_on_interior_vectors():
     space = _space([1.0, 0.3], 5)
     units = np.eye(2)
     rng = np.random.default_rng(31)
-    v = rng.standard_normal(space.dim) * space.interior_mask(2)
+    v = rng.standard_normal(space.dim) * np.all(space.occupations() <= 2, axis=1)
     v /= np.linalg.norm(v)
     for i, ei in enumerate(units):
         for j, ej in enumerate(units):
@@ -299,7 +299,8 @@ def _ladder_case(draw):
 @given(case=_ladder_case())
 def test_matrix_free_ladder_and_field_match_sparse(case):
     """apply_ladder, apply_field and the assembled field against the
-    Kronecker oracle; field repeats its roundings bit for bit."""
+    Kronecker oracle; field repeats its roundings bit for bit, and so do
+    apply_ladder and apply_field for real f."""
     space, f, block = case
     a = annihilator(space, f)
     phi = field(space, f)
@@ -317,26 +318,38 @@ def test_matrix_free_ladder_and_field_match_sparse(case):
         want = (oracle @ rows).T.reshape(block.shape)
         assert got.shape == block.shape
         assert got.dtype == want.dtype
+        if np.isrealobj(f):
+            assert got.tobytes() == want.tobytes()
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
 
 
-def test_interior_mask_cached_read_only():
+def test_occupation_tables_cached_read_only():
     space = _space([1.0, 0.5], 4)
-    mask = space.interior_mask(2)
-    assert space.interior_mask(2) is mask
-    assert not mask.flags.writeable
-    assert np.array_equal(mask, np.all(space.occupations() <= 2, axis=1))
-    assert space.interior_mask(1) is not mask
+    occ = np.stack(np.unravel_index(np.arange(space.dim), space.shape), 1)
+    for table, want in [
+        (space.occupations, occ),
+        (space.hb_diag, occ @ [1.0, 0.5]),
+        (space.nb_diag, occ.sum(axis=1)),
+    ]:
+        got = table()
+        assert table() is got
+        assert not got.flags.writeable
+        assert got.tobytes() == want.astype(got.dtype).tobytes()
 
 
 def test_random_interior_draws_only_the_kept_states():
     space = _space([1.0, 0.5, 0.3], 5)
-    mask = space.interior_mask(3)
+    mask = np.all(space.occupations() <= 2, axis=1)
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
     v = space.random_interior(rng, 3, 4)
     assert v.shape == (4, space.dim)
     assert not np.any(v[:, ~mask])
     assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+    # the normals fill the kept states in C order, real parts first
+    kept = np.random.default_rng(4).standard_normal((2, 4, int(mask.sum())))
+    want = np.zeros((4, space.dim), dtype=complex)
+    want.real[:, mask], want.imag[:, mask] = kept
+    assert v.tobytes() == (want / np.linalg.norm(want)).tobytes()
     # exactly one real and one imaginary normal per kept state and row
     twin.standard_normal(2 * 4 * int(mask.sum()))
     assert rng.standard_normal() == twin.standard_normal()

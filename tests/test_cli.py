@@ -344,6 +344,23 @@ def test_spectrum_csv(tmp_path):
     assert d0 < 1e-4
 
 
+@pytest.mark.parametrize("n_max, warns", [(2, True), (6, False)])
+def test_spectrum_warns_when_its_routes_disagree(tmp_path, capsys, n_max, warns):
+    """At n_max 2 the two routes' truncations part by ~5e-3, at n_max 6 by
+    less than the equivalence tolerance 1e-6: one WARN line says so in the
+    first case only, and the CSV and the exit code are written as ever."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"modes:\n  n_max: {n_max}\nsolver:\n  levels: 3\n")
+    out = tmp_path / "runs"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("WARN")]
+    _, rows = _read_csv(out / "spectrum.csv")
+    gap = max(abs(float(r["energy_direct"]) - float(r["energy_transformed"])) for r in rows)
+    assert (gap > 1e-6) == warns
+    want = f"WARN spectrum: direct and transformed levels differ by {gap:.3e} > 1.0e-06"
+    assert lines == ([want] if warns else [])
+
+
 def test_sweep_csv_and_flip(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(TASAKI)

@@ -824,9 +824,15 @@ def _close(got, want, rel=1e-12):
     return abs(got - want) <= rel * abs(want)
 
 
-@pytest.mark.parametrize("n_max", [6, 8])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 6, 8, "overlapping"])
 def test_streamed_checks_match_full_stack_oracles(n_max):
-    model = reference_model(n_max=n_max)
+    """At n_max 1-3 the trials' support box is the whole box, above it a
+    sub-box; "overlapping" is a 3-site model whose site channels share both
+    of its modes, at n_max 5."""
+    if n_max == "overlapping":
+        model = _random_model(3, 2, 17, 1.5, 0.8, 5)
+    else:
+        model = reference_model(n_max=n_max)
     assert _close(
         verify_transform_hb(model, 3, np.random.default_rng(1)),
         oracle_transform_hb(model, 3, np.random.default_rng(1)),
