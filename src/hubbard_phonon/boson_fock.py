@@ -64,8 +64,8 @@ class TruncatedFock:
 
     Every mode keeps levels 0..n_max.  Operators that raise occupation are
     exact on vectors supported strictly below the truncation edge.  At
-    ``n_max`` 0 the space holds the vacuum alone: a model that only does
-    coherent-cloud arithmetic takes it, and no size cap can fire.  The
+    ``n_max`` 0 the space holds the vacuum alone: a model that builds no
+    boson vector on its own box takes it, and no size cap can fire.  The
     occupation table and the H_b and N_b diagonals are cached read-only.
     """
 

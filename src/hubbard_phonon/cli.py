@@ -66,7 +66,6 @@ from .boson_fock import relative_bound_check
 from .lang_firsov import (
     CoupledModel,
     annihilation_residual,
-    dress_state,
     dressed_ground,
     effective_hamiltonians,
     heisenberg_evolution_check,
@@ -296,7 +295,7 @@ def build_family(cfg) -> CutoffFamily:
     )
 
 
-def build_model(cfg) -> CoupledModel:
+def build_model(cfg, n_max: int) -> CoupledModel:
     return CoupledModel.from_family(
         cfg["lattice"]["n_sites"],
         cfg["electrons"]["n_e"],
@@ -306,7 +305,7 @@ def build_model(cfg) -> CoupledModel:
         build_family(cfg),
         float(cfg["modes"]["kappa"]),
         modes_per_site=int(cfg["modes"]["per_site"]),
-        n_max=int(cfg["modes"]["n_max"]),
+        n_max=n_max,
     )
 
 
@@ -354,25 +353,24 @@ def _meta(cfg, extra=None):
 def cmd_spectrum(cfg, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg)
+    # the routes solve on the active box, so the model keeps the vacuum only
+    model = build_model(cfg, 0)
     fam = build_family(cfg)
     b = b_kappa(fam, float(cfg["modes"]["kappa"]))
-    par = effective_params(
-        float(cfg["interaction"]["u"]), float(cfg["coupling"]["alpha"]), b
-    )
+    par = effective_params(float(cfg["interaction"]["u"]), float(cfg["coupling"]["alpha"]), b)
     rep = spin_ground_space(
         model.effective_electronic(), model.basis, float(cfg["solver"]["cluster_tol"])
     )
     label = classify(rep, model.basis.n_e, model.basis.n_sites)
-    k = int(cfg["solver"]["levels"])
-    ha = effective_hamiltonians(model)
-    direct = ha.direct_lowest(k)
-    transformed = ha.transformed_lowest(k)
-    product = ha.product_lowest(k)
-    got = min(len(direct), len(transformed), len(product))
-    if got < k:
-        raise ValidationError(f"solver.levels = {k} exceeds the {got} levels solved")
-    rows = list(zip(range(k), direct, transformed, product))
+    # the routes read exact ladders, so no more levels than the box of all
+    # modes at n_max holds states are asked of them
+    k, n_max = int(cfg["solver"]["levels"]), int(cfg["modes"]["n_max"])
+    held = model.basis.dim * (n_max + 1) ** model.fock.modes.m
+    if k > held:
+        raise ValidationError(f"solver.levels = {k} exceeds the {held} states at n_max {n_max}")
+    ha = effective_hamiltonians(model, n_max)
+    direct, transformed = ha.direct_lowest(k), ha.transformed_lowest(k)
+    rows = list(zip(range(k), direct, transformed, ha.product_lowest(k)))
     gap, tol = float(np.max(np.abs(direct - transformed))), cfg["tolerances"]["equivalence"]
     if gap > tol:
         print(f"WARN spectrum: direct and transformed levels differ by {gap:.3e} > {tol:.1e}")
@@ -474,7 +472,7 @@ def cmd_verify(cfg, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tols = cfg["tolerances"]
     rng = np.random.default_rng(args.seed)
-    model = build_model(cfg)
+    model = build_model(cfg, int(cfg["modes"]["n_max"]))
     checks = []  # (name, measured, threshold)
 
     checks.append(("car_two_site", _car_residual(), 1e-14))

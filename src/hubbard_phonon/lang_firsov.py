@@ -80,9 +80,9 @@ class CoupledModel:
     ``basis`` is a whole particle-number sector (:class:`SectorBasis`) or
     one total spin's highest-weight states in it (:class:`SpinSpace`).
     ``couplings`` is any real (n_sites, m) matrix; channels of different
-    sites may overlap.  Routes that never materialize a boson vector (the
-    coherent-cloud arithmetic of ``ir``) take the vacuum-only space,
-    ``n_max`` 0.
+    sites may overlap.  Routes that never materialize a boson vector on
+    this box (``ir``'s coherent clouds, ``spectrum``'s active-box solves)
+    take the vacuum-only space, ``n_max`` 0.
     """
 
     def __init__(
@@ -434,26 +434,28 @@ def active_frame(model: CoupledModel):
 
 
 def _free_ladder(freqs, k: int) -> np.ndarray:
-    """Lowest k values of sum_f n_f omega_f over all occupations n_f >= 0:
-    the exact spectrum of free oscillators, merged one mode at a time."""
+    """Lowest k values of sum_f n_f omega_f over all n_f >= 0, one mode at a
+    time.  Level i plus n quanta has (i + 1)(n + 1) sums at or below it, so
+    only i < k / (n + 1) can be among the k lowest: k ln k sums, not k^2."""
     levels = np.zeros(1)
     for w in freqs:
-        levels = np.sort(np.add.outer(levels, w * np.arange(k)).ravel())[:k]
+        levels = np.sort(np.concatenate([levels[: k // (n + 1)] + n * w for n in range(k)]))[:k]
     return levels
 
 
 class EffectiveHamiltonians:
-    """Direct, transformed-assembled and product-form Hamiltonians.
+    """Direct, transformed-assembled and product-form levels, per total spin.
 
-    Both coupled routes act on ``sectors[s]``: the model on the
-    highest-weight states of spin s (:func:`spin_spaces`), with its
-    couplings rotated onto the active modes of :func:`active_frame` and the
-    box of those modes at the model's ``n_max``.  The free modes split off
-    both Hamiltonians exactly, so ``direct_lowest`` and
+    Every route acts on ``sectors[s]``: the model on the highest-weight
+    states of spin s (:func:`spin_spaces`), with its couplings rotated onto
+    the active modes of :func:`active_frame` and the box of those modes at
+    ``n_max`` (the model's own when None).  The free modes split off both
+    coupled Hamiltonians exactly, so ``direct_lowest`` and
     ``transformed_lowest`` add the free ladder (:func:`_free_ladder`) and
     ``shift`` to each spin's levels.  Without a split shell every mode is
     active and unrotated and the shift is 0: the box operators of all the
-    modes, bit for bit.
+    modes, bit for bit.  No route reads the model's own box: on a model of
+    the vacuum-only box the caps bound each spin space times the active box.
 
     ``direct`` is the CSR H_e x 1 + 1 x H_b + alpha sum_x n_x x phi(lambda_x)
     of the active modes.  ``transformed`` realizes V^{-1} (H_e x 1) V -
@@ -468,14 +470,14 @@ class EffectiveHamiltonians:
     of the hopping; its spectrum is NOT equal to the direct one in general
     and is exposed separately so the deviation can be measured.
 
-    Both commute with S^2 and S_z (n_x is a spin scalar), so both act per
-    total spin s, where a pair's hop matrix is Q^T H_xy Q.
+    All three commute with S^2 and S_z (n_x is a spin scalar), so all act
+    per total spin s, where a pair's hop matrix is Q^T H_xy Q.
     """
 
-    def __init__(self, model: CoupledModel):
+    def __init__(self, model: CoupledModel, n_max: int | None = None):
         self.model = model
         self.rotation, active, self.free_freqs, self.shift = active_frame(model)
-        self.active = TruncatedFock(ModeSet(active), model.fock.n_max)
+        self.active = TruncatedFock(ModeSet(active), model.fock.n_max if n_max is None else n_max)
         lam = model.lam @ self.rotation
         n = model.basis.dim
         hops = {}  # each (x, y) pair's hop matrix on the sector
@@ -526,26 +528,25 @@ class EffectiveHamiltonians:
         return self.sectors[s].h_direct()
 
     def product_lowest(self, k: int) -> np.ndarray:
-        """k smallest eigenvalues of H_e^eff x 1 + 1 x H_b (exact)."""
-        he_eff = self.model.effective_electronic()
-        vals, _ = eigensolve(he_eff, k=min(k, self.model.basis.dim))
-        grid = np.add.outer(vals, self.model.fock.hb_diag()).ravel()
-        return np.sort(np.partition(grid, min(k, grid.size - 1))[:k])
+        """k smallest levels of H_e^eff x 1 + 1 x H_b: per spin, those of
+        H_e - alpha^2 R_active plus ``shift`` and the exact ladder of every mode."""
+        freqs = self.model.fock.modes.freqs
+        return self._lowest(lambda s: self.sectors[s].effective_electronic(), k, 0.0, freqs)
 
     def direct_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        return self._lowest(self.direct, k, tol)
+        return self._lowest(self.direct, k, tol, self.free_freqs)
 
     def transformed_lowest(self, k: int, tol: float = 0.0) -> np.ndarray:
-        return self._lowest(self.transformed, k, tol)
+        return self._lowest(self.transformed, k, tol, self.free_freqs)
 
-    def _lowest(self, operator, k: int, tol: float) -> np.ndarray:
+    def _lowest(self, operator, k: int, tol: float, freqs) -> np.ndarray:
         """Lowest ``k`` levels: ceil(k / (2s+1)) of every spin s (a higher spin
         can lie lower) from the levels of ``operator(s)`` plus each level
-        of the free ladder and the shift, each repeated 2s+1 times.  One
-        level more is solved than used, so the last one used is not the
-        edge of the wanted set inside an exactly degenerate pair, where
-        ARPACK's iteration count followed the BLAS thread count."""
-        ladder = _free_ladder(self.free_freqs, k) + self.shift
+        of the exact ladder of ``freqs`` and the shift, each repeated 2s+1
+        times.  One level more is solved than used, so the last one used is
+        not the edge of the wanted set inside an exactly degenerate pair,
+        where ARPACK's iteration count followed the BLAS thread count."""
+        ladder = _free_ladder(freqs, k) + self.shift
         levels = []
         for s in self.sectors:
             h = operator(s)
@@ -557,8 +558,9 @@ class EffectiveHamiltonians:
         return np.sort(np.concatenate(levels))[:k]
 
 
-def effective_hamiltonians(model: CoupledModel) -> EffectiveHamiltonians:
-    return EffectiveHamiltonians(model)
+def effective_hamiltonians(model: CoupledModel, n_max: int | None = None) -> EffectiveHamiltonians:
+    """The routes of ``model`` on the active box at ``n_max`` (None: the model's own)."""
+    return EffectiveHamiltonians(model, n_max)
 
 
 # -- dressed annihilators and dynamics ---------------------------------------
