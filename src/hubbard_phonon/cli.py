@@ -64,6 +64,7 @@ from .magnetism import (
 )
 from .boson_fock import relative_bound_check
 from .lang_firsov import (
+    COUPLED_DIM_CAP,
     CoupledModel,
     annihilation_residual,
     dressed_ground,
@@ -357,20 +358,34 @@ def cmd_spectrum(cfg, args) -> int:
     model = build_model(cfg, 0)
     fam = build_family(cfg)
     b = b_kappa(fam, float(cfg["modes"]["kappa"]))
-    par = effective_params(float(cfg["interaction"]["u"]), float(cfg["coupling"]["alpha"]), b)
+    par = effective_params(
+        float(cfg["interaction"]["u"]), float(cfg["coupling"]["alpha"]), b
+    )
     rep = spin_ground_space(
         model.effective_electronic(), model.basis, float(cfg["solver"]["cluster_tol"])
     )
     label = classify(rep, model.basis.n_e, model.basis.n_sites)
-    # the routes read exact ladders, so no more levels than the box of all
-    # modes at n_max holds states are asked of them
-    k, n_max = int(cfg["solver"]["levels"]), int(cfg["modes"]["n_max"])
+    # a model without free modes has no more levels than the box of all
+    # modes at n_max holds states
+    k = int(cfg["solver"]["levels"])
+    n_max = int(cfg["modes"]["n_max"])
     held = model.basis.dim * (n_max + 1) ** model.fock.modes.m
     if k > held:
         raise ValidationError(f"solver.levels = {k} exceeds the {held} states at n_max {n_max}")
     ha = effective_hamiltonians(model, n_max)
-    direct, transformed = ha.direct_lowest(k), ha.transformed_lowest(k)
-    rows = list(zip(range(k), direct, transformed, ha.product_lowest(k)))
+    # spin s solves ceil(k / (2s+1)) + 1 levels of its space and merges them
+    # with k ladder levels: the numbers each solve holds stay under the cap
+    for s, sec in ha.sectors.items():
+        size = (-(-k // int(round(2.0 * s + 1.0))) + 1) * max(sec.dim, k)
+        if size > COUPLED_DIM_CAP:
+            raise ValidationError(
+                f"solver.levels = {k} holds {size} numbers at spin {s}, "
+                f"above the cap {COUPLED_DIM_CAP}"
+            )
+    direct = ha.direct_lowest(k)
+    transformed = ha.transformed_lowest(k)
+    product = ha.product_lowest(k)
+    rows = list(zip(range(k), direct, transformed, product))
     gap, tol = float(np.max(np.abs(direct - transformed))), cfg["tolerances"]["equivalence"]
     if gap > tol:
         print(f"WARN spectrum: direct and transformed levels differ by {gap:.3e} > {tol:.1e}")

@@ -434,12 +434,11 @@ def active_frame(model: CoupledModel):
 
 
 def _free_ladder(freqs, k: int) -> np.ndarray:
-    """Lowest k values of sum_f n_f omega_f over all n_f >= 0, one mode at a
-    time.  Level i plus n quanta has (i + 1)(n + 1) sums at or below it, so
-    only i < k / (n + 1) can be among the k lowest: k ln k sums, not k^2."""
+    """Lowest k values of sum_f n_f omega_f over all occupations n_f >= 0:
+    the exact spectrum of free oscillators, merged one mode at a time."""
     levels = np.zeros(1)
     for w in freqs:
-        levels = np.sort(np.concatenate([levels[: k // (n + 1)] + n * w for n in range(k)]))[:k]
+        levels = np.sort(np.add.outer(levels, w * np.arange(k)).ravel())[:k]
     return levels
 
 

@@ -196,6 +196,12 @@ def test_equivalence_gate_reads_the_sector_dimension(
         ]
 
 
+# 3-site chain, n_e 3, n_max 6: 20 x 7^6 = 2,352,980 states on the box of
+# all six modes, above the coupled cap; the routes solve (8 and 1 spin
+# states) x 7^4 on the four active modes
+CHAIN3 = "lattice: {n_sites: 3}\nelectrons: {n_e: 3}\nmodes: {n_max: 6}\n"
+
+
 @pytest.mark.parametrize(
     "text, command, message",
     [
@@ -209,9 +215,15 @@ def test_equivalence_gate_reads_the_sector_dimension(
         ("modes:\n  beta: 3.0\n  big_k: 1.0e+300\n", "ir", "a value overflowed"),
         ("modes:\n  beta: 3.0\n  big_k: 1.0e+300\n", "sweep", "a value overflowed"),
         ("modes:\n  n_max: 2\nsolver:\n  levels: 1000", "spectrum", "solver.levels"),
+        # 1000 levels lie far below the 2,352,980 states of the box of all
+        # modes, but would ask 501 levels of the 19,208-state S = 1/2 space
+        (CHAIN3 + "solver: {levels: 1000}\n", "spectrum", "solver.levels = 1000 holds"),
         ("modes:\n  n_max: 40\n", "verify", "Fock dimension"),
     ],
-    ids=["grid-size", "alpha-overflow", "big-k-ir", "big-k-sweep", "levels", "fock-cap"],
+    ids=[
+        "grid-size", "alpha-overflow", "big-k-ir", "big-k-sweep", "levels", "levels-solved",
+        "fock-cap",
+    ],
 )
 def test_accepted_config_that_cannot_run_exits_2(
     tmp_path, capsys, text, command, message
@@ -359,12 +371,6 @@ def test_spectrum_warns_when_its_routes_disagree(tmp_path, capsys, n_max, warns)
     assert (gap > 1e-6) == warns
     want = f"WARN spectrum: direct and transformed levels differ by {gap:.3e} > 1.0e-06"
     assert lines == ([want] if warns else [])
-
-
-# 3-site chain, n_e 3, n_max 6: 20 x 7^6 = 2,352,980 states on the box of
-# all six modes, above the coupled cap; the routes solve (8 and 1 spin
-# states) x 7^4 on the four active modes
-CHAIN3 = "lattice: {n_sites: 3}\nelectrons: {n_e: 3}\nmodes: {n_max: 6}\n"
 
 
 def test_three_site_spectrum_solves_on_the_active_box(tmp_path, capsys):

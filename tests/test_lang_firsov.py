@@ -508,14 +508,6 @@ def test_product_levels_read_the_exact_oscillator_ladder(build):
     assert np.max(np.abs(product - _exact_ladder_levels(model, 20))) <= 1e-12
 
 
-def test_free_ladder_forms_k_log_k_sums():
-    """At k 3000 the ladder of the four reference modes stays far below the
-    ~200 MiB of a full k x k sum (spectrum accepts solver.levels up to the
-    box's 171,366 states); its values are held by the product test above."""
-    w = reference_model(n_max=0).fock.modes.freqs
-    assert _traced_peak(lang_firsov._free_ladder, w, 3000) < 8 * 2**20
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     sites_and_electrons=st.integers(2, 3).flatmap(
