@@ -23,9 +23,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import gammainc
 
-from .errors import SizingError, ValidationError
-
-FOCK_DIM_CAP = 2_000_000
+from .errors import ValidationError
 
 __all__ = [
     "ModeSet",
@@ -65,7 +63,9 @@ class TruncatedFock:
     Every mode keeps levels 0..n_max.  Operators that raise occupation are
     exact on vectors supported strictly below the truncation edge.  At
     ``n_max`` 0 the space holds the vacuum alone: a model that builds no
-    boson vector on its own box takes it, and no size cap can fire.  The
+    boson vector on its own box takes it.  Nothing is allocated until it
+    is read, and no cap is checked here: every box the package fills is, or
+    lies in, that of a capped :class:`lang_firsov.CoupledModel`.  The
     occupation table and the H_b and N_b diagonals are cached read-only.
     """
 
@@ -74,12 +74,7 @@ class TruncatedFock:
             raise ValidationError("n_max must be >= 0")
         self.modes = modes
         self.n_max = int(n_max)
-        dim = (self.n_max + 1) ** modes.m
-        if dim > FOCK_DIM_CAP:
-            raise SizingError(
-                f"Fock dimension {dim} exceeds cap {FOCK_DIM_CAP}"
-            )
-        self.dim = dim
+        self.dim = (self.n_max + 1) ** modes.m
         self.shape = (self.n_max + 1,) * modes.m
         self._cache = {}
 

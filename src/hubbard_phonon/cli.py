@@ -64,7 +64,6 @@ from .magnetism import (
 )
 from .boson_fock import relative_bound_check
 from .lang_firsov import (
-    COUPLED_DIM_CAP,
     CoupledModel,
     annihilation_residual,
     dressed_ground,
@@ -354,8 +353,10 @@ def _meta(cfg, extra=None):
 def cmd_spectrum(cfg, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # the routes solve on the active box, so the model keeps the vacuum only
+    # the routes solve on the active box, so the model keeps the vacuum only;
+    # built first, they refuse a size before the electronic solve is spent
     model = build_model(cfg, 0)
+    ha = effective_hamiltonians(model, int(cfg["modes"]["n_max"]))
     fam = build_family(cfg)
     b = b_kappa(fam, float(cfg["modes"]["kappa"]))
     par = effective_params(
@@ -365,24 +366,10 @@ def cmd_spectrum(cfg, args) -> int:
         model.effective_electronic(), model.basis, float(cfg["solver"]["cluster_tol"])
     )
     label = classify(rep, model.basis.n_e, model.basis.n_sites)
-    # a model without free modes has no more levels than the box of all
-    # modes at n_max holds states
     k = int(cfg["solver"]["levels"])
-    n_max = int(cfg["modes"]["n_max"])
-    held = model.basis.dim * (n_max + 1) ** model.fock.modes.m
-    if k > held:
-        raise ValidationError(f"solver.levels = {k} exceeds the {held} states at n_max {n_max}")
-    ha = effective_hamiltonians(model, n_max)
-    # spin s solves ceil(k / (2s+1)) + 1 levels of its space and merges them
-    # with k ladder levels: the numbers each solve holds stay under the cap
-    for s, sec in ha.sectors.items():
-        size = (-(-k // int(round(2.0 * s + 1.0))) + 1) * max(sec.dim, k)
-        if size > COUPLED_DIM_CAP:
-            raise ValidationError(
-                f"solver.levels = {k} holds {size} numbers at spin {s}, "
-                f"above the cap {COUPLED_DIM_CAP}"
-            )
     direct = ha.direct_lowest(k)
+    if len(direct) < k:  # a model without free modes holds only its boxes' levels
+        raise ValidationError(f"solver.levels = {k} exceeds the {len(direct)} levels held")
     transformed = ha.transformed_lowest(k)
     product = ha.product_lowest(k)
     rows = list(zip(range(k), direct, transformed, product))

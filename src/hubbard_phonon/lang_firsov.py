@@ -17,6 +17,7 @@ structure instead of materializing V.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,9 @@ class CoupledModel:
     ``couplings`` is any real (n_sites, m) matrix; channels of different
     sites may overlap.  Routes that never materialize a boson vector on
     this box (``ir``'s coherent clouds, ``spectrum``'s active-box solves)
-    take the vacuum-only space, ``n_max`` 0.
+    take the vacuum-only space, ``n_max`` 0.  A basis times box above
+    ``COUPLED_DIM_CAP``, the cap of every box the package fills, is refused
+    before anything is built.
     """
 
     def __init__(
@@ -453,8 +456,10 @@ class EffectiveHamiltonians:
     ``transformed_lowest`` add the free ladder (:func:`_free_ladder`) and
     ``shift`` to each spin's levels.  Without a split shell every mode is
     active and unrotated and the shift is 0: the box operators of all the
-    modes, bit for bit.  No route reads the model's own box: on a model of
-    the vacuum-only box the caps bound each spin space times the active box.
+    modes, bit for bit.  No route reads the model's own box, so a model of
+    the vacuum-only box will do.  Sizes are refused before any table or
+    solve: the sector models check each spin space times the active box
+    against ``COUPLED_DIM_CAP``, and :meth:`_lowest` each per-spin solve.
 
     ``direct`` is the CSR H_e x 1 + 1 x H_b + alpha sum_x n_x x phi(lambda_x)
     of the active modes.  ``transformed`` realizes V^{-1} (H_e x 1) V -
@@ -478,15 +483,18 @@ class EffectiveHamiltonians:
         self.rotation, active, self.free_freqs, self.shift = active_frame(model)
         self.active = TruncatedFock(ModeSet(active), model.fock.n_max if n_max is None else n_max)
         lam = model.lam @ self.rotation
+        # each sector model checks its size before any hop table is filled
+        self.sectors = {
+            space.s: CoupledModel(space, model.hopping, model.u, model.alpha, self.active, lam)
+            for space in spin_spaces(model.basis)
+        }
         n = model.basis.dim
-        hops = {}  # each (x, y) pair's hop matrix on the sector
+        hops = defaultdict(lambda: np.zeros((n, n)))  # each pair's hop matrix on the sector
         for x, y, src, dst, amp in zip(*hopping_moves(model.basis, model.hopping)):
-            hops.setdefault((x, y), np.zeros((n, n)))[dst, src] += amp
-        self.sectors, self._dressed = {}, {}
-        for space in spin_spaces(model.basis):
-            sec = self.sectors[space.s] = CoupledModel(
-                space, model.hopping, model.u, model.alpha, self.active, lam
-            )
+            hops[x, y][dst, src] += amp
+        self._dressed = {}
+        for s, sec in self.sectors.items():
+            space = sec.basis
             # each pair's hop on the space factored at its numerical rank
             # (SVD) as left @ right; the factors of all pairs are stacked,
             # and each pair names its rows and its displacement
@@ -501,7 +509,7 @@ class EffectiveHamiltonians:
                     zdiff = (sec.alpha / np.sqrt(2.0)) * (sec.g[x] - sec.g[y])
                     pairs.append((slice(start, start + rank), zdiff))
             diag = np.add.outer(sec.effective_electronic().diagonal(), self.active.hb_diag())
-            self._dressed[space.s] = diag, np.hstack(lefts), np.vstack(rights), pairs
+            self._dressed[s] = diag, np.hstack(lefts), np.vstack(rights), pairs
 
     def transformed_matvec(self, vec, s: float):
         diag, left, right, pairs = self._dressed[s]
@@ -544,12 +552,22 @@ class EffectiveHamiltonians:
         of the exact ladder of ``freqs`` and the shift, each repeated 2s+1
         times.  One level more is solved than used, so the last one used is
         not the edge of the wanted set inside an exactly degenerate pair,
-        where ARPACK's iteration count followed the BLAS thread count."""
+        where ARPACK's iteration count followed the BLAS thread count.
+        Those ceil(k / (2s+1)) + 1 levels times the larger of the sector's
+        dimension and k (the ladder merge) must stay under ``COUPLED_DIM_CAP``
+        for every spin, else :class:`SizingError` before any ladder or solve.
+        Without free modes fewer than k levels may exist; all are returned."""
+        mults = {s: int(round(2.0 * s + 1.0)) for s in self.sectors}
+        for s, mult in mults.items():
+            size = (-(-k // mult) + 1) * max(self.sectors[s].dim, k)
+            if size > COUPLED_DIM_CAP:
+                raise SizingError(
+                    f"{k} levels need {size} numbers at spin {s}, above the cap {COUPLED_DIM_CAP}"
+                )
         ladder = _free_ladder(freqs, k) + self.shift
         levels = []
-        for s in self.sectors:
+        for s, mult in mults.items():
             h = operator(s)
-            mult = int(round(2.0 * s + 1.0))
             need = -(-k // mult)
             vals, _ = eigensolve(h, k=min(need + 1, h.shape[0]), tol=tol)
             merged = np.sort(np.add.outer(vals, ladder).ravel())[:need]

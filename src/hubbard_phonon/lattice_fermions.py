@@ -194,10 +194,9 @@ def hopping_moves(basis: SectorBasis, hopping: HoppingMatrix):
     return x[i], y[i], src, dst, t[x[i], y[i]] * sign
 
 
-def _assemble(dim, rows, cols, vals, within=None):
-    """CSR of entries at distinct positions, skipping COO: rows in order,
-    each sorted by ``within`` (by column if not given)."""
-    order = np.lexsort((cols if within is None else within, rows))
+def _assemble(dim, rows, cols, vals):
+    """CSR of entries at distinct positions; built sorted, skipping COO."""
+    order = np.lexsort((cols, rows))
     indptr = np.searchsorted(rows[order], np.arange(dim + 1))
     return sp.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
 
@@ -242,39 +241,20 @@ def number_operators(basis: SectorBasis):
 def build_spin_operators(basis: SectorBasis):
     """Total-spin components and S^2 on the sector, CSR at every dimension.
 
-    Returns ``(sx, sy, sz, s_squared)`` as the sparse sums and products of
-    S+, S- = (S+)^T and diagonals would store them; S^2 = S- S+ + Sz^2 + Sz
-    keeps it real, and sy is the only complex matrix."""
-    dim = basis.dim
+    Returns ``(sx, sy, sz, s_squared)`` as sparse sums and products of S+,
+    S- = (S+)^T and diagonals: S^2 = S- S+ + Sz^2 + Sz keeps it real, and
+    sy is the only complex matrix."""
     up, dn = basis.spin_occupations()
     sz_diag = 0.5 * (up - dn).sum(axis=1)
     # S+ = sum_x c+_{x,up} c_{x,down}
     x = np.arange(basis.n_sites)
     src, _, dst, sign = _moves(basis.states, 2 * x, 2 * x + 1)
-    sign = sign.astype(float)
-    rows, cols = np.r_[dst, src], np.r_[src, dst]  # S+, then S-
-    sx = _assemble(dim, rows, cols, np.r_[sign, sign] * 0.5)
-    sy = _assemble(dim, rows, cols, np.r_[sign, -sign] * -0.5j)
-    nz = np.flatnonzero(sz_diag)
-    sz = _assemble(dim, nz, nz, sz_diag[nz])
-    # row i of S- S+ in the order the sparse product stores it: each column at
-    # its first appearance over the S+ images k of i, then over S+ row k, both
-    # ascending (only the diagonal repeats); adding Sz^2 + Sz keeps that order,
-    # and a row that S- S+ leaves empty holds its diagonal alone
-    splus = _assemble(dim, dst, src, sign)
-    by_source = np.lexsort((dst, src))
-    k = dst[by_source]
-    reps = np.diff(splus.indptr)[k]
-    at = np.repeat(splus.indptr[k] - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-    i, j = np.repeat(src[by_source], reps), splus.indices[at]
-    val = np.repeat(sign[by_source], reps) * splus.data[at]
-    d, on = sz_diag**2 + sz_diag, np.flatnonzero(i == j)
-    val[on] = np.bincount(i[on], val[on], dim)[i[on]] + d[i[on]]
-    keep = i != j
-    keep[on[np.diff(i[on], prepend=-1) != 0]] = True
-    lone = np.flatnonzero((d != 0) & (np.bincount(i, minlength=dim) == 0))
-    rows, cols = np.r_[i[keep], lone], np.r_[j[keep], lone]
-    s_squared = _assemble(dim, rows, cols, np.r_[val[keep], d[lone]], np.arange(rows.size))
+    splus = _assemble(basis.dim, dst, src, sign.astype(float))
+    sminus = splus.T.tocsr()
+    sz = sp.diags(sz_diag).tocsr()
+    s_squared = (sminus @ splus + sp.diags(sz_diag**2 + sz_diag)).tocsr()
+    sx = 0.5 * (splus + sminus)
+    sy = -0.5j * (splus - sminus)
     return sx, sy, sz, s_squared
 
 

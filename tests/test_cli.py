@@ -24,7 +24,9 @@ import hubbard_phonon
 from hubbard_phonon import cli, eigensolver, ir_modes, magnetism
 from hubbard_phonon.cli import main, validate_config, load_config
 from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
-from hubbard_phonon.lang_firsov import dressed_ground, nb_expectation
+from hubbard_phonon.lang_firsov import dressed_ground, effective_hamiltonians, nb_expectation
+
+from fock_oracles import direct_levels, transformed_levels
 
 FAST_VERIFY = """
 modes:
@@ -214,15 +216,28 @@ CHAIN3 = "lattice: {n_sites: 3}\nelectrons: {n_e: 3}\nmodes: {n_max: 6}\n"
         ("coupling:\n  alpha: 1.0e+200\n", "ir", "a value overflowed"),
         ("modes:\n  beta: 3.0\n  big_k: 1.0e+300\n", "ir", "a value overflowed"),
         ("modes:\n  beta: 3.0\n  big_k: 1.0e+300\n", "sweep", "a value overflowed"),
-        ("modes:\n  n_max: 2\nsolver:\n  levels: 1000", "spectrum", "solver.levels"),
+        # one site has no hop and so no free mode: its 2 x 2 box holds 4
+        # levels, and spectrum asks for 5
+        (
+            "lattice: {n_sites: 1}\nelectrons: {n_e: 2}\nmodes: {n_max: 1}\n",
+            "spectrum",
+            "solver.levels = 5 exceeds the 4 levels",
+        ),
         # 1000 levels lie far below the 2,352,980 states of the box of all
         # modes, but would ask 501 levels of the 19,208-state S = 1/2 space
-        (CHAIN3 + "solver: {levels: 1000}\n", "spectrum", "solver.levels = 1000 holds"),
-        ("modes:\n  n_max: 40\n", "verify", "Fock dimension"),
+        (CHAIN3 + "solver: {levels: 1000}\n", "spectrum", "1000 levels need 9623208 numbers"),
+        ("modes:\n  n_max: 40\n", "verify", "coupled dimension 16954566 exceeds cap"),
+        # the S = 1/2 space of 8,820 states times 2^16 active states is
+        # refused before a 48,620 x 48,620 hop table is allocated
+        (
+            "lattice: {n_sites: 9}\nelectrons: {n_e: 9}\nmodes: {n_max: 1}\n",
+            "spectrum",
+            "coupled dimension 578027520 exceeds cap",
+        ),
     ],
     ids=[
         "grid-size", "alpha-overflow", "big-k-ir", "big-k-sweep", "levels", "levels-solved",
-        "fock-cap",
+        "coupled-cap", "nine-sites",
     ],
 )
 def test_accepted_config_that_cannot_run_exits_2(
@@ -235,6 +250,24 @@ def test_accepted_config_that_cannot_run_exits_2(
     assert rc == 2
     assert "config error: " in err and message in err
     assert "Traceback" not in err
+
+
+def test_spectrum_levels_beyond_the_box_of_all_modes_are_exact(tmp_path):
+    """With free modes the routes return exact levels past the box of all
+    modes: at n_max 1 that box holds 6 x 16 = 96 states, and 120 levels
+    still match the brute-force levels of the active box plus the free
+    ladder."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 1}\nsolver: {levels: 120}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 0
+    _, rows = _read_csv(out / "spectrum.csv")
+    assert len(rows) == 120
+    ha = effective_hamiltonians(cli.build_model(load_config(cfg), 0), 1)
+    routes = {"energy_direct": direct_levels, "energy_transformed": transformed_levels}
+    for route, oracle in routes.items():
+        levels = np.array([float(r[route]) for r in rows])
+        assert np.max(np.abs(levels - oracle(ha, 120))) <= 1e-12
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

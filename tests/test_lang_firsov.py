@@ -508,6 +508,22 @@ def test_product_levels_read_the_exact_oscillator_ladder(build):
     assert np.max(np.abs(product - _exact_ladder_levels(model, 20))) <= 1e-12
 
 
+@pytest.mark.parametrize("route", ["direct_lowest", "transformed_lowest", "product_lowest"])
+def test_levels_past_the_cap_are_refused_before_any_solve(monkeypatch, route):
+    """1,500 levels ask 1,501 levels of the reference S = 0 space (27 states
+    at n_max 2) and merge them with 1,500 ladder levels: 2,251,500 numbers,
+    above the coupled cap.  Each route refuses before the ladder or a solve."""
+    ha = effective_hamiltonians(reference_model(n_max=2))
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("reached past the size check")
+
+    monkeypatch.setattr(lang_firsov, "eigensolve", unreached)
+    monkeypatch.setattr(lang_firsov, "_free_ladder", unreached)
+    with pytest.raises(SizingError, match="1500 levels need 2251500 numbers at spin 0.0"):
+        getattr(ha, route)(1500)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     sites_and_electrons=st.integers(2, 3).flatmap(
