@@ -7,11 +7,11 @@ sqrt(2)`` and the Weyl operator ``W(f) = exp(i phi(f))``, which factorizes
 over modes as a product of displacements ``D(i f_j / sqrt(2))``.
 
 Operators are applied without being assembled: :func:`apply_ladder`,
-:func:`apply_field` and :func:`apply_displacement` work one mode axis at a
-time on a vector or on each row of a ``(k, dim)`` stack.  The sparse
-:func:`field` exists for the one product that is a matrix, the coupled
-Hamiltonian; it places the same ladder entries as :func:`apply_field` on
-the diagonals of an assembled matrix.
+:func:`apply_field` and :func:`apply_modes` (behind :func:`apply_displacement`;
+it maps rows on a smaller box to whole rows) work one mode axis at a time on
+a vector or on each row of a ``(k, dim)`` stack.  The sparse :func:`field`,
+for the one product that is a matrix, the coupled Hamiltonian, places the
+same ladder entries as :func:`apply_field` on the diagonals of a matrix.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ __all__ = [
     "field",
     "apply_ladder",
     "apply_field",
+    "lowering_1mode",
     "displacement_1mode",
     "coherent_amplitudes_1mode",
     "coherent_tail",
     "mode_kron",
+    "apply_modes",
     "apply_displacement",
     "coherent_weyl_overlap",
     "relative_bound_check",
@@ -207,11 +209,18 @@ def apply_field(space: TruncatedFock, f, block):
     return _apply_ladder_terms(space, block, np.conj(f), f, 1 / np.sqrt(2.0))
 
 
+def lowering_1mode(n_max: int) -> np.ndarray:
+    """Dense single-mode lowering a on levels 0..n_max: a|k> = sqrt(k)|k-1>."""
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+
+
 @lru_cache(maxsize=256, typed=True)
 def displacement_1mode(z: complex, n_max: int) -> np.ndarray:
-    """Dense single-mode displacement exp(z a^dagger - conj(z) a), read-only."""
-    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-    d = expm(z * a.conj().T - np.conj(z) * a)
+    """Dense single-mode displacement exp(z a^dagger - conj(z) a), read-only;
+    D(-z), the exponential of minus the same truncated generator, is its
+    exact inverse on the truncated mode."""
+    a = lowering_1mode(n_max)
+    d = expm(z * a.T - np.conj(z) * a)
     d.flags.writeable = False
     return d
 
@@ -241,34 +250,45 @@ def mode_kron(factors):
     return out
 
 
-def apply_displacement(space: TruncatedFock, z, block):
-    """Apply prod_j D(z_j) to a vector or to each row of a (k, dim) stack.
+def apply_modes(space: TruncatedFock, mats, block):
+    """prod_j M_j, ``mats`` mapping mode j to an (n_max+1)-square M_j (else
+    the identity), on a vector or each row of a (k, s^m) stack: rows on a
+    box of side s <= n_max + 1, zero outside it, come back as whole rows.
 
-    Per mode with z_j != 0 this is one matrix product: ``D @ t`` on the
-    (n_max+1, rest) slices of the mode's axis, or ``t @ D.T`` on the last
-    mode.  A complex block under a real D is contracted as its interleaved
-    real and imaginary parts, so every product runs on real BLAS.
-    """
-    z = np.asarray(z)
-    m = space.modes.m
-    if z.shape != (m,):
-        raise ValidationError("z must assign one displacement per mode")
-    shape = np.shape(block)
-    n = space.n_max + 1
+    Per mode one product contracts only the first s columns of M_j, ``M @ t``
+    on the (rest, s, post) view or ``t @ M.T`` on the last mode: a box row
+    costs about (s / (n_max+1))^(m-1) of a whole one and, where BLAS sums
+    over k in order, equals the zero-padded call bit for bit.  A complex
+    block under a real M runs on real BLAS as interleaved parts."""
+    m, n = space.modes.m, space.n_max + 1
     t = np.asarray(block)
+    lead, size = t.shape[:-1], t.shape[-1] if t.ndim else 0
+    side = int(round(size ** (1.0 / m)))
+    if side**m != size or not 1 <= side <= n:
+        raise ValidationError(f"rows of {size} entries lie on no box of side <= {n}")
     for j in range(m):
-        if z[j] == 0:
+        post = side ** (m - 1 - j)
+        d = mats.get(j)
+        if d is None and side == n:
             continue
-        d = displacement_1mode(z[j], space.n_max)
-        post = n ** (m - 1 - j)
+        d = (np.eye(n) if d is None else d)[:, :side]  # the identity pads exactly
         if post == 1:
-            t = t.reshape(-1, n) @ d.T
+            t = t.reshape(-1, side) @ d.T
         elif np.iscomplexobj(t) and not np.iscomplexobj(d):
-            re_im = np.ascontiguousarray(t).reshape(-1, n, post).view(np.float64)
+            re_im = np.ascontiguousarray(t).reshape(-1, side, post).view(np.float64)
             t = np.matmul(d, re_im).view(t.dtype)
         else:
-            t = np.matmul(d, t.reshape(-1, n, post))
-    return t.reshape(shape)
+            t = np.matmul(d, t.reshape(-1, side, post))
+    return t.reshape(lead + (space.dim,))
+
+
+def apply_displacement(space: TruncatedFock, z, block):
+    """prod_j D(z_j) on rows, whole or on a box: :func:`apply_modes`."""
+    z = np.asarray(z)
+    if z.shape != (space.modes.m,):
+        raise ValidationError("z must assign one displacement per mode")
+    mats = {j: displacement_1mode(zj, space.n_max) for j, zj in enumerate(z) if zj != 0}
+    return apply_modes(space, mats, block)
 
 
 def coherent_weyl_overlap(z, w, f) -> complex:

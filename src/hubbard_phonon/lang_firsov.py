@@ -30,9 +30,12 @@ from .boson_fock import (
     apply_displacement,
     apply_field,
     apply_ladder,
+    apply_modes,
     coherent_amplitudes_1mode,
     coherent_tail,
+    displacement_1mode,
     field,
+    lowering_1mode,
     mode_kron,
 )
 from .eigensolver import CLUSTER_TOL, eigensolve
@@ -148,19 +151,19 @@ class CoupledModel:
 
     def displace_row(self, c: int, row, inverse: bool = False):
         """D(z_c) @ row, or D(-z_c) with ``inverse``: V (V^{-1}) on the boson
-        row of configuration c."""
+        row of configuration c, whole or on a smaller box (:func:`apply_modes`)."""
         zc = self._z[c]
         return apply_displacement(self.fock, -zc if inverse else zc, row)
 
     def apply_unitary(self, vec, inverse: bool = False):
-        """V @ vec (or its inverse): :meth:`displace_row` on each row c.
-
-        Rows are displaced one at a time even where several share a z: a
-        stack of rows outgrows the cache at large n_max (four complex rows
-        at n_max 16 took 12-16 ms stacked, 7.0-7.5 ms row by row).
+        """V @ vec (or its inverse): :meth:`displace_row` on each row c, whole
+        or on a smaller box.  Rows are displaced one at a time even where
+        several share a z: a stack of rows outgrows the cache at large n_max
+        (four complex rows at n_max 16 took 12-16 ms stacked, 7.0-7.5 ms row
+        by row).
         """
-        t = np.asarray(vec).reshape(self.basis.dim, self.fock.dim)
-        out = np.empty(t.shape, dtype=np.result_type(t.dtype, np.float64))
+        t = np.asarray(vec).reshape(self.basis.dim, -1)
+        out = np.empty((self.basis.dim, self.fock.dim), np.result_type(t.dtype, np.float64))
         for c, row in enumerate(t):
             out[c] = self.displace_row(c, row, inverse)
         return out.reshape(self.dim)
@@ -321,26 +324,16 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
 def _interior_trials(model: CoupledModel, n_trials: int, rng):
     """The identity checks' random trials and their support box.
 
-    A trial (:meth:`TruncatedFock.random_interior`) holds at most
-    TRIAL_OCCUPATION quanta per mode (n_max - 1 if lower); phi, a(f), D and
-    K2 raise it by one level at most.  Returns that box one level larger,
-    the flat indices of its states in the model's box and a generator of
-    the trials' entries there, shape (F, box.dim)."""
+    A trial holds at most TRIAL_OCCUPATION quanta per mode (n_max - 1 if
+    lower); phi, a(f), D and K2 raise it by one level at most.  Returns that
+    box one level larger, the flat indices of its states in the model's box
+    and a generator of (F, box.dim) trials drawn on it, the normals a
+    whole-box :meth:`TruncatedFock.random_interior` would draw."""
     fock = model.fock
     headroom = max(fock.n_max - TRIAL_OCCUPATION, 1)
     box = TruncatedFock(fock.modes, fock.n_max + 1 - headroom)
     idx = np.ravel_multi_index(box.occupations().T, fock.shape)
-    # the whole (F, B) draw is never bound, so no trial keeps it alive
-    return box, idx, (
-        fock.random_interior(rng, headroom, model.basis.dim)[:, idx] for _ in range(n_trials)
-    )
-
-
-def _unpack(kept, idx, dim):
-    """psi, or one row of it, on whole boson rows from its support-box entries."""
-    out = np.zeros(kept.shape[:-1] + (dim,), dtype=complex)
-    out[..., idx] = kept
-    return out
+    return box, idx, (box.random_interior(rng, 1, model.basis.dim) for _ in range(n_trials))
 
 
 def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
@@ -353,9 +346,10 @@ def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
     least-squares fit of the two coefficients.  The identity is exact in the
     untruncated space; on the truncated one the residual is displacement
     leakage at the occupation edge, which dies as n_max grows.  Each
-    configuration row is conjugated on its own, V^{-1} then V; D psi, K1 psi
-    and K2 psi are formed on the trials' support box and subtracted there.
-    The squared residuals and the fit's normal equations are summed row by row.
+    configuration row is conjugated on its own: V^{-1} maps the support-box
+    row to a whole row and V (row * diag) runs on it (the per-mode form
+    sum_j d_j [D(z_j) n D(-z_j)]_j rounds 9.1e-13 from the oracle).  D psi,
+    K1 psi and K2 psi are formed on the support box and subtracted there.
     """
     box, idx, trials = _interior_trials(model, n_trials, rng)
     k2 = np.einsum("cx,xy,cy->c", model.nu, gram, model.nu)
@@ -364,13 +358,10 @@ def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
     atb = np.zeros(2, dtype=complex)
     for i, kept in enumerate(trials):
         for c, psi in enumerate(kept):
-            row = model.displace_row(c, _unpack(psi, idx, model.fock.dim), inverse=True)
+            row = model.displace_row(c, psi, inverse=True)
             delta = model.displace_row(c, row * diag)
             delta[idx] -= psi * diag[idx]
-            k1psi = np.zeros_like(psi)
-            for x, nu in enumerate(model.nu[c]):
-                if nu:
-                    k1psi += nu * apply_field(box, w[x], psi)
+            k1psi = apply_field(box, model.nu[c] @ w, psi)  # phi is linear in its argument
             k2psi = k2[c] * psi
             cols = (k1psi, k2psi)
             ata += [[np.vdot(ci, cj) for cj in cols] for ci in cols]
@@ -612,6 +603,27 @@ def annihilation_residual(model: CoupledModel, state: DressedState, f) -> float:
     return float(np.sqrt(sq))
 
 
+def _undressed_annihilator(model: CoupledModel, f):
+    """V^{-1} a_dressed(f) V on whole boson rows, as ``apply(c, row)``.
+
+    V_c = prod_j D(z_cj) and D(-z) is the exact inverse of D(z) on the
+    truncated box, so V_c^{-1} (a(f) + s_c) V_c = s_c + sum_j conj(f_j)
+    [D(-z_cj) a D(z_cj)]_j there (s_c from :func:`_dressed_scalar`), one
+    (n_max+1)-square matrix per mode and distinct z."""
+    fock, conj_f, z = model.fock, np.conj(np.asarray(f, dtype=complex)), model.z_table()
+    d, a, scalar = displacement_1mode, lowering_1mode(fock.n_max), _dressed_scalar(model, f)
+    ladder = {x: d(-x, fock.n_max) @ a @ d(x, fock.n_max) for x in set(z.flat)}
+
+    def apply(c, row):
+        out = scalar[c] * row
+        for j in np.flatnonzero(conj_f):
+            term = apply_modes(fock, {j: ladder[z[c, j]]}, row)
+            out += np.multiply(term, conj_f[j], out=term)
+        return out
+
+    return apply
+
+
 def heisenberg_evolution_check(
     model: CoupledModel, f, times=(0.1, 1.0, 10.0), n_trials: int = 3, rng=None
 ) -> float:
@@ -622,32 +634,30 @@ def heisenberg_evolution_check(
 
     The evolution U(t) = V (e^{-i t He_eff} x e^{-i t H_b}) V^{-1} mixes
     configurations only through e^{-i t He_eff}, one (F, F) by (F, B)
-    product; V, V^{-1}, the boson phase and the dressed annihilator act row
-    by row in place on whole boson rows; a_dressed(f_t) psi is formed on the
-    trials' support box and subtracted there.  A trial holds psi on that box
-    and at most two (F, B) buffers at a time, none across ``times``.
+    product.  V^{-1} maps the support-box rows to whole rows, on which the
+    free steps (e^{-i t H_b} as the per-mode product of e^{-i t omega_j
+    n_j}), V^{-1} a_dressed(f) V (:func:`_undressed_annihilator`) and V act;
+    a_dressed(f_t) psi is formed on the support box and subtracted there.
+    A trial holds psi and at most two (F, B) buffers, none across ``times``.
     """
     if rng is None:
         rng = np.random.default_rng(23)
     evals, evecs = eigensolve(model.effective_electronic(), k=model.basis.dim)
-    fock = model.fock
+    fock, undressed = model.fock, _undressed_annihilator(model, f)
 
     def free_step(y, t):
         """e^{-i t He_eff} x e^{-i t H_b} on an (F, B) array; the product is
         taken while no row temporary is alive, the boson phase in place."""
         y = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T @ y
-        y *= np.exp(-1j * t * fock.hb_diag())
+        y *= mode_kron([np.exp(-1j * t * w * np.arange(fock.n_max + 1)) for w in fock.modes.freqs])
         return y
 
     def residual(kept, t):
         f_t = np.exp(1j * t * fock.modes.freqs) * f
-        scalar, scalar_t = _dressed_scalar(model, f), _dressed_scalar(model, f_t)
-        y = model.apply_unitary(_unpack(kept, idx, fock.dim), inverse=True)
-        y = free_step(y.reshape(-1, fock.dim), t)
+        scalar_t = _dressed_scalar(model, f_t)
+        y = free_step(model.apply_unitary(kept, inverse=True).reshape(-1, fock.dim), t)
         for c, row in enumerate(y):  # V^{-1} a_dressed(f) U(t) psi
-            y[c] = model.displace_row(
-                c, _annihilate_row(fock, f, scalar[c], model.displace_row(c, row)), inverse=True
-            )
+            y[c] = undressed(c, row)
         y = free_step(y, -t)
         sq = 0.0
         for c, row in enumerate(y):  # U(-t) a_dressed(f) U(t) psi - a_dressed(f_t) psi

@@ -1,6 +1,7 @@
-"""Test oracles for Weyl operators and the transformed Hamiltonian.
+"""Test oracles for ladders, Weyl operators and the transformed Hamiltonian.
 
-``apply_weyl`` applies W(f) mode by mode through the package's
+``ladder`` and ``annihilator`` assemble a_j and a(f) as sparse Kronecker
+products.  ``apply_weyl`` applies W(f) mode by mode through the package's
 ``apply_displacement`` and warns when the displaced vacuum loses more tail
 mass than ``TAIL_BOUND`` to the truncation.  ``dense_transformed`` assembles
 the transformed Hamiltonian on the active modes entry block by entry block,
@@ -14,6 +15,7 @@ import itertools
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from hubbard_phonon.boson_fock import (
@@ -32,6 +34,28 @@ TAIL_BOUND = 1e-8
 
 class TruncationWarning(UserWarning):
     """A truncated-space operation lost more weight than the stated bound."""
+
+
+def ladder(space, j):
+    """Oracle: sparse (a_j, a_j^dagger), the single-mode annihilator
+    sqrt(n) on the first superdiagonal embedded between identities."""
+    n1 = space.n_max + 1
+    a1 = sp.csr_matrix(np.diag(np.sqrt(np.arange(1.0, n1)), 1))
+    left = sp.identity(n1**j, format="csr")
+    right = sp.identity(n1 ** (space.modes.m - 1 - j), format="csr")
+    a = sp.kron(sp.kron(left, a1), right).tocsr()
+    return a, a.T.tocsr()
+
+
+def annihilator(space, f):
+    """Oracle: sparse a(f) = sum_j conj(f_j) a_j from the Kronecker ladders."""
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f.dtype, np.float64))
+    out = sp.csr_matrix((space.dim, space.dim), dtype=f.dtype)
+    for j in range(space.modes.m):
+        if f[j] != 0:
+            out = out + np.conj(f[j]) * ladder(space, j)[0]
+    return out
 
 
 def weyl_displacement(space, f):

@@ -9,7 +9,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -32,36 +31,20 @@ from hubbard_phonon.boson_fock import (
 from hubbard_phonon.eigensolver import DENSE_MAX
 from hubbard_phonon.errors import SizingError, ValidationError
 
-from fock_oracles import TAIL_BOUND, TruncationWarning, apply_weyl, weyl_displacement
+from fock_oracles import (
+    TAIL_BOUND,
+    TruncationWarning,
+    annihilator,
+    apply_weyl,
+    weyl_displacement,
+)
 
 
 def _space(freqs, n_max):
     return TruncatedFock(ModeSet(np.asarray(freqs, dtype=float)), n_max)
 
 
-# -- oracles: Kronecker ladders, the Weyl matrix, the coherent state ----------
-
-
-def ladder(space, j):
-    """Oracle: sparse (a_j, a_j^dagger), the single-mode annihilator
-    sqrt(n) on the first superdiagonal embedded between identities."""
-    n1 = space.n_max + 1
-    a1 = sp.csr_matrix(np.diag(np.sqrt(np.arange(1.0, n1)), 1))
-    left = sp.identity(n1**j, format="csr")
-    right = sp.identity(n1 ** (space.modes.m - 1 - j), format="csr")
-    a = sp.kron(sp.kron(left, a1), right).tocsr()
-    return a, a.T.tocsr()
-
-
-def annihilator(space, f):
-    """Oracle: sparse a(f) = sum_j conj(f_j) a_j from the Kronecker ladders."""
-    f = np.asarray(f)
-    f = f.astype(np.result_type(f.dtype, np.float64))
-    out = sp.csr_matrix((space.dim, space.dim), dtype=f.dtype)
-    for j in range(space.modes.m):
-        if f[j] != 0:
-            out = out + np.conj(f[j]) * ladder(space, j)[0]
-    return out
+# -- oracles: the Weyl matrix, the coherent state -----------------------------
 
 
 def weyl(space, f):
@@ -269,6 +252,46 @@ def test_displacement_matches_dense_product(complex_block):
     got = apply_displacement(space, z, block)
     assert got.dtype == block.dtype
     assert np.max(np.abs(got - block @ dense.T)) < 1e-13
+
+
+def _box_rows(rng, shape, side, m, complex_rows):
+    """Random rows on the box of ``side`` levels per mode and the same rows
+    zero-padded to the whole box of ``shape``."""
+    lead = shape[:-m]
+    rows = rng.standard_normal(lead + (side,) * m)
+    if complex_rows:
+        rows = rows + 1j * rng.standard_normal(rows.shape)
+    whole = np.zeros(shape, rows.dtype)
+    whole[(Ellipsis,) + (slice(side),) * m] = rows
+    return rows.reshape(lead + (-1,)), whole.reshape(lead + (-1,))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_box_rows_displace_as_their_zero_padded_whole_rows(m, complex_rows):
+    """A row on a box of side s (1 and the trial support boxes 3 and 4, each
+    capped at n_max + 1) comes back bit for bit as the zero-padded whole row
+    does, for every n_max 1-16, with and without a zero displacement.  One
+    mode's single row is left out: numpy hands a one-row product to gemv,
+    whose OpenBLAS dot kernel groups the sum over k by its length, so the
+    padded zeros move the last bit (stacks of two or more rows take gemm)."""
+    rng = np.random.default_rng(60 + m)
+    for n_max in range(1, 17):
+        space = _space(rng.uniform(0.5, 2.0, m), n_max)
+        for side in sorted({1, min(3, n_max + 1), min(4, n_max + 1)}):
+            z = rng.uniform(-0.7, 0.7, m)
+            for zero in (None, int(rng.integers(m))):
+                if zero is not None:
+                    z[zero] = 0.0
+                for k in [(3,)] if m == 1 else [(), (1,), (3,)]:
+                    rows, whole = _box_rows(rng, k + space.shape, side, m, complex_rows)
+                    got = apply_displacement(space, z, rows)
+                    assert got.shape == whole.shape and got.dtype == whole.dtype
+                    assert np.array_equal(got, apply_displacement(space, z, whole))
+    with pytest.raises(ValidationError, match="no box"):
+        apply_displacement(_space([1.0, 0.5], 3), [0.1, 0.2], np.ones(7))
+    with pytest.raises(ValidationError, match="no box"):
+        apply_displacement(_space([1.0, 0.5], 3), [0.1, 0.2], np.ones(25))
 
 
 def test_real_amplitude_field_is_real():

@@ -52,7 +52,7 @@ from hubbard_phonon.lattice_fermions import (
     spin_spaces,
 )
 
-from fock_oracles import dense_transformed, direct_levels, transformed_levels
+from fock_oracles import annihilator, dense_transformed, direct_levels, transformed_levels
 
 M6 = reference_model(n_max=6)
 M12 = reference_model(n_max=12)
@@ -67,17 +67,20 @@ def build_generator(model):
     return s.tocsr()
 
 
+def displacement_blocks(model):
+    """Oracle: the dense block V_c = prod_j D(z_cj) of each configuration c,
+    one at a time."""
+    for zc in model.z_table():
+        yield mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in zc])
+
+
 def unitary_V(model, method):
     """Oracle: the dense dressing unitary, as the exponential of the
     generator (``expm``) or assembled from the per-configuration
     displacement blocks (``displacement``)."""
     if method == "expm":
         return expm(1j * model.alpha * build_generator(model).toarray())
-    blocks = [
-        mode_kron([displacement_1mode(zj, model.fock.n_max) for zj in zc])
-        for zc in model.z_table()
-    ]
-    return sp.block_diag(blocks).toarray()
+    return sp.block_diag(list(displacement_blocks(model))).toarray()
 
 
 # -- full-stack oracles of the row-streamed checks -----------------------------
@@ -241,6 +244,69 @@ def test_apply_unitary_matches_expm(inverse):
     v /= np.linalg.norm(v)
     got = m.apply_unitary(v, inverse=inverse)
     assert np.max(np.abs(got - v_expm @ v)) < 1e-12
+
+
+def _support_box_rows(model, rng):
+    """One trial's support-box rows and the same rows zero-padded to the
+    model's whole box, as (F * B) vectors."""
+    box, idx, trials = lang_firsov._interior_trials(model, 1, rng)
+    kept = next(trials)
+    whole = np.zeros((model.basis.dim, model.fock.dim), dtype=complex)
+    whole[:, idx] = kept
+    return kept, whole.reshape(-1)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 4, 8, 16])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_apply_unitary_takes_support_box_rows(n_max, inverse):
+    """V and V^{-1} of a trial's support-box rows are those of the
+    zero-padded whole rows bit for bit, for complex and real rows: at
+    n_max 1 and 3 the box is the whole box, above it 4^4 of (n_max+1)^4."""
+    model = reference_model(n_max=n_max)
+    kept, whole = _support_box_rows(model, np.random.default_rng(50 + n_max))
+    for rows, padded in ((kept, whole), (kept.real, whole.real)):
+        got = model.apply_unitary(rows, inverse=inverse)
+        assert got.shape == (model.dim,) and got.dtype == padded.dtype
+        assert np.array_equal(got, model.apply_unitary(padded, inverse=inverse))
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_support_box_rows_match_expm(n_max, inverse):
+    """A model small enough for the dense exponential (3 sites, 2 modes),
+    whose trial box (side 4) lies inside the whole box."""
+    model = _random_model(3, 2, 17, 1.5, 0.8, n_max)
+    v_expm = unitary_V(model, method="expm")
+    if inverse:
+        v_expm = v_expm.conj().T
+    kept, whole = _support_box_rows(model, np.random.default_rng(44))
+    assert kept.shape[1] < model.fock.dim
+    got = model.apply_unitary(kept, inverse=inverse)
+    assert np.max(np.abs(got - v_expm @ whole)) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 5, 6, "overlapping"])
+def test_conjugated_ladder_matches_the_dense_conjugation(n_max):
+    """V_c^{-1} (a(f) + s_c) V_c per mode (:func:`_undressed_annihilator`)
+    against the dense blocks of ``unitary_V(model, "displacement")`` and the
+    Kronecker a(f) of :func:`fock_oracles.annihilator`, on random whole complex rows of every configuration,
+    for complex f; "overlapping" is a 3-site model whose site channels
+    share both of its modes, at n_max 5."""
+    if n_max == "overlapping":
+        model = _random_model(3, 2, 17, 1.5, 0.8, 5)
+    else:
+        model = reference_model(n_max=n_max)
+    rng = np.random.default_rng(31)
+    f = _unit_amplitudes(rng, model.fock.modes.m)
+    undressed = lang_firsov._undressed_annihilator(model, f)
+    a_f = annihilator(model.fock, f)
+    scalar = (model.alpha / np.sqrt(2.0)) * (model.nu @ (model.g @ np.conj(f)))
+    for c, block in enumerate(displacement_blocks(model)):
+        row = rng.standard_normal(model.fock.dim) + 1j * rng.standard_normal(model.fock.dim)
+        row /= np.linalg.norm(row)
+        dressed = block @ row
+        want = block.conj().T @ (a_f @ dressed + scalar[c] * dressed)
+        assert np.linalg.norm(undressed(c, row) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_commutator_ladder():
