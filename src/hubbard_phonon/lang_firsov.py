@@ -85,8 +85,8 @@ class CoupledModel:
     one total spin's highest-weight states in it (:class:`SpinSpace`).
     ``couplings`` is any real (n_sites, m) matrix; channels of different
     sites may overlap.  Routes that never materialize a boson vector on
-    this box (``ir``'s coherent clouds, ``spectrum``'s active-box solves)
-    take the vacuum-only space, ``n_max`` 0.  A basis times box above
+    this box (``ir``'s coherent clouds, the active frame's solves and
+    factors) take the vacuum-only space, ``n_max`` 0.  A basis times box above
     ``COUPLED_DIM_CAP``, the cap of every box the package fills, is refused
     before anything is built.
     """
@@ -254,9 +254,6 @@ class DressedState:
         """Materialize on the truncated product space."""
         return np.concatenate([self.row(c) for c in range(self.model.basis.dim)])
 
-    def config_norms_sq(self) -> np.ndarray:
-        return np.abs(self.weights) ** 2
-
 
 def dress_state(model: CoupledModel, psi_e) -> DressedState:
     """Dress an arbitrary electronic sector vector with its coherent clouds."""
@@ -302,6 +299,8 @@ class TransformNbReport:
     residual: float
     linear_fit: float  # alpha when the identity holds
     quadratic_fit: float  # alpha^2 / 2, not the single-commutator alpha^2
+    ata: np.ndarray  # the fit's normal equations, ata @ coef = atb: reports
+    atb: np.ndarray  # of several factors sum them before one fit
 
 
 def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
@@ -317,8 +316,9 @@ def verify_transform_nb(model: CoupledModel, n_trials: int = 4, rng=None):
     if rng is None:
         rng = np.random.default_rng(11)
     diag = model.fock.nb_diag()
-    residual, coef = _conjugation_check(model, diag, model.g, model.overlap_w2, n_trials, rng)
-    return TransformNbReport(residual, float(coef[0].real), float(coef[1].real))
+    residual, ata, atb = _conjugation_check(model, diag, model.g, model.overlap_w2, n_trials, rng)
+    coef = np.linalg.lstsq(ata, atb, rcond=None)[0].real
+    return TransformNbReport(residual, float(coef[0]), float(coef[1]), ata, atb)
 
 
 def _interior_trials(model: CoupledModel, n_trials: int, rng):
@@ -343,13 +343,14 @@ def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
     K2 = sum_xy gram_xy n_x n_y x 1 with gram_xy = <g_x, d g_y>.
 
     Returns the worst residual over random low-occupation trials and the
-    least-squares fit of the two coefficients.  The identity is exact in the
-    untruncated space; on the truncated one the residual is displacement
-    leakage at the occupation edge, which dies as n_max grows.  Each
-    configuration row is conjugated on its own: V^{-1} maps the support-box
-    row to a whole row and V (row * diag) runs on it (the per-mode form
-    sum_j d_j [D(z_j) n D(-z_j)]_j rounds 9.1e-13 from the oracle).  D psi,
-    K1 psi and K2 psi are formed on the support box and subtracted there.
+    normal equations ``ata @ coef = atb`` of the least-squares fit of the
+    two coefficients.  The identity is exact in the untruncated space; on
+    the truncated one the residual is displacement leakage at the occupation
+    edge, which dies as n_max grows.  Each configuration row is conjugated
+    on its own: V^{-1} maps the support-box row to a whole row and V (row *
+    diag) runs on it (the per-mode form sum_j d_j [D(z_j) n D(-z_j)]_j
+    rounds 9.1e-13 from the oracle).  D psi, K1 psi and K2 psi are formed
+    on the support box and subtracted there.
     """
     box, idx, trials = _interior_trials(model, n_trials, rng)
     k2 = np.einsum("cx,xy,cy->c", model.nu, gram, model.nu)
@@ -368,7 +369,7 @@ def _conjugation_check(model: CoupledModel, diag, w, gram, n_trials: int, rng):
             atb += [np.vdot(ci, delta[idx]) for ci in cols]
             delta[idx] -= model.alpha * k1psi + 0.5 * model.alpha**2 * k2psi
             sq[i] += np.vdot(delta, delta).real
-    return float(np.sqrt(sq.max(initial=0.0))), np.linalg.solve(ata, atb)
+    return float(np.sqrt(sq.max(initial=0.0))), ata, atb
 
 
 # -- effective Hamiltonians ---------------------------------------------------
@@ -391,14 +392,15 @@ def active_frame(model: CoupledModel):
     R - R_active = (1/2) n_e^2 sum_f lambda_f^2 / omega_f on every
     configuration of the sector (checked).
 
-    Returns ``(rotation, active, free, shift)``: the (m, m_active) isometry
-    whose columns are the active modes, their frequencies, the free modes'
-    and -alpha^2 R_free (0 without a split shell).
+    Returns ``(rotation, free_columns, active, free, shift)``: the (m,
+    m_active) and (m, m_free) isometries whose columns are the active and
+    the free modes, their frequencies and -alpha^2 R_free (0 without a split
+    shell).  Together the columns make an orthogonal matrix.
     """
     freqs = model.fock.modes.freqs
     x, y = np.triu_indices(model.basis.n_sites, 1)
     diffs = model.g[x] - model.g[y]
-    columns, active, free = [], [], []
+    columns, free_columns, active, free = [], [], [], []
     for j, w in enumerate(freqs):
         shell = np.flatnonzero(freqs == w)
         _, sv, vt = np.linalg.svd(diffs[:, shell])
@@ -407,12 +409,14 @@ def active_frame(model: CoupledModel):
             columns.append(np.eye(freqs.size)[j])
             active.append(w)
         elif j == shell[0]:
-            rotated = np.zeros((rank, freqs.size))
-            rotated[:, shell] = vt[:rank]
-            columns += list(rotated)
+            rotated = np.zeros((shell.size, freqs.size))
+            rotated[:, shell] = vt
+            columns += list(rotated[:rank])
+            free_columns += list(rotated[rank:])
             active += [w] * rank
             free += [w] * (shell.size - rank)
     rotation, active = np.column_stack(columns), np.array(active)
+    free_columns = np.reshape(free_columns, (-1, freqs.size)).T
     lam = model.lam @ rotation
     # <l_x/sqrt w, l_y/sqrt w> over the free modes: lambda_f^2 / omega_f summed
     free_gram = model.overlap_w1 - lam @ (lam / active).T
@@ -424,7 +428,7 @@ def active_frame(model: CoupledModel):
             f"R - R_active departs from (1/2) n_e^2 sum_f lambda_f^2 / omega_f "
             f"by {off:.3e} on the sector"
         )
-    return rotation, active, np.array(free), -model.alpha**2 * r_free
+    return rotation, free_columns, active, np.array(free), -model.alpha**2 * r_free
 
 
 def _free_ladder(freqs, k: int) -> np.ndarray:
@@ -471,7 +475,7 @@ class EffectiveHamiltonians:
 
     def __init__(self, model: CoupledModel, n_max: int | None = None):
         self.model = model
-        self.rotation, active, self.free_freqs, self.shift = active_frame(model)
+        self.rotation, self.free_columns, active, self.free_freqs, self.shift = active_frame(model)
         self.active = TruncatedFock(ModeSet(active), model.fock.n_max if n_max is None else n_max)
         lam = model.lam @ self.rotation
         # each sector model checks its size before any hop table is filled
@@ -501,6 +505,30 @@ class EffectiveHamiltonians:
                     pairs.append((slice(start, start + rank), zdiff))
             diag = np.add.outer(sec.effective_electronic().diagonal(), self.active.hb_diag())
             self._dressed[s] = diag, np.hstack(lefts), np.vstack(rights), pairs
+
+    def factors(self):
+        """The exact factors of the frame, V = V_active x D(z_free), as
+        ``(model, columns)`` pairs, ``f @ columns`` being the part of f on
+        the factor: the whole sector on the active box, and the free modes
+        as one electron on one site coupled by n_e lambda_free, whose cloud,
+        R and K2 are every configuration's free part (absent without a split
+        shell).  One free mode holds a shell's whole centre-of-mass cloud,
+        |z|^2 ~ n_e^2, so its box grows until its coherent tail is no larger
+        than the worst per-mode tail on the box of all modes at n_max."""
+        m, box = self.model, self.active
+        active = CoupledModel(m.basis, m.hopping, m.u, m.alpha, box, m.lam @ self.rotation)
+        pairs = [(active, self.rotation)]
+        if self.free_freqs.size:
+            lam = m.basis.n_e * (m.lam[:1] @ self.free_columns)
+            z_free, n_free = m.alpha / np.sqrt(2.0) * lam / self.free_freqs, box.n_max
+            worst = np.max(coherent_tail(m.z_table(), box.n_max))
+            while np.max(coherent_tail(z_free, n_free)) > worst:
+                n_free += 1
+            free = TruncatedFock(ModeSet(self.free_freqs), n_free)
+            one = build_sector_basis(1, 1)
+            one_site = CoupledModel(one, HoppingMatrix.chain(1), m.u, m.alpha, free, lam)
+            pairs.append((one_site, self.free_columns))
+        return pairs
 
     def transformed_matvec(self, vec, s: float):
         diag, left, right, pairs = self._dressed[s]

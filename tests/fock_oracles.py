@@ -125,21 +125,31 @@ def dense_direct(ha):
     return h
 
 
-def free_ground_energy(ha):
-    """Ground energy of the free modes' oscillators, sum_f [omega_f n_f +
-    alpha n_e phi(lambda_f)]: -(alpha n_e lambda_f)^2 / (2 omega_f) summed.
-    The free modes of a shell are spelled out as the orthonormal complement
-    of its active columns, and lambda_f is read from every site."""
-    model = ha.model
-    freqs, active = model.fock.modes.freqs, ha.active.modes.freqs
-    energy = 0.0
+def free_modes(ha):
+    """(m, m_free) orthonormal columns of the free modes, each shell's
+    spelled out as the orthonormal complement of its active columns, and
+    their frequencies."""
+    freqs, active = ha.model.fock.modes.freqs, ha.active.modes.freqs
+    columns, free_freqs = [], []
     for w in np.unique(ha.free_freqs):
         shell = freqs == w
-        modes = null_space(ha.rotation[shell][:, active == w].T)
-        lam_f = model.lam[:, shell] @ modes  # (n_sites, free modes of the shell)
-        assert np.max(np.ptp(lam_f, axis=0)) <= 1e-12
-        energy -= np.sum((model.alpha * model.basis.n_e * lam_f[0]) ** 2) / (2.0 * w)
-    return energy
+        modes = np.zeros((freqs.size, int(np.sum(ha.free_freqs == w))))
+        modes[shell] = null_space(ha.rotation[shell][:, active == w].T)
+        columns.append(modes)
+        free_freqs += [w] * modes.shape[1]
+    return np.hstack([np.zeros((freqs.size, 0))] + columns), np.array(free_freqs)
+
+
+def free_ground_energy(ha):
+    """Ground energy of the free modes' oscillators, sum_f [omega_f n_f +
+    alpha n_e phi(lambda_f)]: -(alpha n_e lambda_f)^2 / (2 omega_f) summed,
+    with the free modes of :func:`free_modes` and lambda_f read from every
+    site."""
+    model = ha.model
+    modes, free_freqs = free_modes(ha)
+    lam_f = model.lam @ modes  # (n_sites, free modes)
+    assert np.max(np.ptp(lam_f, axis=0), initial=0.0) <= 1e-12
+    return -np.sum((model.alpha * model.basis.n_e * lam_f[0]) ** 2 / (2.0 * free_freqs))
 
 
 def direct_levels(ha, k):
