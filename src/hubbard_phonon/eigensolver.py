@@ -311,13 +311,23 @@ class GroundSpaceReport:
     spins: tuple
 
 
-def _low_levels(h, cluster_tol: float):
+def _low_levels(h, cluster_tol: float, top=None, norm: float = 0.0):
     """Eigenpairs far enough up to certify where the ground cluster ends.
     The block goes through :func:`densify` once.  Every block starts at
     HEAD_LEVELS levels, doubled until one lies safely outside the grey zone
-    or the spectrum is whole."""
+    or the spectrum is whole.  Given ``top``, a dense block returns no levels
+    if a Cholesky factorization of h - sigma completes, sigma being ``top``
+    plus its backward error n (n + 1) eps (``norm`` + |top|): all levels then
+    lie above ``top`` (Higham, Accuracy and Stability, Thm 10.7)."""
     dim = h.shape[0]
     h = densify(h)
+    if top is not None and isinstance(h, np.ndarray):
+        sigma = top + dim * (dim + 1) * np.finfo(float).eps * (norm + abs(top))
+        a = np.array(h, order="F")  # shifted and factored in place
+        a.flat[:: dim + 1] -= sigma
+        potrf = sla.get_lapack_funcs("potrf", (a,))
+        if potrf(a, lower=True, overwrite_a=True, clean=False)[1] == 0:
+            return np.empty(0), np.empty((dim, 0))
     k = min(HEAD_LEVELS, dim)
     while True:
         vals, vecs = eigensolve(h, k=k)
@@ -327,7 +337,7 @@ def _low_levels(h, cluster_tol: float):
         k = min(2 * k, dim)
 
 
-def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL) -> GroundSpaceReport:
+def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL, lead=None) -> GroundSpaceReport:
     """Ground energy, degeneracy and an orthonormal ground basis of a
     spin-symmetric Hamiltonian given one Hermitian matrix per total spin.
 
@@ -335,7 +345,11 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL) -> GroundSpac
     ``spaces[i]``, which carries the spin ``s`` and the isometry ``q`` into
     the configuration basis.  Each block is solved through
     :func:`eigensolve` and the levels are merged, each standing for 2s+1
-    states.
+    states.  ``lead`` names a block to solve first; every other dense block
+    is then solved only if a Cholesky factorization cannot prove its levels
+    above the grey zone's top e0 + 2 cluster_tol max(1, |e0|), e0 the lowest
+    level solved so far (:func:`_low_levels`); sparse blocks above DENSE_MAX
+    are always solved.  With ``lead`` only ``gap`` changes, to a lower bound.
 
     An eigenvalue belongs to the ground cluster when
     ``(e - e0) <= cluster_tol * max(1, |e0|)``.  If any eigenvalue lies
@@ -347,11 +361,16 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL) -> GroundSpac
     be trusted and :class:`AccuracyError` is raised.
     """
     mult = [int(round(2.0 * space.s + 1.0)) for space in spaces]
-    solved = [_low_levels(b, cluster_tol) for b in blocks]
+    norms = [float(abs(b).sum(axis=1).max()) for b in blocks]
+    solved, low = [None] * len(blocks), np.inf
+    for i in sorted(range(len(blocks)), key=lambda i: i != lead):
+        top = None if lead in (None, i) else low + 2.0 * cluster_tol * max(1.0, abs(low))
+        solved[i] = _low_levels(blocks[i], cluster_tol, top, norms[i])
+        low = np.min(solved[i][0], initial=low)
     vals = np.sort(np.concatenate([v for v, _ in solved]))
     e0 = float(vals[0])
     scale = max(1.0, abs(e0))
-    norm = max(float(abs(b).sum(axis=1).max()) for b in blocks)
+    norm = max(norms)
     if np.finfo(float).eps * norm > 0.5 * cluster_tol * scale:
         raise AccuracyError(
             f"levels near {e0:.6g} carry an error of eps ||H|| = "
@@ -370,6 +389,7 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL) -> GroundSpac
             suggested_tol=g / 4,
         )
     n = int(np.sum(rel <= cluster_tol))
+    screened = 2.0 * cluster_tol * scale if any(v.size == 0 for v, _ in solved) else np.inf
     ground, spins, degeneracy = [], [], 0
     for space, (v, vecs), w in zip(spaces, solved, mult):
         m = int(np.sum((v - e0) / scale <= cluster_tol))
@@ -383,7 +403,7 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL) -> GroundSpac
         e0=e0,
         degeneracy=degeneracy,
         vectors=q,
-        gap=float(vals[n] - e0) if n < len(vals) else np.inf,
+        gap=min(float(vals[n] - e0) if n < len(vals) else np.inf, screened),
         s_tot=spins[0] if len(set(spins)) == 1 else "mixed",
         spins=tuple(spins),
     )

@@ -204,27 +204,35 @@ def sweep_alpha(
     Reported energies include the chemical shift, i.e. they are ground
     energies of the effective electronic Hamiltonian whose kinetic diagonal
     is lowered by (alpha*b)**2/2 per electron.  Each total spin's
-    Hamiltonian without u and its double occupancy are projected once and
-    go through :func:`eigensolver.densify` once; a grid point only adds
-    u_eff times the double occupancy.  Points that fail to classify (the
-    solver's own errors) are kept with classification "Error" and the
-    message in ``residual_flags``; any other exception propagates.
+    Hamiltonian without u is projected once and goes through
+    :func:`eigensolver.densify` once; a grid point adds u_eff times the
+    double occupancy to its diagonal and is solved with the last classified
+    point's ground spin as :func:`ground_space`'s ``lead``.  Points that
+    fail to classify (the solver's own errors) are kept with classification
+    "Error" and the message in ``residual_flags``; any other exception
+    propagates.
     """
     basis = build_sector_basis(hopping.n_sites, n_e)
     spaces = spin_spaces(basis)
     h0 = build_hubbard(basis, hopping, 0.0)
     _, docc = number_operators(basis)
-    blocks = [
-        (densify(space.project(h0)), densify(sp.diags(docc[space.rep])))
-        for space in spaces
-    ]
+    blocks = [(densify(space.project(h0)), docc[space.rep]) for space in spaces]
+    lead = None
+
+    def plus_diagonal(h0s, d):
+        if sp.issparse(h0s):
+            return h0s + sp.diags(d)
+        h = h0s.copy()
+        h.flat[:: len(d) + 1] += d
+        return h
 
     def one(alpha: float) -> SweepRecord:
+        nonlocal lead
         par = effective_params(u, alpha, b)
         rec = SweepRecord(alpha, float(kappa), par.u_eff, np.nan, 0, "", "Error", "")
         try:
-            h = [h0s + par.u_eff * d for h0s, d in blocks]
-            rep = ground_space(h, spaces=spaces, cluster_tol=cluster_tol)
+            h = [plus_diagonal(h0s, par.u_eff * d) for h0s, d in blocks]
+            rep = ground_space(h, spaces=spaces, cluster_tol=cluster_tol, lead=lead)
         except (
             AccuracyError,
             AmbiguousDegeneracyError,
@@ -233,6 +241,7 @@ def sweep_alpha(
         ) as exc:  # the solver's own failures; anything else is a bug
             rec.residual_flags = f"{type(exc).__name__}: {exc}"
             return rec
+        lead = [space.s for space in spaces].index(rep.spins[0])
         rec.e0 = rep.e0 - par.chemical_shift * n_e
         rec.degeneracy = rep.degeneracy
         rec.s_tot = rep.s_tot
@@ -244,8 +253,9 @@ def sweep_alpha(
 
 def flip_brackets(records):
     """Alpha intervals across which the classification changes, between
-    consecutive classified points: an "Error" point brackets nothing."""
-    done = [r for r in records if r.classification != "Error"]
+    classified points consecutive in alpha (the grid may come in any
+    order): an "Error" point brackets nothing."""
+    done = sorted((r for r in records if r.classification != "Error"), key=lambda r: r.alpha)
     return [
         (a.alpha, b_.alpha)
         for a, b_ in zip(done, done[1:])

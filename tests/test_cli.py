@@ -498,6 +498,34 @@ def test_ferro6_sweep_reruns_are_byte_identical(tmp_path):
     assert {r["classification"] for r in rows} == {"Ferromagnetic", "Other"}
 
 
+def test_ferro6_sweep_screens_the_empty_spins(tmp_path, monkeypatch):
+    """The seed-1 ferro6 sweep solves each point's lead spin and screens the
+    others with a Cholesky factorization: at most 110 eigensolves over its
+    91 points and three spin spaces, where solving every space took 273."""
+    rng = np.random.default_rng(1)
+    amps = rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
+    cfg = tmp_path / "ferro6.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "lattice": {
+            "n_sites": 6,
+            "hopping": {"kind": "rank_one", "amplitudes": [float(a) for a in amps]},
+        },
+        "electrons": {"n_e": 5},
+    }))
+    calls = []
+    real = eigensolver.eigensolve
+
+    def counting(h, *args, **kwargs):
+        calls.append(h.shape[0])
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "eigensolve", counting)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"]) == 0
+    _, rows = _read_csv(tmp_path / "o" / "sweep.csv")
+    assert len(rows) == 91
+    assert len(rows) <= len(calls) <= 110
+
+
 def test_sweep_csv_quotes_a_message_with_a_comma(tmp_path):
     flags = 'AccuracyError: levels near -1, "cut" 0.5'
     rec = magnetism.SweepRecord(0.5, 0.1, 0.8, float("nan"), 0, "", "Error", flags)

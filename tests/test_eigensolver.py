@@ -173,6 +173,101 @@ def test_twelvefold_ground_level_outgrows_the_first_solve():
     assert rep.degeneracy == 12 and rep.gap == 1.0
 
 
+# -- the Cholesky screen of ground_space(lead=...) ------------------------------
+
+
+def _rotated(levels, seed):
+    """A dense symmetric block with the given levels, in a seeded basis."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((len(levels), len(levels))))[0]
+    h = (q * np.asarray(levels, dtype=float)) @ q.T
+    return 0.5 * (h + h.T)
+
+
+def _two_spins(n0, n1):
+    """An S = 1/2 and an S = 3/2 space, side by side in n0 + n1 configurations."""
+    eye = np.eye(n0 + n1)
+    return [SimpleNamespace(s=0.5, q=eye[:, :n0]), SimpleNamespace(s=1.5, q=eye[:, n0:])]
+
+
+def _counted(monkeypatch):
+    calls = []
+    real = eigensolver.eigensolve
+
+    def counting(h, *args, **kwargs):
+        calls.append(h.shape[0])
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "eigensolve", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "other, solves, s_tot",
+    [
+        ([0.5, 3.0, 4.0, 5.0, 6.0], 2, 1.5),  # the other spin holds the ground level
+        ([1.0, 3.0, 4.0, 5.0, 6.0], 2, "mixed"),  # a level degenerate with e0
+        ([1.0 + 1e-10, 3.0, 4.0, 5.0, 6.0], 2, "mixed"),  # inside the cluster
+        ([1.0 + 1e-6, 3.0, 4.0, 5.0, 6.0], 1, 0.5),  # above the grey zone: screened
+        ([5.0, 6.0, 7.0, 8.0, 9.0], 1, 0.5),
+    ],
+)
+def test_lead_screen_matches_the_full_solve(monkeypatch, other, solves, s_tot):
+    """With ``lead`` the other spin is solved unless a Cholesky factorization
+    proves it empty; the report is the one without ``lead`` (e0 bitwise),
+    its gap a lower bound."""
+    blocks = [_rotated([1.0, 2.0, 2.5, 3.5, 4.0, 5.0], 1), _rotated(other, 2)]
+    spaces = _two_spins(6, 5)
+    full = ground_space(blocks, spaces)
+    calls = _counted(monkeypatch)
+    rep = ground_space(blocks, spaces, lead=0)
+    assert len(calls) == solves
+    assert rep.e0 == full.e0 and rep.s_tot == full.s_tot == s_tot
+    assert (rep.degeneracy, rep.spins) == (full.degeneracy, full.spins)
+    assert np.array_equal(rep.vectors, full.vectors)
+    assert rep.gap <= full.gap
+    if solves == 1:
+        assert rep.gap == 2e-8 * max(1.0, abs(rep.e0))
+
+
+@pytest.mark.parametrize("rel", [0.6e-8, 1.0e-8, 1.9e-8])
+def test_lead_screen_keeps_grey_zone_levels(rel):
+    """A level of another spin inside the grey zone raises exactly as
+    without ``lead``: the screen's sigma lies above the zone's top."""
+    blocks = [_rotated([-1.0, 1.0, 2.0, 3.0], 3), _rotated([-1.0 + rel, 2.0, 3.0], 4)]
+    spaces = _two_spins(4, 3)
+    with pytest.raises(AmbiguousDegeneracyError) as full:
+        ground_space(blocks, spaces)
+    with pytest.raises(AmbiguousDegeneracyError) as led:
+        ground_space(blocks, spaces, lead=0)
+    assert str(led.value) == str(full.value)
+
+
+@pytest.mark.parametrize("over, solves", [(0.5, 2), (2.0, 1)])
+def test_lead_screen_margin(monkeypatch, over, solves):
+    """A level above the grey zone's top by less than the Cholesky margin
+    n (n + 1) eps (||H|| + |top|) is solved, one twice the margin up is not.
+    Diagonal blocks keep the levels exact."""
+    top = 2.0e-8  # e0 = 0
+    n, norm = 6, 3.0
+    margin = n * (n + 1) * np.finfo(float).eps * (norm + top)
+    blocks = [np.diag([0.0, 1.0, 2.0]), np.diag([top + over * margin, 1.0, 1.0, 2.0, 2.0, norm])]
+    calls = _counted(monkeypatch)
+    rep = ground_space(blocks, _two_spins(3, 6), lead=0)
+    assert len(calls) == solves
+    assert rep.e0 == 0.0 and rep.degeneracy == 2 and rep.s_tot == 0.5
+
+
+def test_lead_screen_always_solves_sparse_blocks(monkeypatch):
+    """A block above DENSE_MAX is solved however high its levels lie."""
+    monkeypatch.setattr(eigensolver, "DENSE_MAX", 4)
+    calls = _counted(monkeypatch)
+    blocks = [sp.diags(np.arange(8.0)).tocsr(), sp.diags(np.arange(8.0) + 10.0).tocsr()]
+    rep = ground_space(blocks, _two_spins(8, 8), lead=0)
+    assert calls == [8, 8]
+    assert rep.e0 == 0.0 and rep.gap == 1.0
+
+
 # -- dense solves of block-structured matrices against np.linalg.eigh ---------
 
 

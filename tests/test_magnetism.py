@@ -1,8 +1,13 @@
 """Effective interaction, regime certificates and the coupling sweep."""
 
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubbard_phonon import eigensolver, magnetism
 from hubbard_phonon.errors import ValidationError
@@ -167,6 +172,53 @@ def test_sweep_captures_point_failures():
     assert labels[2] == "UniqueSinglet"
     # the failed point brackets nothing: one flip, across it
     assert flip_brackets(recs) == [(0.5, 1.5)]
+
+
+def test_flip_brackets_pair_points_in_alpha_order():
+    """An unsorted grid with a repeat keeps its rows in grid order, and the
+    one flip, in (1.05, 1.5) with alpha_c = 1 / B_REF = 1.054, is bracketed
+    between points adjacent in alpha, not in the list."""
+    hop = build_tasaki_hopping(1.0, [1.0, 0.8, -1.2, 0.9, 1.1])
+    grid = [1.5, 0.3, 0.3, 1.05, 2.0, 0.9]
+    recs = sweep_alpha(hop, 4, 1.0, B_REF, grid)
+    assert [r.alpha for r in recs] == grid
+    assert flip_brackets(recs) == [(1.05, 1.5)]
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A 2-6 site lattice (chain, rank-one, matrix or t = 0 hopping), any
+    electron count, u of either sign and a shuffled grid with repeats and,
+    at times, a NaN."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["chain", "rank_one", "matrix", "t0"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "rank_one":
+        hop = build_tasaki_hopping(1.0, rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n))
+    elif kind == "matrix":
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        hop = HoppingMatrix(0.5 * (a + a.T))
+    else:
+        hop = HoppingMatrix.chain(n, -1.0 if kind == "chain" else 0.0)
+    points = st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.05, 1.2, 1.5, 2.0])
+    grid = draw(st.lists(points, min_size=2, max_size=6))
+    grid = draw(st.permutations(grid + grid[:1] + [math.nan] * draw(st.booleans())))
+    u = draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0, 3.0]))
+    return hop, draw(st.integers(1, 2 * n)), u, grid
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=_sweep_cases())
+def test_sweep_with_lead_matches_the_full_solve(case):
+    """Every record of a sweep equals, e0 bitwise, the sweep that solves
+    every spin at every point (ground_space without ``lead``)."""
+    hop, n_e, u, grid = case
+    led = sweep_alpha(hop, n_e, u, B_REF, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(magnetism, "ground_space", lambda h, lead=None, **kw: ground_space(h, **kw))
+        full = sweep_alpha(hop, n_e, u, B_REF, grid)
+    fields = [[repr(f) for f in astuple(r)] for r in led]
+    assert fields == [[repr(f) for f in astuple(r)] for r in full]
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
