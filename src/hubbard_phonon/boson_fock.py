@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.special import gammainc
 
 from .errors import ValidationError
 
@@ -239,6 +238,7 @@ def coherent_tail(z, n_max: int):
 
     Elementwise in z; the incomplete gamma function keeps tiny tails exact.
     """
+    from scipy.special import gammainc  # sweep never reaches a truncation
     return gammainc(n_max + 1, np.abs(z) ** 2)
 
 

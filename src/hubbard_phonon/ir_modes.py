@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .boson_fock import ModeSet
 from .errors import (
@@ -28,6 +27,7 @@ from .lattice_fermions import build_hubbard, build_sector_basis
 from .magnetism import effective_params, spin_ground_space
 
 DEFAULT_KAPPAS = (1e-1, 1e-2, 1e-3, 1e-4)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)  # for _log_rule
 
 __all__ = [
     "CutoffFamily",
@@ -69,7 +69,7 @@ class CutoffFamily:
 
 @dataclass
 class NormValue:
-    """Closed-form and adaptive-quadrature values of a coupling norm."""
+    """Closed-form and quadrature (:func:`_log_rule`) values of a coupling norm."""
 
     closed: float
     quadrature: float
@@ -85,11 +85,21 @@ def _closed_power_integral(p: float, lo: float, hi: float) -> float:
     return float((hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0))
 
 
+def _log_rule(a: float, lo: float, hi: float) -> float:
+    """int_lo^hi e^(a v) dv, 8-point Gauss-Legendre on panels of |a| h <= 2."""
+    w = 40.0 / abs(a) if a else np.inf  # e-folds at the larger end: all but e^-40
+    lo, hi = (max(lo, hi - w), hi) if a > 0 else (lo, min(hi, lo + w))
+    n = max(1, int(np.ceil(abs(a) * (hi - lo) / 2.0)))
+    h = (hi - lo) / n
+    v = (lo + h * np.arange(0.5, n))[:, None] + 0.5 * h * _GL_NODES
+    return float(0.5 * h * (np.exp(a * v).sum(axis=0) @ _GL_WEIGHTS))
+
+
 def norm_omega_power(family: CutoffFamily, s: float, kappa: float) -> NormValue:
     """||omega**(-s) lambda||^2 = int_kappa^K k**(2(beta-s)) dk, two ways.
 
-    The closed form and an adaptive quadrature are both returned and must
-    agree to 1e-10 relative.  The quadrature integrates e^((p+1) v) over
+    The closed form and a fixed Gauss-Legendre rule are both returned and
+    must agree to 1e-10 relative.  The rule integrates e^((p+1) v) over
     v = ln k in (ln kappa, ln K), -inf at kappa = 0: a singular k**p puts
     its mass next to a tiny kappa, where a rule in k misses it, while the
     integrand in v is smooth at every cutoff.  At kappa = 0 a divergent
@@ -108,14 +118,8 @@ def norm_omega_power(family: CutoffFamily, s: float, kappa: float) -> NormValue:
     closed = _closed_power_integral(p, kappa, family.big_k) if kappa > 0 else float(
         family.big_k ** (p + 1.0) / (p + 1.0)
     )
-    quad_val, _ = integrate.quad(
-        lambda v: np.exp((p + 1.0) * v),
-        np.log(kappa) if kappa > 0 else -np.inf,
-        np.log(family.big_k),
-        epsabs=0.0,
-        epsrel=1e-13,
-        limit=200,
-    )
+    lo = np.log(kappa) if kappa > 0 else -np.inf  # lo -inf needs p + 1 > 0
+    quad_val = _log_rule(p + 1.0, lo, np.log(family.big_k))
     if abs(quad_val - closed) > 1e-10 * max(1.0, abs(closed)):
         raise AccuracyError(
             f"quadrature {quad_val!r} and closed form {closed!r} disagree "
@@ -308,6 +312,7 @@ def _continuum_bilinears(family: CutoffFamily, profiles):
     Breakpoints at K 10^-12 ... K 10^-1 let quad see a profile supported
     near k = 0, which it would otherwise sample as zero.
     """
+    from scipy import integrate  # ir's limit is the one command that needs quad
     fg = np.zeros(len(profiles))
     ff = np.zeros(len(profiles))
     points = family.big_k * 10.0 ** -np.arange(12, 0, -1)

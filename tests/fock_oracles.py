@@ -1,4 +1,5 @@
-"""Test oracles for ladders, Weyl operators and the transformed Hamiltonian.
+"""Test oracles for ladders, Weyl operators, the transformed Hamiltonian and
+the coupling norms.
 
 ``ladder`` and ``annihilator`` assemble a_j and a(f) as sparse Kronecker
 products.  ``apply_weyl`` applies W(f) mode by mode through the package's
@@ -8,7 +9,8 @@ the transformed Hamiltonian on the active modes entry block by entry block,
 and ``transformed_levels`` adds the free modes' ladder to its levels by
 brute force.  ``dense_direct`` and ``direct_levels`` do the same for the
 direct Hamiltonian, whose free modes also lower every level by the ground
-energy of their displaced oscillators.
+energy of their displaced oscillators.  ``quad_log_rule`` is the adaptive
+quadrature in ln k that the norm check's fixed rule replaced.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import integrate
 from scipy.linalg import null_space
 
 from hubbard_phonon.boson_fock import (
@@ -158,3 +161,11 @@ def direct_levels(ha, k):
     modes' ground energy."""
     active = np.linalg.eigvalsh(dense_direct(ha)) + free_ground_energy(ha)
     return np.sort(np.add.outer(active, _ladder(ha, k)).ravel())[:k]
+
+
+def quad_log_rule(a, lo, hi):
+    """int_lo^hi e^(a v) dv by scipy's adaptive quad, to 1e-13 relative."""
+    val, _ = integrate.quad(
+        lambda v: np.exp(a * v), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200
+    )
+    return val

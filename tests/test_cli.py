@@ -27,7 +27,7 @@ from hubbard_phonon.cli import main, validate_config, load_config
 from hubbard_phonon.errors import AmbiguousDegeneracyError, ValidationError
 from hubbard_phonon.lang_firsov import dressed_ground, effective_hamiltonians, nb_expectation
 
-from fock_oracles import direct_levels, transformed_levels
+from fock_oracles import direct_levels, quad_log_rule, transformed_levels
 
 FAST_VERIFY = """
 modes:
@@ -704,21 +704,49 @@ EDGE_CONFIGS = {
     "no-hopping": "lattice: {hopping: {t: 0}}\n",
     "rank-one": "lattice:\n  n_sites: 3\n  hopping: {kind: rank_one, amplitudes: "
     "[1, -1, 0.5]}\nelectrons: {n_e: 2}\n",
+    # edges of the norm check's rule: an integrand k**80, a cutoff whose
+    # discretization moments overflow, cutoffs below 1e-13 in ir's scan
+    "beta-40": "modes: {beta: 40}\n",
+    "tiny-kappa": "modes: {kappa: 1.0e-300}\n",
+    "tiny-kappas": "modes: {kappas: [1.0e-14, 1.0e-15]}\n",
+}
+# exit codes of the rule's edge configs other than 0: verify's identity
+# checks fail at n_max 2, and 1e-300 overflows the closed forms first
+NORM_EDGE_CODES = {
+    ("beta-40", "verify"): 3,
+    ("tiny-kappa", "spectrum"): 2,
+    ("tiny-kappa", "verify"): 2,
+    ("tiny-kappas", "verify"): 3,
 }
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify", "sweep", "ir"])
 @pytest.mark.parametrize("name", EDGE_CONFIGS)
-def test_edge_configs_exit_with_a_documented_code(tmp_path, capsys, name, command):
+def test_edge_configs_exit_with_a_documented_code(
+    tmp_path, capsys, monkeypatch, name, command
+):
     """Edge configs through every solver: a documented exit code, never a
-    traceback; a config without electrons is rejected up front."""
+    traceback; a config without electrons is rejected up front.  At the
+    norm rule's edges the code is pinned, and the CSV is the one written
+    with the adaptive quadrature in place of the rule."""
     cfg = tmp_path / "c.yaml"
-    cfg.write_text("modes: {n_max: 2}\n" + EDGE_CONFIGS[name])
+    tree = yaml.safe_load(EDGE_CONFIGS[name])
+    tree["modes"] = {"n_max": 2, **tree.get("modes", {})}
+    cfg.write_text(yaml.safe_dump(tree))
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
     assert rc in (0, 2, 3)
     if name == "no-electrons":
         assert rc == 2
         assert "config error: electrons.n_e" in capsys.readouterr().err
+    if name in ("beta-40", "tiny-kappa", "tiny-kappas"):
+        assert rc == NORM_EDGE_CODES.get((name, command), 0)
+        monkeypatch.setattr(ir_modes, "_log_rule", quad_log_rule)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "q"), command]) == rc
+        csvs = [
+            {p.name: p.read_bytes() for p in (tmp_path / d).glob("*.csv")} for d in "oq"
+        ]
+        assert csvs[0] == csvs[1]
+        assert bool(csvs[0]) == (rc != 2)
 
 
 def test_undecodable_config_exits_2(tmp_path, capsys):
@@ -974,3 +1002,36 @@ def test_spectrum_bytes_do_not_depend_on_the_blas_default(tmp_path):
         )
         outputs.append((out / "spectrum.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# -- what a command imports ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        ("sweep", ("scipy.integrate", "scipy.optimize", "scipy.special")),
+        ("spectrum", ("scipy.integrate", "scipy.optimize")),
+        ("verify", ("scipy.integrate", "scipy.optimize")),
+    ],
+)
+def test_commands_load_only_the_scipy_they_run(tmp_path, command, unloaded):
+    """Only ir's continuum profile integrals import scipy.integrate (and
+    with it scipy.optimize), and sweep truncates no Fock space, which is the
+    one use of scipy.special.  The command runs in a fresh process: the
+    pytest warning filters import scipy.integrate into this one."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 2}\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), command]
+    code = (
+        f"import sys; from hubbard_phonon.cli import main; rc = main({argv!r}); "
+        f"print(rc, [m for m in {unloaded!r} if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, check=True, capture_output=True, text=True, timeout=600,
+    )
+    rc, loaded = out.stdout.splitlines()[-1].split(" ", 1)
+    assert rc in ("0", "3")  # verify's checks fail at n_max 2, after running
+    assert loaded == "[]"

@@ -9,7 +9,9 @@ quadrature produces is checked against closed antiderivatives.
 import numpy as np
 import pytest
 
+from hubbard_phonon import ir_modes
 from hubbard_phonon.errors import (
+    AccuracyError,
     DiscretizationError,
     InfraredDivergenceError,
     ValidationError,
@@ -30,7 +32,7 @@ from hubbard_phonon.ir_modes import (
     weyl_state,
 )
 
-from fock_oracles import apply_weyl
+from fock_oracles import apply_weyl, quad_log_rule
 
 CHAIN2 = HoppingMatrix.chain(2)
 
@@ -45,16 +47,34 @@ def weyl_state_matrix(model, a_e, f):
     return complex(np.vdot(vec.reshape(-1), (np.asarray(a_e) @ wv).reshape(-1)))
 
 
-def test_norm_closed_vs_quadrature():
-    # the quadrature runs in ln k, so it also holds at tiny cutoffs, where
-    # a singular integrand's mass sits next to kappa
-    for beta in (0.3, 0.5, 0.8):
+def test_norm_closed_vs_quadrature(monkeypatch):
+    # the rule runs in ln k, so it also holds at tiny cutoffs, where a
+    # singular integrand's mass sits next to kappa; scipy's adaptive quad in
+    # ln k is its oracle, at kappa = 0 on every convergent (beta, s) and at
+    # the edges beta 40 and kappa 1e-300
+    for beta in (0.3, 0.5, 0.8, 40.0):
         fam = CutoffFamily(beta=beta, big_k=1.0)
         for s in (0.0, 0.5, 1.0):
-            for kappa in (1e-12, 1e-8, 1e-4, 1e-2, 1e-1):
+            a = 2.0 * (beta - s) + 1.0
+            for kappa in (0.0, 1e-300, 1e-12, 1e-8, 1e-4, 1e-2, 1e-1):
+                if kappa == 0.0 and a <= 0.0:
+                    continue
                 nv = norm_omega_power(fam, s, kappa)
                 rel = abs(nv.closed - nv.quadrature) / max(abs(nv.closed), 1e-300)
                 assert rel <= 1e-10
+                quad = quad_log_rule(a, np.log(kappa) if kappa else -np.inf, 0.0)
+                assert abs(quad - nv.quadrature) <= 1e-13 * abs(nv.closed)
+    # p + 1 = 2^-51 at kappa = 0, where the adaptive quad from -inf fails
+    nv = norm_omega_power(CutoffFamily(beta=0.5 + 2.0**-52), 1.0, 0.0)
+    assert abs(nv.quadrature - nv.closed) <= 1e-13 * nv.closed
+    # a closed form off by 1e-9 relative fails the check
+    closed = ir_modes._closed_power_integral
+    monkeypatch.setattr(
+        ir_modes, "_closed_power_integral", lambda *args: closed(*args) * (1.0 + 1e-9)
+    )
+    for kappa in (1e-300, 1e-4):
+        with pytest.raises(AccuracyError, match="disagree beyond 1e-10"):
+            norm_omega_power(CutoffFamily(beta=0.3), 1.0, kappa)
 
 
 def test_reference_channel_anchors():
