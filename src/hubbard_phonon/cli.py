@@ -30,6 +30,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -38,15 +39,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (
-    AccuracyError,
-    AmbiguousDegeneracyError,
-    DiscretizationError,
-    InfraredDivergenceError,
-    IterationLimitError,
-    SizingError,
-    ValidationError,
-)
+from .errors import InputError, UncertifiedError, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     build_sector_basis,
@@ -128,10 +121,29 @@ def pin_blas_threads() -> None:
             print(f"warning: no OpenBLAS thread setter {name} for {package}", file=sys.stderr)
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """YAML 1.1's safe loader, whose floats also take YAML 1.2's forms such
+    as ``1e-3``, ``1.0e6`` and ``1E+3``; every YAML 1.1 float reads as before."""
+
+
+_YAML12_FLOAT = re.compile(
+    r"""^(?:[-+]?[0-9][0-9_]*(?:\.[0-9_]*(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)
+    |[-+]?\.[0-9][0-9_]*(?:[eE][-+]?[0-9]+)?
+    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+    |[-+]?\.(?:inf|Inf|INF)
+    |\.(?:nan|NaN|NAN))$""",
+    re.X,
+)
+_ConfigLoader.yaml_implicit_resolvers = {
+    first: [(tag, _YAML12_FLOAT if tag.endswith(":float") else rx) for tag, rx in resolvers]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+}
+
+
 @functools.cache
 def _reference():
     """The defaults: ``reference.yaml`` shipped with the package, parsed once."""
-    return yaml.safe_load(Path(__file__).with_name("reference.yaml").read_bytes())
+    return yaml.load(Path(__file__).with_name("reference.yaml").read_bytes(), _ConfigLoader)
 
 
 def _merge(base, update, path=()):
@@ -156,7 +168,7 @@ def load_config(path):
     base = copy.deepcopy(_reference())  # callers may mutate the result freely
     if path is None:
         return base
-    user = yaml.safe_load(Path(path).read_bytes())
+    user = yaml.load(Path(path).read_bytes(), _ConfigLoader)
     if user is not None and not isinstance(user, dict):
         raise ValidationError("config must be a YAML mapping")
     return _merge(base, user or {})
@@ -323,11 +335,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def config_hash(cfg) -> str:
-    canon = yaml.safe_dump(cfg, sort_keys=True).encode()
-    return hashlib.sha256(canon).hexdigest()
-
-
 def write_csv(path: Path, meta, header, rows):
     """``# key: value`` metadata lines, then the header and rows, each field
     quoted where it holds a comma, quote or line break."""
@@ -341,7 +348,9 @@ def write_csv(path: Path, meta, header, rows):
 def _meta(cfg, extra=None):
     meta = {
         "version": __version__,
-        "config_sha256": config_hash(cfg),
+        "config_sha256": hashlib.sha256(
+            yaml.safe_dump(cfg, sort_keys=True).encode()
+        ).hexdigest(),
         "tolerances": ";".join(
             f"{k}={_fmt(v)}" for k, v in sorted(cfg["tolerances"].items())
         ),
@@ -356,7 +365,6 @@ def _meta(cfg, extra=None):
 
 def cmd_spectrum(cfg, args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # built first, the routes refuse a size before the electronic solve is spent
     model = build_model(cfg)
     ha = effective_hamiltonians(model, int(cfg["modes"]["n_max"]))
@@ -405,8 +413,6 @@ def cmd_spectrum(cfg, args) -> int:
 
 
 def cmd_sweep(cfg, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fam = build_family(cfg)
     kappa = float(cfg["modes"]["kappa"])
     b = b_kappa(fam, kappa)
@@ -439,7 +445,7 @@ def cmd_sweep(cfg, args) -> int:
         },
     )
     header = [f.name for f in fields(SweepRecord)]
-    write_csv(out / "sweep.csv", meta, header, [astuple(r) for r in records])
+    write_csv(Path(args.out) / "sweep.csv", meta, header, [astuple(r) for r in records])
     failures = [r for r in records if r.classification == "Error"]
     print(
         f"sweep: {len(records)} points, {len(failures)} failures, "
@@ -479,8 +485,6 @@ def cmd_verify(cfg, args) -> int:
     inequality; overlap_closed_form and field_relative_bound keep the worse
     factor.  Each random f is drawn over all modes and split by the
     rotation; the quadratic coefficient is one fit over both factors' data."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tols = cfg["tolerances"]
     rng = np.random.default_rng(args.seed)
     n_max = int(cfg["modes"]["n_max"])
@@ -557,7 +561,7 @@ def cmd_verify(cfg, args) -> int:
         rows.append((name, measured, threshold, "pass" if ok else "FAIL"))
         print(f"{'PASS' if ok else 'FAIL'} {name}: {measured:.3e} <= {threshold:.1e}")
     write_csv(
-        out / "verify.csv",
+        Path(args.out) / "verify.csv",
         _meta(cfg),
         ["check", "measured", "threshold", "status"],
         rows,
@@ -567,7 +571,6 @@ def cmd_verify(cfg, args) -> int:
 
 def cmd_ir(cfg, args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fam = build_family(cfg)
     kappas = [float(k) for k in cfg["modes"]["kappas"]]
     hopping = build_hopping(cfg)
@@ -646,10 +649,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        errors = validate_config(cfg)
+        if not errors:  # the one output directory, made once the config is accepted
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (OSError, yaml.YAMLError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    errors = validate_config(cfg)
+        errors = [exc]
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
@@ -664,18 +668,13 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(cfg, args)
-    except (
-        ValidationError,
-        SizingError,
-        DiscretizationError,
-        InfraredDivergenceError,
-    ) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (OverflowError, np.linalg.LinAlgError) as exc:  # the latter on non-finite matrices
         print(f"config error: a value overflowed: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, AmbiguousDegeneracyError, IterationLimitError) as exc:
+    except UncertifiedError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 3
     finally:

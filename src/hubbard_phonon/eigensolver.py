@@ -39,10 +39,6 @@ CLUSTER_TOL = 1e-8
 __all__ = ["eigensolve", "ground_space", "GroundSpaceReport"]
 
 
-def _is_operator(h) -> bool:
-    return isinstance(h, spla.LinearOperator)
-
-
 def densify(h):
     """``h`` as a dense array if it is sparse with at most DENSE_MAX rows,
     else ``h`` itself: the blocks a ground-space solve runs dense."""
@@ -55,35 +51,29 @@ def densify(h):
 HERMITIAN_TOL = 1e-12
 
 
-def _check_hermitian(h) -> None:
-    """Hermiticity of a sparse matrix or, for a linear operator, the seeded
-    two-vector probe |<x, Hy> - <Hx, y>| <= tol ||x|| ||Hy||."""
-    if _is_operator(h):
+def _check_input(h) -> None:
+    """Refuse ``h`` unless it is finite and Hermitian.  A matrix is read
+    entry by entry: max |H - H^dag| <= tol max(1, max |H|).  A linear
+    operator is probed with two seeded matvecs, which must come back with
+    finite norms: |<x, Hy> - <Hx, y>| <= tol ||x|| ||Hy||."""
+    if isinstance(h, spla.LinearOperator):
         x, y = np.random.default_rng(54321).standard_normal((2, h.shape[0]))
         hx, hy = h.matvec(x), h.matvec(y)
+        scale = np.linalg.norm(hx) + np.linalg.norm(hy)
         asym = abs(np.vdot(x, hy) - np.vdot(hx, y))
-        if asym > HERMITIAN_TOL * np.linalg.norm(x) * np.linalg.norm(hy):
-            raise ValidationError(
-                f"linear operator is not Hermitian: |<x,Hy> - <Hx,y>| = {asym:g}"
-            )
-        return
-    d = h - h.conj().T
-    _require_hermitian(
-        np.max(np.abs(d.data)) if d.nnz else 0.0,
-        np.max(np.abs(h.data)) if h.nnz else 0.0,
-    )
+        bound = np.linalg.norm(x) * np.linalg.norm(hy)
+        refusal = f"linear operator is not Hermitian: |<x,Hy> - <Hx,y>| = {asym:g}"
+    else:
+        def peak(a):
+            return abs(a.tocsr()).max() if sp.issparse(a) else np.abs(a).max(initial=0.0)
 
-
-def _require_hermitian(asym, scale) -> None:
+        scale, asym = peak(h), peak(h - h.conj().T)
+        bound = max(1.0, scale)
+        refusal = f"matrix is not Hermitian: max asymmetry {asym:g}"
     if not np.isfinite(scale):  # np.linalg.eigh may not raise, subset eigh ValueError
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    if asym > HERMITIAN_TOL * max(1.0, scale):
-        raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:g}")
-
-
-def _lanczos_start(dim: int) -> np.ndarray:
-    # fixed start vector so repeated runs produce identical iterates
-    return np.random.default_rng(12345).standard_normal(dim)
+    if asym > HERMITIAN_TOL * bound:
+        raise ValidationError(refusal)
 
 
 # Sparse input of dimension <= DENSE_MAX still takes the Lanczos path when
@@ -202,10 +192,9 @@ def _filtered_lanczos(h, k: int, tol: float):
     and, if ARPACK has not converged by then, also widens; only the last
     runs to ARPACK's default iteration limit and raises IterationLimitError.
     """
-    _check_hermitian(h)
-    matvec = h.matvec if _is_operator(h) else h.dot
+    matvec = h.matvec if isinstance(h, spla.LinearOperator) else h.dot
     dtype = np.result_type(h.dtype, np.float64)
-    v0 = _lanczos_start(h.shape[0])
+    v0 = np.random.default_rng(12345).standard_normal(h.shape[0])  # reruns iterate alike
     lo, cut, hi = _spectrum_bounds(matvec, v0, k)
     for attempt in range(FILTER_RETRIES + 1):
         last = attempt == FILTER_RETRIES
@@ -267,9 +256,8 @@ def eigensolve(h, k: int = 6, tol: float = 0.0):
     (:func:`_filtered_lanczos`).  ``tol`` is passed to ``eigsh`` and so acts
     on p(H), not on H: it is ARPACK's relative accuracy of the eigenvalues
     of p(H), and the returned pairs of H are then held to residuals of
-    max(tol, RESIDUAL_TOL) times the spectral radius.  The dense
-    route checks Hermiticity on the dense array; the Lanczos route checks
-    the sparse matrix, or probes a linear operator with two seeded matvecs.
+    max(tol, RESIDUAL_TOL) times the spectral radius.  Every path passes
+    :func:`_check_input` once, on the matrix or operator it solves.
     """
     dim = h.shape[0]
     if h.shape[0] != h.shape[1]:
@@ -277,14 +265,12 @@ def eigensolve(h, k: int = 6, tol: float = 0.0):
     if k < 1:
         raise ValidationError("k must be >= 1")
     k = min(k, dim)
-    if _is_operator(h) and k >= dim - 1:
+    if isinstance(h, spla.LinearOperator) and k >= dim - 1:
         h = h.matmat(np.eye(dim))
+    _check_input(h)
 
     if isinstance(h, np.ndarray) or (sp.issparse(h) and _dense_pays(k, dim)):
         a = h if isinstance(h, np.ndarray) else h.toarray()
-        _require_hermitian(
-            np.max(np.abs(a - a.conj().T), initial=0.0), np.max(np.abs(a), initial=0.0)
-        )
         if k < dim - 1:
             return sla.eigh(a, subset_by_index=[0, k - 1])
         vals, vecs = np.linalg.eigh(a)
@@ -306,7 +292,6 @@ class GroundSpaceReport:
     e0: float
     degeneracy: int
     vectors: np.ndarray
-    gap: float
     s_tot: object
     spins: tuple
 
@@ -349,7 +334,7 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL, lead=None) ->
     is then solved only if a Cholesky factorization cannot prove its levels
     above the grey zone's top e0 + 2 cluster_tol max(1, |e0|), e0 the lowest
     level solved so far (:func:`_low_levels`); sparse blocks above DENSE_MAX
-    are always solved.  With ``lead`` only ``gap`` changes, to a lower bound.
+    are always solved.  The report is the one without ``lead``.
 
     An eigenvalue belongs to the ground cluster when
     ``(e - e0) <= cluster_tol * max(1, |e0|)``.  If any eigenvalue lies
@@ -358,10 +343,13 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL, lead=None) ->
     tolerance suggestion instead of returning a coin-flip degeneracy.  The
     levels carry an absolute error of about eps ||H||; when that exceeds the
     grey zone's floor, 0.5 * cluster_tol * max(1, |e0|), no clustering can
-    be trusted and :class:`AccuracyError` is raised.
+    be trusted and :class:`AccuracyError` is raised.  ||H||, the largest
+    absolute row sum, bounds every level: if it is not finite, LinAlgError.
     """
     mult = [int(round(2.0 * space.s + 1.0)) for space in spaces]
     norms = [float(abs(b).sum(axis=1).max()) for b in blocks]
+    if not np.all(np.isfinite(norms)):
+        raise np.linalg.LinAlgError("a block's largest absolute row sum ||H|| is not finite")
     solved, low = [None] * len(blocks), np.inf
     for i in sorted(range(len(blocks)), key=lambda i: i != lead):
         top = None if lead in (None, i) else low + 2.0 * cluster_tol * max(1.0, abs(low))
@@ -385,11 +373,8 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL, lead=None) ->
             f"eigenvalue gap {g:.3e} (relative) sits within a factor 2 of "
             f"cluster_tol = {cluster_tol:.3e}; retry with cluster_tol "
             f"<= {g / 4:.3e} or >= {4 * g:.3e}",
-            gap=g,
             suggested_tol=g / 4,
         )
-    n = int(np.sum(rel <= cluster_tol))
-    screened = 2.0 * cluster_tol * scale if any(v.size == 0 for v, _ in solved) else np.inf
     ground, spins, degeneracy = [], [], 0
     for space, (v, vecs), w in zip(spaces, solved, mult):
         m = int(np.sum((v - e0) / scale <= cluster_tol))
@@ -403,7 +388,6 @@ def ground_space(blocks, spaces, cluster_tol: float = CLUSTER_TOL, lead=None) ->
         e0=e0,
         degeneracy=degeneracy,
         vectors=q,
-        gap=min(float(vals[n] - e0) if n < len(vals) else np.inf, screened),
         s_tot=spins[0] if len(set(spins)) == 1 else "mixed",
         spins=tuple(spins),
     )

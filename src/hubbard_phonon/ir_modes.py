@@ -74,10 +74,6 @@ class NormValue:
     closed: float
     quadrature: float
 
-    @property
-    def value(self) -> float:
-        return self.closed
-
 
 def _closed_power_integral(p: float, lo: float, hi: float) -> float:
     if abs(p + 1.0) < 1e-14:
@@ -137,11 +133,6 @@ def b_kappa(family: CutoffFamily, kappa: float) -> float:
 
 
 # -- moment-matched Gauss discretization --------------------------------------
-
-
-def _u_moment(n: int, beta: float, lo: float, hi: float) -> float:
-    # int u**n * u**(-2 beta - 2) du on [lo, hi]
-    return _closed_power_integral(n - 2.0 * beta - 2.0, lo, hi)
 
 
 def _gauss_from_moments(mom):
@@ -230,8 +221,10 @@ def discretize(
             "Hankel moment matrices lose positivity beyond ~12 nodes; "
             "requested count is not reachable in double precision"
         )
+    m = m_per_channel
     lo, hi = 1.0 / family.big_k, 1.0 / kappa
-    mom = [_u_moment(n, family.beta, lo, hi) for n in range(2 * m_per_channel + 1)]
+    # int u**n * u**(-2 beta - 2) du on [lo, hi]
+    mom = [_closed_power_integral(n - 2.0 * family.beta - 2.0, lo, hi) for n in range(2 * m + 1)]
     u_nodes, u_weights = _gauss_from_moments(mom)
     order = np.argsort(1.0 / u_nodes)
     k_nodes = (1.0 / u_nodes)[order]
@@ -248,7 +241,6 @@ def discretize(
                 f"{abs(discrete - closed):.3e}"
             )
 
-    m = m_per_channel
     freqs = np.tile(k_nodes, n_sites)
     couplings = np.zeros((n_sites, n_sites * m))
     for x in range(n_sites):

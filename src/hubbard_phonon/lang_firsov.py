@@ -228,22 +228,20 @@ class DressedState:
     """V (psi_e x vacuum): coherent boson cloud per electron configuration.
 
     ``weights[c]`` is the electronic amplitude and ``z[c]`` the displacement
-    vector of the configuration's coherent state.  ``truncation_error`` is
-    the weight lost to the occupation cutoff when the state is materialized.
-    The checks read the state one configuration at a time through
-    :meth:`row`; :meth:`vector` stacks the rows.
+    vector of the configuration's coherent state.  The checks read the state
+    one configuration at a time through :meth:`row`; :meth:`vector` stacks
+    the rows.
     """
 
     weights: np.ndarray
     z: np.ndarray
-    truncation_error: float
     model: CoupledModel
 
     def row(self, c: int) -> np.ndarray:
         """Boson row of configuration c: ``weights[c]`` times |z_c> truncated.
 
         Coherent amplitudes are truncated as-is (no renormalization), so the
-        rows' squared norms sum to 1 - ``truncation_error`` exactly.
+        rows' squared norms fall short of 1 by the weight past the cutoff.
         """
         n_max = self.model.fock.n_max
         return self.weights[c] * mode_kron(
@@ -263,11 +261,7 @@ def dress_state(model: CoupledModel, psi_e) -> DressedState:
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValidationError(f"psi_e must be normalized; got ||psi|| = {nrm}")
-    z = model.z_table()
-    # captured coherent mass per configuration from per-mode tails
-    kept = np.prod(1.0 - coherent_tail(z, model.fock.n_max), axis=1)
-    lost = float(np.sum(np.abs(psi) ** 2 * (1.0 - kept)))
-    return DressedState(weights=psi, z=z, truncation_error=lost, model=model)
+    return DressedState(weights=psi, z=model.z_table(), model=model)
 
 
 def dressed_ground(model: CoupledModel, cluster_tol: float = CLUSTER_TOL):

@@ -16,12 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigensolver import CLUSTER_TOL, GroundSpaceReport, densify, ground_space
-from .errors import (
-    AccuracyError,
-    AmbiguousDegeneracyError,
-    IterationLimitError,
-    ValidationError,
-)
+from .errors import UncertifiedError, ValidationError
 from .lattice_fermions import (
     HoppingMatrix,
     build_hubbard,
@@ -51,7 +46,6 @@ __all__ = [
 class EffectiveParams:
     u_eff: float
     chemical_shift: float
-    regime: str
 
 
 def effective_params(u: float, alpha: float, b: float) -> EffectiveParams:
@@ -63,9 +57,7 @@ def effective_params(u: float, alpha: float, b: float) -> EffectiveParams:
     if b < 0:
         raise ValidationError("coupling norm b must be >= 0")
     g2 = (alpha * b) ** 2
-    u_eff = u - g2
-    regime = "Attractive" if u_eff < 0 else ("Free" if u_eff == 0 else "Repulsive")
-    return EffectiveParams(u_eff=u_eff, chemical_shift=g2 / 2.0, regime=regime)
+    return EffectiveParams(u_eff=u - g2, chemical_shift=g2 / 2.0)
 
 
 def critical_alpha(u: float, b: float) -> float:
@@ -233,12 +225,7 @@ def sweep_alpha(
         try:
             h = [plus_diagonal(h0s, par.u_eff * d) for h0s, d in blocks]
             rep = ground_space(h, spaces=spaces, cluster_tol=cluster_tol, lead=lead)
-        except (
-            AccuracyError,
-            AmbiguousDegeneracyError,
-            IterationLimitError,
-            np.linalg.LinAlgError,
-        ) as exc:  # the solver's own failures; anything else is a bug
+        except (UncertifiedError, np.linalg.LinAlgError) as exc:  # anything else is a bug
             rec.residual_flags = f"{type(exc).__name__}: {exc}"
             return rec
         lead = [space.s for space in spaces].index(rep.spins[0])

@@ -890,6 +890,96 @@ def test_random_small_configs_run_or_exit_with_a_code(tmp_path_factory, tree):
         assert "Traceback" not in err.getvalue()
 
 
+# Accepted configs whose arithmetic overflows: a hopping whose row sums pass
+# the largest double, a coupling whose square times R does, and an
+# interaction whose products with the trial vectors do.
+OVERFLOWS = {
+    "hopping": "lattice: {hopping: {kind: chain, t: 1.0e+308}}\n",
+    "coupling": "coupling: {alpha: 1.0e+154}\n",
+    "interaction": "interaction: {u: -1.0e+308}\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("hopping", "spectrum"), ("hopping", "verify"), ("hopping", "ir"), ("hopping", "sweep"),
+        ("coupling", "spectrum"), ("coupling", "verify"), ("coupling", "ir"),
+        ("interaction", "spectrum"), ("interaction", "verify"),
+    ],
+)
+def test_overflowing_configs_exit_with_a_code(tmp_path, capsys, name, command):
+    """spectrum, verify and ir exit 2 with the overflow line; sweep keeps each
+    overflowed point as an Error row flagged LinAlgError and exits 0, or 3
+    under --strict: no command writes a non-finite level with exit 0."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(OVERFLOWS[name])
+    out = tmp_path / "o"
+    rc = main(["--config", str(cfg), "--out", str(out), command])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if command != "sweep":
+        assert rc == 2 and "config error: a value overflowed: " in err
+        assert not (out / f"{command}.csv").exists()
+        return
+    assert rc == 0
+    _, rows = _read_csv(out / "sweep.csv")
+    assert rows and all(r["classification"] == "Error" for r in rows)
+    assert all(r["residual_flags"].startswith("LinAlgError") for r in rows)
+    assert main(["--config", str(cfg), "--out", str(out), "--strict", "sweep"]) == 3
+
+
+@pytest.mark.parametrize("literal, value", [("1e-3", 1e-3), ("1.0e6", 1e6), ("1E+3", 1e3)])
+def test_exponent_literals_load_as_numbers(tmp_path, literal, value):
+    """YAML 1.2 float forms, which YAML 1.1 reads as strings, are numbers
+    wherever a config takes one; 1e-3x is still not a number."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(
+        f"modes: {{kappa: {literal}, beta: {literal}, big_k: 2.0e+6}}\n"
+        f"tolerances: {{transform: {literal}}}\n"
+    )
+    loaded = load_config(cfg)
+    assert loaded["modes"]["kappa"] == loaded["modes"]["beta"] == value
+    assert loaded["tolerances"]["transform"] == value
+    assert type(loaded["modes"]["kappa"]) is type(loaded["tolerances"]["transform"]) is float
+    assert validate_config(loaded) == []
+    cfg.write_text("modes: {kappa: 1e-3x}\n")
+    assert any(e.startswith("modes.kappa") for e in validate_config(load_config(cfg)))
+
+
+def test_configs_without_such_literals_load_as_before(tmp_path):
+    """The loader reads every YAML 1.1 scalar of the reference config and
+    of the edge configs as yaml.safe_load does, so config_sha256 holds."""
+    ref = Path(cli.__file__).with_name("reference.yaml").read_text()
+    assert load_config(None) == yaml.safe_load(ref)
+    for text in EDGE_CONFIGS.values():
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert load_config(cfg) == cli._merge(yaml.safe_load(ref), yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("command", ["sweep", "ir"])
+def test_small_cutoffs_written_with_exponents_run(tmp_path, command):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {kappa: 1e-3, kappas: [1e-1, 1e-2, 1e-3]}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+    _, rows = _read_csv(out / f"{command}.csv")
+    assert rows and all(float(r["kappa"]) in (1e-1, 1e-2, 1e-3) for r in rows)
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    """The output directory is made once, after validation; a file in its
+    place is a config error, and the file is left as it was."""
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["--out", str(out), "sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    assert "Traceback" not in err and out.read_text() == "keep"
+
+
 # -- spectra the spin-resolved solve must refuse or resolve -------------------
 
 

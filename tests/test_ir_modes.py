@@ -80,7 +80,7 @@ def test_norm_closed_vs_quadrature(monkeypatch):
 def test_reference_channel_anchors():
     fam = CutoffFamily(beta=0.5, big_k=1.0)
     assert abs(b_kappa(fam, 0.1) ** 2 - 0.9) < 1e-14
-    assert abs(norm_omega_power(fam, 1.0, 0.1).value - np.log(10.0)) < 1e-12
+    assert abs(norm_omega_power(fam, 1.0, 0.1).closed - np.log(10.0)) < 1e-12
 
 
 def test_singularity_classes():
@@ -96,9 +96,9 @@ def test_zero_cutoff_divergence():
     assert err.value.divergence_class == "LogSingular"
     # beta > 1/2 keeps omega^-1 integrable down to zero
     reg = norm_omega_power(CutoffFamily(beta=0.8), 1.0, 0.0)
-    assert abs(reg.value - 1.0 / 0.6) < 1e-10
+    assert abs(reg.closed - 1.0 / 0.6) < 1e-10
     # and the plain norm (s = 0) never diverges
-    assert norm_omega_power(fam, 0.0, 0.0).value == pytest.approx(0.5)
+    assert norm_omega_power(fam, 0.0, 0.0).closed == pytest.approx(0.5)
 
 
 def test_discretize_moment_exactness():

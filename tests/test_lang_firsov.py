@@ -434,7 +434,6 @@ def test_dress_state_matches_unitary():
     vac[0] = 1.0
     direct = M12.apply_unitary(np.kron(psi_e, vac).astype(complex))
     assert np.linalg.norm(st.vector() - direct) < 1e-6
-    assert st.truncation_error < 1e-9
     assert abs(sum(np.abs(st.weights) ** 2) - 1.0) < 1e-9
 
 

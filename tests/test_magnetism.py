@@ -37,9 +37,6 @@ def test_effective_params():
     par = effective_params(1.0, 0.5, B_REF)
     assert abs(par.u_eff - (1.0 - 0.25 * 0.9)) < 1e-15
     assert abs(par.chemical_shift - 0.5 * 0.25 * 0.9) < 1e-15
-    assert par.regime == "Repulsive"
-    assert effective_params(1.0, 2.0, B_REF).regime == "Attractive"
-    assert effective_params(1.0, 1.0, 1.0).regime == "Free"
     with pytest.raises(ValidationError):
         effective_params(1.0, 0.5, -1.0)
 
