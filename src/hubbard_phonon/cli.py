@@ -86,8 +86,8 @@ from .ir_modes import (
 # file records it.
 EQUIVALENCE_DIM_CAP = 200_000
 
-# Keys a config may add to those of the reference file, and the one section
-# that may also be given as a list.
+# Keys a config may add to those of the reference file, typed by
+# validate_config, and the one section that may also be a list of numbers.
 EXTRA_KEYS = {("lattice", "hopping"): {"matrix", "t0", "amplitudes"}}
 LIST_SECTIONS = {("coupling", "alpha_grid")}
 
@@ -146,25 +146,55 @@ def _reference():
     return yaml.load(Path(__file__).with_name("reference.yaml").read_bytes(), _ConfigLoader)
 
 
-def _merge(base, update, path=()):
-    """Lay ``update`` over ``base`` in place."""
+def _is_num(x):
+    """A finite int or float; a bool is not a number here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _typed(ref, val, name):
+    """``val`` if it has the type of the reference entry ``ref``: an int (not
+    a bool) for an int, a str for a str, a finite number for a float and a
+    list of them for a list, the numbers stored as floats."""
+    if type(ref) is float and _is_num(val):
+        return float(val)
+    if type(ref) is list and isinstance(val, list) and all(map(_is_num, val)):
+        return [float(v) for v in val]
+    if type(ref) in (int, str) and type(val) is type(ref):
+        return val
+    kind = {int: "an integer", float: "a number", list: "a list of numbers", str: "a string"}
+    raise ValidationError(f"{name} must be {kind[type(ref)]}")
+
+
+def _merge(base, update, path=(), mismatches=None):
+    """Lay ``update`` over ``base`` in place, each value typed by the entry it
+    replaces (a list section as a list of numbers).  A key the reference
+    lacks, or a non-mapping for a section, raises at once; the first value
+    of another type raises once the whole walk has found neither."""
+    found = [] if mismatches is None else mismatches
     for key, val in update.items():
         where = path + (key,)
         name = ".".join(map(str, where))
         if key not in base and key not in EXTRA_KEYS.get(path, ()):
             raise ValidationError(f"{name} is not a key of the reference config")
-        if isinstance(base.get(key), dict):
-            if isinstance(val, dict):
-                val = _merge(base[key], val, where)
-            elif where not in LIST_SECTIONS:
-                raise ValidationError(f"{name} must be a mapping")
+        ref = base.get(key)
+        if isinstance(ref, dict) and isinstance(val, dict):
+            val = _merge(ref, val, where, found)
+        elif isinstance(ref, dict) and where not in LIST_SECTIONS:
+            raise ValidationError(f"{name} must be a mapping")
+        elif key in base:
+            try:
+                val = _typed([0.0] if isinstance(ref, dict) else ref, val, name)
+            except ValidationError as exc:
+                found.append(exc)
         base[key] = val
+    if found and mismatches is None:
+        raise found[0]
     return base
 
 
 def load_config(path):
-    """The reference config with the YAML file at ``path`` laid over it; a key
-    the reference lacks, or a non-mapping for a section, is a ValidationError."""
+    """The reference config with the YAML file at ``path`` laid over it by
+    :func:`_merge`, whose refusals are ValidationErrors."""
     base = copy.deepcopy(_reference())  # callers may mutate the result freely
     if path is None:
         return base
@@ -174,30 +204,20 @@ def load_config(path):
     return _merge(base, user or {})
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_num(x):
-    """A finite int or float; a bool is not a number here."""
-    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
-
-
 def validate_config(cfg):
-    """Collect human-readable violations; empty list means acceptable."""
+    """Collect human-readable violations of the value and cross-entry rules,
+    and of the optional hopping keys' types, on a config that load_config
+    has typed; empty list means acceptable."""
     errs = []
     lat = cfg["lattice"]
     n_sites = lat["n_sites"]
-    if not _is_int(n_sites) or n_sites < 1:
+    if n_sites < 1:
         errs.append("lattice.n_sites must be an integer >= 1")
         n_sites = None
     hop = lat["hopping"]
     kind = hop["kind"]
     if kind not in ("chain", "matrix", "rank_one"):
         errs.append("lattice.hopping.kind must be one of chain, matrix, rank_one")
-    elif kind == "chain":
-        if not _is_num(hop["t"]):
-            errs.append("lattice.hopping.t must be a number")
     elif kind == "matrix":
         m = hop.get("matrix")
         if not isinstance(m, list) or n_sites is not None and not (
@@ -223,69 +243,48 @@ def validate_config(cfg):
         elif not all(_is_num(a) and a != 0 for a in amps):
             errs.append("lattice.hopping.amplitudes must be nonzero numbers")
     n_e = cfg["electrons"]["n_e"]
-    if not _is_int(n_e) or n_e < 1:
+    if n_e < 1:
         errs.append("electrons.n_e must be a positive integer")
     elif n_sites is not None and n_e > 2 * n_sites:
         errs.append(
             f"electrons.n_e must lie in [1, 2*n_sites] = [1, {2 * n_sites}]; "
             "a site holds at most one electron per spin"
         )
-    if not _is_num(cfg["interaction"]["u"]):
-        errs.append("interaction.u must be a number")
-    coup = cfg["coupling"]
-    if not _is_num(coup["alpha"]):
-        errs.append("coupling.alpha must be a number")
-    grid = coup["alpha_grid"]
+    grid = cfg["coupling"]["alpha_grid"]
     if isinstance(grid, list):
-        if not grid or not all(_is_num(a) for a in grid):
+        if not grid:
             errs.append("coupling.alpha_grid as a list needs one or more numbers")
-    elif not isinstance(grid, dict) or not all(
-        _is_num(grid[k]) for k in ("start", "stop", "step")
-    ):
-        errs.append("coupling.alpha_grid needs numeric start, stop, step or a list")
     elif grid["step"] <= 0 or grid["stop"] <= grid["start"]:
         errs.append("coupling.alpha_grid must advance: step > 0, stop > start")
-    elif not (float(grid["stop"]) - grid["start"]) / grid["step"] + 0.5 < ALPHA_GRID_CAP:
+    elif not (grid["stop"] - grid["start"]) / grid["step"] + 0.5 < ALPHA_GRID_CAP:
         errs.append(f"coupling.alpha_grid must have at most {ALPHA_GRID_CAP} points")
     modes = cfg["modes"]
-    beta = modes["beta"]
-    if not _is_num(beta) or beta <= 0:
+    if modes["beta"] <= 0:
         errs.append("modes.beta must be a positive number")
     big_k = modes["big_k"]
-    if not _is_num(big_k) or big_k <= 0:
+    if big_k <= 0:
         errs.append("modes.big_k must be a positive number")
-    kappa = modes["kappa"]
-    if not _is_num(kappa) or kappa <= 0 or (_is_num(big_k) and kappa >= big_k):
+    if not 0 < modes["kappa"] < big_k:
         errs.append(
             "modes.kappa must satisfy 0 < kappa < big_k (positive frequencies only)"
         )
     kappas = modes["kappas"]
-    if (
-        not isinstance(kappas, list)
-        or not all(
-            _is_num(k) and 0 < k < (big_k if _is_num(big_k) else np.inf)
-            for k in kappas
-        )
-        or not 2 <= len(set(kappas)) == len(kappas)
-    ):
+    if not all(0 < k < big_k for k in kappas) or not 2 <= len(set(kappas)) == len(kappas):
         errs.append(
             "modes.kappas must list at least two distinct cutoffs inside (0, big_k), "
             "none repeated"
         )
-    per_site = modes["per_site"]
-    if not _is_int(per_site) or not 2 <= per_site <= 12:
+    if not 2 <= modes["per_site"] <= 12:
         errs.append("modes.per_site must be an integer in [2, 12]")
-    n_max = modes["n_max"]
-    if not _is_int(n_max) or n_max < 1:
+    if modes["n_max"] < 1:
         errs.append("modes.n_max must be an integer >= 1")
     sol = cfg["solver"]
-    if not _is_num(sol["cluster_tol"]) or sol["cluster_tol"] <= 0:
+    if sol["cluster_tol"] <= 0:
         errs.append("solver.cluster_tol must be a positive number")
-    levels = sol["levels"]
-    if not _is_int(levels) or levels < 1:
+    if sol["levels"] < 1:
         errs.append("solver.levels must be an integer >= 1")
     for name, val in cfg["tolerances"].items():
-        if not _is_num(val) or val <= 0:
+        if val <= 0:
             errs.append(f"tolerances.{name} must be a positive number")
     return errs
 
@@ -294,18 +293,14 @@ def build_hopping(cfg) -> HoppingMatrix:
     lat = cfg["lattice"]
     hop = lat["hopping"]
     if hop["kind"] == "chain":
-        return HoppingMatrix.chain(lat["n_sites"], float(hop["t"]))
+        return HoppingMatrix.chain(lat["n_sites"], hop["t"])
     if hop["kind"] == "matrix":
-        return HoppingMatrix(np.asarray(hop["matrix"], dtype=float))
-    return build_tasaki_hopping(
-        float(hop.get("t0", 1.0)), np.asarray(hop["amplitudes"], dtype=float)
-    )
+        return HoppingMatrix(hop["matrix"])
+    return build_tasaki_hopping(hop.get("t0", 1.0), hop["amplitudes"])
 
 
 def build_family(cfg) -> CutoffFamily:
-    return CutoffFamily(
-        beta=float(cfg["modes"]["beta"]), big_k=float(cfg["modes"]["big_k"])
-    )
+    return CutoffFamily(beta=cfg["modes"]["beta"], big_k=cfg["modes"]["big_k"])
 
 
 def build_model(cfg) -> CoupledModel:
@@ -316,11 +311,11 @@ def build_model(cfg) -> CoupledModel:
         cfg["lattice"]["n_sites"],
         cfg["electrons"]["n_e"],
         build_hopping(cfg),
-        float(cfg["interaction"]["u"]),
-        float(cfg["coupling"]["alpha"]),
+        cfg["interaction"]["u"],
+        cfg["coupling"]["alpha"],
         build_family(cfg),
-        float(cfg["modes"]["kappa"]),
-        modes_per_site=int(cfg["modes"]["per_site"]),
+        cfg["modes"]["kappa"],
+        modes_per_site=cfg["modes"]["per_site"],
         n_max=0,
     )
 
@@ -367,17 +362,15 @@ def cmd_spectrum(cfg, args) -> int:
     out = Path(args.out)
     # built first, the routes refuse a size before the electronic solve is spent
     model = build_model(cfg)
-    ha = effective_hamiltonians(model, int(cfg["modes"]["n_max"]))
+    ha = effective_hamiltonians(model, cfg["modes"]["n_max"])
     fam = build_family(cfg)
-    b = b_kappa(fam, float(cfg["modes"]["kappa"]))
-    par = effective_params(
-        float(cfg["interaction"]["u"]), float(cfg["coupling"]["alpha"]), b
-    )
+    b = b_kappa(fam, cfg["modes"]["kappa"])
+    par = effective_params(cfg["interaction"]["u"], cfg["coupling"]["alpha"], b)
     rep = spin_ground_space(
-        model.effective_electronic(), model.basis, float(cfg["solver"]["cluster_tol"])
+        model.effective_electronic(), model.basis, cfg["solver"]["cluster_tol"]
     )
     label = classify(rep, model.basis.n_e, model.basis.n_sites)
-    k = int(cfg["solver"]["levels"])
+    k = cfg["solver"]["levels"]
     direct = ha.direct_lowest(k)
     if len(direct) < k:  # a model without free modes holds only its boxes' levels
         raise ValidationError(f"solver.levels = {k} exceeds the {len(direct)} levels held")
@@ -414,27 +407,19 @@ def cmd_spectrum(cfg, args) -> int:
 
 def cmd_sweep(cfg, args) -> int:
     fam = build_family(cfg)
-    kappa = float(cfg["modes"]["kappa"])
+    kappa = cfg["modes"]["kappa"]
     b = b_kappa(fam, kappa)
-    grid_cfg = cfg["coupling"]["alpha_grid"]
-    if isinstance(grid_cfg, list):
-        alphas = [float(a) for a in grid_cfg]
-    else:
-        alphas = list(
-            np.arange(
-                float(grid_cfg["start"]),
-                float(grid_cfg["stop"]) + 0.5 * float(grid_cfg["step"]),
-                float(grid_cfg["step"]),
-            )
-        )
+    alphas = cfg["coupling"]["alpha_grid"]
+    if isinstance(alphas, dict):  # start, stop, step
+        alphas = np.arange(alphas["start"], alphas["stop"] + 0.5 * alphas["step"], alphas["step"])
     records = sweep_alpha(
         build_hopping(cfg),
         cfg["electrons"]["n_e"],
-        float(cfg["interaction"]["u"]),
+        cfg["interaction"]["u"],
         b,
         alphas,
         kappa=kappa,
-        cluster_tol=float(cfg["solver"]["cluster_tol"]),
+        cluster_tol=cfg["solver"]["cluster_tol"],
     )
     brackets = flip_brackets(records)
     meta = _meta(
@@ -487,7 +472,7 @@ def cmd_verify(cfg, args) -> int:
     rotation; the quadratic coefficient is one fit over both factors' data."""
     tols = cfg["tolerances"]
     rng = np.random.default_rng(args.seed)
-    n_max = int(cfg["modes"]["n_max"])
+    n_max = cfg["modes"]["n_max"]
     ha = effective_hamiltonians(build_model(cfg), n_max)
     m_tot = ha.model.fock.modes.m
     # five f for the annihilation row, one for Heisenberg, two for overlaps
@@ -501,7 +486,7 @@ def cmd_verify(cfg, args) -> int:
         res_hb += verify_transform_hb(fac, n_trials=3, rng=rng)
         nb_rep = verify_transform_nb(fac, n_trials=3, rng=rng)
         res_nb, ata, atb = res_nb + nb_rep.residual, ata + nb_rep.ata, atb + nb_rep.atb
-        state, _ = dressed_ground(fac, float(cfg["solver"]["cluster_tol"]))
+        state, _ = dressed_ground(fac, cfg["solver"]["cluster_tol"])
         res_ann += [annihilation_residual(fac, state, f) for f in f_ann]
         res_heis += heisenberg_evolution_check(fac, f_heis[0], n_trials=2, rng=rng)
         # overlap closed form against the matrix route, 0..2 excitations, on
@@ -572,14 +557,14 @@ def cmd_verify(cfg, args) -> int:
 def cmd_ir(cfg, args) -> int:
     out = Path(args.out)
     fam = build_family(cfg)
-    kappas = [float(k) for k in cfg["modes"]["kappas"]]
+    kappas = cfg["modes"]["kappas"]
     hopping = build_hopping(cfg)
     n_e = cfg["electrons"]["n_e"]
-    u = float(cfg["interaction"]["u"])
-    alpha = float(cfg["coupling"]["alpha"])
+    u = cfg["interaction"]["u"]
+    alpha = cfg["coupling"]["alpha"]
     scan, rate, expected = divergence_report(fam, kappas)
     # one discretization per cutoff serves the overlap curve and the rows
-    per_site = int(cfg["modes"]["per_site"])
+    per_site = cfg["modes"]["per_site"]
     discs = {kap: discretize(fam, kap, per_site, hopping.n_sites) for kap in kappas}
     curve = dict(
         overlap_decay_curve(
@@ -638,7 +623,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", default=None, help="YAML run configuration")
     parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed, a non-negative integer")
     parser.add_argument(
         "--strict", action="store_true", help="fail the run on partial sweep errors"
     )
@@ -646,6 +631,8 @@ def main(argv=None) -> int:
     for name in ("spectrum", "sweep", "verify", "ir"):
         sub.add_parser(name)
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's generators take non-negative seeds only
+        parser.error("--seed must be a non-negative integer")
 
     try:
         cfg = load_config(args.config)

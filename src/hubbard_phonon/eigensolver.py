@@ -54,19 +54,20 @@ HERMITIAN_TOL = 1e-12
 def _check_input(h) -> None:
     """Refuse ``h`` unless it is finite and Hermitian.  A matrix is read
     entry by entry: max |H - H^dag| <= tol max(1, max |H|).  A linear
-    operator is probed with two seeded matvecs, which must come back with
-    finite norms: |<x, Hy> - <Hx, y>| <= tol ||x|| ||Hy||."""
+    operator is probed with two seeded matvecs, which must come back
+    finite: |<x, Hy> - <Hx, y>| <= tol ||x|| ||Hy||, ||Hy|| by BLAS nrm2,
+    which scales as it sums and so does not overflow where sqrt(y . y) does."""
+    def peak(a):
+        return abs(a.tocsr()).max() if sp.issparse(a) else np.abs(a).max(initial=0.0)
+
     if isinstance(h, spla.LinearOperator):
         x, y = np.random.default_rng(54321).standard_normal((2, h.shape[0]))
         hx, hy = h.matvec(x), h.matvec(y)
-        scale = np.linalg.norm(hx) + np.linalg.norm(hy)
+        scale = np.maximum(peak(hx), peak(hy))
         asym = abs(np.vdot(x, hy) - np.vdot(hx, y))
-        bound = np.linalg.norm(x) * np.linalg.norm(hy)
+        bound = np.linalg.norm(x) * sla.get_blas_funcs("nrm2", (hy,))(hy)
         refusal = f"linear operator is not Hermitian: |<x,Hy> - <Hx,y>| = {asym:g}"
     else:
-        def peak(a):
-            return abs(a.tocsr()).max() if sp.issparse(a) else np.abs(a).max(initial=0.0)
-
         scale, asym = peak(h), peak(h - h.conj().T)
         bound = max(1.0, scale)
         refusal = f"matrix is not Hermitian: max asymmetry {asym:g}"
@@ -137,6 +138,8 @@ def _spectrum_bounds(matvec, v0, k: int):
         w = w - alpha * q - beta * q_prev
         norm = max(norm, abs(alpha) + beta)
         beta = np.linalg.norm(w)
+        if not np.isfinite(beta):  # the norm squares w's entries
+            raise OverflowError("Lanczos norms square values too large for double arithmetic")
         alphas.append(alpha)
         betas.append(beta)
         if beta <= np.finfo(float).eps * norm:

@@ -1,6 +1,7 @@
 """Eigensolver and ground-space clustering behaviour."""
 
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -433,6 +434,24 @@ def test_non_finite_operator_is_refused_like_a_matrix(bad, dim):
             eigensolve(arg, k=k)
         errors.append(str(err.value))
     assert errors == ["matrix has non-finite entries"] * 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the Lanczos norm
+def test_finite_operator_near_1e200_is_not_refused_as_non_finite():
+    """Values near 1e200 are finite, though their squares are not: the input
+    check passes them without a warning, the dense path an operator asked
+    for dim - 1 levels takes solves them, and the Lanczos path, whose norms
+    square them, refuses them with an OverflowError."""
+    h = np.diag(np.linspace(1.0, 2.0, 600)) * 1e200
+    op = spla.LinearOperator(h.shape, matvec=lambda x: h @ x, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eigensolver._check_input(op)
+    with pytest.raises(OverflowError, match="too large for double arithmetic"):
+        eigensolve(op, k=1)
+    small = spla.LinearOperator((20, 20), matvec=lambda x: h[:20, :20] @ x, dtype=float)
+    vals, _ = eigensolve(small, k=19)
+    assert np.allclose(vals, np.diag(h)[:19], rtol=1e-14, atol=0.0)
 
 
 def test_transformed_operator_passes_probe():
