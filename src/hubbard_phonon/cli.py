@@ -57,6 +57,7 @@ from .magnetism import (
 )
 from .boson_fock import relative_bound_check
 from .lang_firsov import (
+    COUPLED_DIM_CAP,
     CoupledModel,
     annihilation_residual,
     dressed_ground,
@@ -86,10 +87,12 @@ from .ir_modes import (
 # file records it.
 EQUIVALENCE_DIM_CAP = 200_000
 
-# Keys a config may add to those of the reference file, typed by
-# validate_config, and the one section that may also be a list of numbers.
-EXTRA_KEYS = {("lattice", "hopping"): {"matrix", "t0", "amplitudes"}}
-LIST_SECTIONS = {("coupling", "alpha_grid")}
+# Entries a config may hold beyond the reference file's, each typed like a
+# reference entry: the optional hopping keys, and the list form of a section.
+EXTRA_KEYS = {
+    ("lattice", "hopping"): {"t0": 0.0, "amplitudes": [0.0], "matrix": [[0.0]]},
+    ("coupling",): {"alpha_grid": [0.0]},
+}
 
 # Most points a start/stop/step alpha grid may have (the default has 91).
 ALPHA_GRID_CAP = 100_000
@@ -146,44 +149,46 @@ def _reference():
     return yaml.load(Path(__file__).with_name("reference.yaml").read_bytes(), _ConfigLoader)
 
 
-def _is_num(x):
-    """A finite int or float; a bool is not a number here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
 def _typed(ref, val, name):
     """``val`` if it has the type of the reference entry ``ref``: an int (not
-    a bool) for an int, a str for a str, a finite number for a float and a
-    list of them for a list, the numbers stored as floats."""
-    if type(ref) is float and _is_num(val):
+    a bool) for an int, a str for a str, a finite number, stored as a float,
+    for a float, and for a list a list whose every item has the type of the
+    first item of ``ref``, so a list of lists is a table."""
+    if type(ref) is list and isinstance(val, list):
+        try:
+            return [_typed(ref[0], v, name) for v in val]
+        except ValidationError:
+            pass
+    elif type(ref) is float and type(val) in (int, float) and abs(val) <= sys.float_info.max:
         return float(val)
-    if type(ref) is list and isinstance(val, list) and all(map(_is_num, val)):
-        return [float(v) for v in val]
-    if type(ref) in (int, str) and type(val) is type(ref):
+    elif type(ref) in (int, str) and type(val) is type(ref):
         return val
-    kind = {int: "an integer", float: "a number", list: "a list of numbers", str: "a string"}
-    raise ValidationError(f"{name} must be {kind[type(ref)]}")
+    kind = {int: "an integer", float: "a number", str: "a string"}.get(type(ref))
+    kind = kind or f"a {'table' if type(ref[0]) is list else 'list'} of numbers"
+    raise ValidationError(f"{name} must be {kind}")
 
 
 def _merge(base, update, path=(), mismatches=None):
     """Lay ``update`` over ``base`` in place, each value typed by the entry it
-    replaces (a list section as a list of numbers).  A key the reference
-    lacks, or a non-mapping for a section, raises at once; the first value
-    of another type raises once the whole walk has found neither."""
+    replaces or, where EXTRA_KEYS lists the key, by its entry there.  A key
+    that neither defines, or a non-mapping for a section without a list
+    form, raises at once; the first value of another type raises once the
+    whole walk has found neither."""
     found = [] if mismatches is None else mismatches
+    extra = EXTRA_KEYS.get(path, {})
     for key, val in update.items():
         where = path + (key,)
         name = ".".join(map(str, where))
-        if key not in base and key not in EXTRA_KEYS.get(path, ()):
+        if key not in base and key not in extra:
             raise ValidationError(f"{name} is not a key of the reference config")
         ref = base.get(key)
         if isinstance(ref, dict) and isinstance(val, dict):
             val = _merge(ref, val, where, found)
-        elif isinstance(ref, dict) and where not in LIST_SECTIONS:
+        elif isinstance(ref, dict) and key not in extra:
             raise ValidationError(f"{name} must be a mapping")
-        elif key in base:
+        else:
             try:
-                val = _typed([0.0] if isinstance(ref, dict) else ref, val, name)
+                val = _typed(extra.get(key, ref), val, name)
             except ValidationError as exc:
                 found.append(exc)
         base[key] = val
@@ -205,14 +210,13 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    """Collect human-readable violations of the value and cross-entry rules,
-    and of the optional hopping keys' types, on a config that load_config
-    has typed; empty list means acceptable."""
+    """Collect human-readable violations of the value and cross-entry rules
+    on a config that load_config has typed; empty list means acceptable."""
     errs = []
     lat = cfg["lattice"]
     n_sites = lat["n_sites"]
-    if n_sites < 1:
-        errs.append("lattice.n_sites must be an integer >= 1")
+    if n_sites < 1 or n_sites**2 > COUPLED_DIM_CAP:  # the dense hopping holds n_sites^2 numbers
+        errs.append(f"lattice.n_sites must be an integer in [1, {int(COUPLED_DIM_CAP**0.5)}]")
         n_sites = None
     hop = lat["hopping"]
     kind = hop["kind"]
@@ -220,27 +224,17 @@ def validate_config(cfg):
         errs.append("lattice.hopping.kind must be one of chain, matrix, rank_one")
     elif kind == "matrix":
         m = hop.get("matrix")
-        if not isinstance(m, list) or n_sites is not None and not (
-            len(m) == n_sites
-            and all(
-                isinstance(row, list)
-                and len(row) == n_sites
-                and all(_is_num(v) for v in row)
-                for row in m
-            )
-        ):
+        if m is None or n_sites is not None and any(len(r) != n_sites for r in [m, *m]):
             errs.append(
                 "lattice.hopping.matrix must be an n_sites x n_sites table of numbers"
             )
     elif kind == "rank_one":
-        if "t0" in hop and not (_is_num(hop["t0"]) and hop["t0"] != 0):
+        if hop.get("t0") == 0:
             errs.append("lattice.hopping.t0 must be a nonzero number")
         amps = hop.get("amplitudes")
-        if not isinstance(amps, list) or (
-            n_sites is not None and len(amps) != n_sites
-        ):
+        if amps is None or n_sites is not None and len(amps) != n_sites:
             errs.append("lattice.hopping.amplitudes must list one value per site")
-        elif not all(_is_num(a) and a != 0 for a in amps):
+        elif 0 in amps:
             errs.append("lattice.hopping.amplitudes must be nonzero numbers")
     n_e = cfg["electrons"]["n_e"]
     if n_e < 1:
@@ -511,8 +505,8 @@ def cmd_verify(cfg, args) -> int:
     coef_dev = abs(quadratic - exact) / max(exact, 1e-30)
     print(
         "transformed number operator: quadratic fit "
-        f"{quadratic:.8f} vs exact alpha^2/2 = "
-        f"{exact:.8f} (alpha^2 itself = {ha.model.alpha**2:.8f})"
+        f"{quadratic:.8g} vs exact alpha^2/2 = "
+        f"{exact:.8g} (alpha^2 itself = {ha.model.alpha**2:.8g})"
     )
     checks = [  # (name, measured, threshold)
         ("car_two_site", _car_residual(), 1e-14),

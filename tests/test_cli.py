@@ -704,7 +704,7 @@ TYPE_ERRORS = [
     ("coupling: {alpha_grid: [true]}\n", "coupling.alpha_grid must be a list of numbers"),
     (
         "lattice: {hopping: {kind: rank_one, t0: x, amplitudes: [1.0, 1.0]}}\n",
-        "lattice.hopping.t0 must be a nonzero number",
+        "lattice.hopping.t0 must be a number",
     ),
 ]
 
@@ -713,10 +713,9 @@ TYPE_ERRORS = [
 def test_a_value_of_another_type_than_its_reference_entry_exits_2(
     tmp_path, capsys, text, message
 ):
-    """The load types each value by the reference entry it replaces and
-    refuses the first mismatch; t0, which the reference lacks, is typed by
-    validate_config. Either way one line names the entry and no --out is
-    made."""
+    """The load types each value by the reference entry it replaces, or t0,
+    which the reference lacks, by its EXTRA_KEYS entry, and refuses the
+    first mismatch: one line names the entry and no --out is made."""
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
@@ -737,6 +736,78 @@ def test_an_integer_for_a_float_entry_is_the_float(tmp_path):
         assert main(["--config", str(cfg), "--out", str(tmp_path / u), "sweep"]) == 0
         csvs.append((tmp_path / u / "sweep.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize(
+    "hopping",
+    [
+        "kind: rank_one, t0: {one}, amplitudes: [1.0, -1.0, 2.0]",
+        "kind: rank_one, amplitudes: [{one}, -{one}, {two}]",
+        "kind: matrix, matrix: [[0, -{one}, 0], [-{one}, 0, -{two}], [0, -{two}, 0]]",
+    ],
+    ids=["t0", "amplitudes", "matrix"],
+)
+def test_integer_optional_hopping_keys_are_the_floats(tmp_path, hopping):
+    """The load types the optional hopping keys like every other entry, so
+    integers written there are stored as floats: the run, config hash
+    included, is the float spelling's byte for byte."""
+    csvs = []
+    for one, two in (("1", "2"), ("1.0", "2.0")):
+        cfg = tmp_path / f"h{one}.yaml"
+        cfg.write_text(
+            "lattice: {n_sites: 3, hopping: {" + hopping.format(one=one, two=two) + "}}\n"
+            "electrons: {n_e: 2}\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / one), "sweep"]) == 0
+        csvs.append((tmp_path / one / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+OPTIONAL_TYPE_ERRORS = {
+    "t0-string": ("t0: x", "t0 must be a number"),
+    "t0-bool": ("t0: true", "t0 must be a number"),
+    "amplitudes-scalar": ("amplitudes: 5", "amplitudes must be a list of numbers"),
+    "amplitudes-string": ("amplitudes: [x, 1.0]", "amplitudes must be a list of numbers"),
+    "matrix-flat": ("matrix: [1, 2]", "matrix must be a table of numbers"),
+    "matrix-string": ("matrix: [[0, x], [1, 0]]", "matrix must be a table of numbers"),
+}
+
+
+@pytest.mark.parametrize("kind", ["chain", "rank_one", "matrix"])
+@pytest.mark.parametrize("name", OPTIONAL_TYPE_ERRORS)
+def test_a_mistyped_optional_hopping_key_exits_2_under_every_kind(tmp_path, capsys, name, kind):
+    """t0, amplitudes and matrix are typed at load under every kind, also one
+    that ignores the key: exactly one line names the key, and no --out is
+    made."""
+    entry, message = OPTIONAL_TYPE_ERRORS[name]
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"lattice: {{hopping: {{kind: {kind}, {entry}}}}}\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "sweep"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: lattice.hopping.{message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "sweep", "ir"])
+@pytest.mark.parametrize("n_sites", [1415, 1_000_000])
+def test_too_many_sites_for_a_dense_hopping_exit_2(tmp_path, capsys, n_sites, command):
+    """The hopping matrix holds n_sites^2 numbers, so n_sites^2 above the
+    coupled cap of 2,000,000 is refused before --out is made or any such
+    array is allocated; 1,000,000 sites asked numpy for 7.28 TiB and ended
+    in a MemoryError traceback."""
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(f"lattice: {{n_sites: {n_sites}}}\nelectrons: {{n_e: 2}}\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "config error: lattice.n_sites must be an integer in [1, 1414]\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_largest_lattice_validates():
+    cfg = load_config(None)
+    cfg["lattice"]["n_sites"] = 1414
+    assert validate_config(cfg) == []
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify", "sweep", "ir"])
@@ -888,6 +959,51 @@ def test_mutated_reference_loads_or_is_rejected(tmp_path_factory, entry, value, 
         assert any(e.startswith(field) for e in errs), (path, value, errs)
 
 
+# Rank-one and matrix trees; each optional hopping key, or one item or row
+# of it, is a mutation site, also under a kind that ignores the key.
+OPTIONAL_TREES = [
+    "lattice: {n_sites: 3, hopping: {kind: rank_one, t0: 1.0, amplitudes: [1.0, -1.0, 2.0]}}\n",
+    "lattice: {n_sites: 2, hopping: {kind: matrix, matrix: [[0.0, -1.0], [-1.0, 0.0]]}}\n",
+]
+OPTIONAL_ENTRIES = [
+    (text, path)
+    for text in OPTIONAL_TREES
+    for path in dict.fromkeys(
+        [("lattice", "hopping", key) for key in cli.EXTRA_KEYS["lattice", "hopping"]]
+        + [p for p, _ in _entries(yaml.safe_load(text)) if p[:2] == ("lattice", "hopping")]
+    )
+    if len(path) > 2 and path[2] != "kind"
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    entry=st.sampled_from(OPTIONAL_ENTRIES),
+    value=VALUES | st.lists(SCALARS | st.lists(SCALARS, max_size=3), max_size=3),
+)
+def test_mutated_optional_hopping_keys_load_or_are_rejected(tmp_path_factory, entry, value):
+    """One optional hopping key, item or row replaced by a scalar or a
+    nested or ragged list: loading raises nothing but ValidationError,
+    validation returns a list, and every number the load keeps in those
+    keys is a finite float."""
+    text, path = entry
+    tree = yaml.safe_load(text)
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg = tmp_path_factory.getbasetemp() / "optional.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    try:
+        loaded = load_config(cfg)
+    except ValidationError:
+        return
+    assert isinstance(validate_config(loaded), list)
+    hop = loaded["lattice"]["hopping"]
+    kept = [v for p, v in _entries(hop) if p[0] in cli.EXTRA_KEYS["lattice", "hopping"]]
+    assert all(isinstance(v, list) or type(v) is float and math.isfinite(v) for v in kept)
+
+
 REAL = st.floats(-2.0, 2.0, allow_nan=False)
 
 
@@ -985,6 +1101,16 @@ def test_overflowing_configs_exit_with_a_code(tmp_path, capsys, name, command):
     assert rows and all(r["classification"] == "Error" for r in rows)
     assert all(r["residual_flags"].startswith("LinAlgError") for r in rows)
     assert main(["--config", str(cfg), "--out", str(out), "--strict", "sweep"]) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+def test_verify_fit_line_stays_short_when_the_coupling_overflows(tmp_path, capsys):
+    """At alpha 1e154 the fit line's exact alpha^2/2 is 5e307, which a fixed
+    count of decimals wrote out in 308 digits; the run still exits 2."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(OVERFLOWS["coupling"])
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify"]) == 2
+    assert max(map(len, capsys.readouterr().out.splitlines())) <= 200
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
