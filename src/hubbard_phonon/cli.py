@@ -203,7 +203,10 @@ def load_config(path):
     base = copy.deepcopy(_reference())  # callers may mutate the result freely
     if path is None:
         return base
-    user = yaml.load(Path(path).read_bytes(), _ConfigLoader)
+    try:
+        user = yaml.load(Path(path).read_bytes(), _ConfigLoader)
+    except RecursionError:  # the parser recurses once per level of nesting
+        raise ValidationError("config nests too deeply to parse") from None
     if user is not None and not isinstance(user, dict):
         raise ValidationError("config must be a YAML mapping")
     return _merge(base, user or {})

@@ -83,8 +83,9 @@ def _check_input(h) -> None:
 # ratio) on connected matrices (random sparse, dim 512-4096, and the direct
 # coupled sectors at n_max 3 and 4, dim 1024 and 2500):
 #   k = dim/8: 1.1-1.8, k = dim/16: 1.7-5.2, k = dim/32: 2.6-12.
-# Below dim 512 a full eigh takes under 0.07 s.
-LANCZOS_MIN_DIM = 512
+# The reference model's direct blocks, ms dense/filtered at k = 6: 243 states
+# 2.5/4.5, 300 4.9/4.8, 363 5.9/3.8, 507 15.1/5.4 (S = 0); 225 5.6/3.2, 256 8.8/4.6 (S = 1).
+LANCZOS_MIN_DIM = 256
 LANCZOS_K_RATIO = 32
 
 # The Lanczos path iterates on p(H), an even Chebyshev polynomial of degree

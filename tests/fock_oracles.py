@@ -10,7 +10,9 @@ and ``transformed_levels`` adds the free modes' ladder to its levels by
 brute force.  ``dense_direct`` and ``direct_levels`` do the same for the
 direct Hamiltonian, whose free modes also lower every level by the ground
 energy of their displaced oscillators.  ``quad_log_rule`` is the adaptive
-quadrature in ln k that the norm check's fixed rule replaced.
+quadrature in ln k that the norm check's fixed rule replaced, and
+``quad_bilinears`` the adaptive quadrature in k that the continuum profile
+integrals' fixed rule replaced.
 """
 
 import itertools
@@ -169,3 +171,13 @@ def quad_log_rule(a, lo, hi):
         lambda v: np.exp(a * v), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200
     )
     return val
+
+
+def quad_bilinears(beta, big_k, prof):
+    """<f, g> = int_0^K F(k) k^(beta - 1) dk and ||f||^2 = int_0^K F(k)^2 dk
+    by scipy's adaptive quad to 1e-13 relative, with breakpoints at
+    K 10^-12 ... K 10^-1 so that it sees a profile supported near k = 0."""
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=400, points=big_k * 10.0 ** -np.arange(12, 0, -1))
+    fg, _ = integrate.quad(lambda k: prof(k) * k ** (beta - 1.0), 0.0, big_k, **opts)
+    ff, _ = integrate.quad(lambda k: prof(k) ** 2, 0.0, big_k, **opts)
+    return fg, ff

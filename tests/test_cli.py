@@ -804,6 +804,20 @@ def test_too_many_sites_for_a_dense_hopping_exit_2(tmp_path, capsys, n_sites, co
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify", "sweep", "ir"])
+@pytest.mark.parametrize("key, opening, closing", [("modes", "[", "]"), ("x", "{a: ", "}")])
+def test_a_deeply_nested_config_exits_2(tmp_path, capsys, key, opening, closing, command):
+    """A config 3,000 levels deep, of lists under a key of the reference or
+    of mappings under a key it lacks, overruns the YAML parser's recursion:
+    one config error line and exit 2 before --out is made, no traceback."""
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text(f"{key}: {opening * 3000}1{closing * 3000}\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: config nests too deeply to parse\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_the_largest_lattice_validates():
     cfg = load_config(None)
     cfg["lattice"]["n_sites"] = 1414
@@ -1305,11 +1319,13 @@ def test_spectrum_bytes_do_not_depend_on_the_blas_default(tmp_path):
         ("sweep", ("scipy.integrate", "scipy.optimize", "scipy.special")),
         ("spectrum", ("scipy.integrate", "scipy.optimize")),
         ("verify", ("scipy.integrate", "scipy.optimize")),
+        ("ir", ("scipy.integrate", "scipy.optimize")),
     ],
 )
 def test_commands_load_only_the_scipy_they_run(tmp_path, command, unloaded):
-    """Only ir's continuum profile integrals import scipy.integrate (and
-    with it scipy.optimize), and sweep truncates no Fock space, which is the
+    """No command imports scipy.integrate (or scipy.optimize with it): ir's
+    continuum profile integrals take a fixed rule in ln k, and quad is left
+    to the tests as its oracle.  sweep truncates no Fock space, which is the
     one use of scipy.special.  The command runs in a fresh process: the
     pytest warning filters import scipy.integrate into this one."""
     cfg = tmp_path / "c.yaml"

@@ -534,6 +534,33 @@ def test_direct_levels_below_dense_max_take_lanczos(monkeypatch):
     assert np.max(np.abs(levels - np.sort(plain)[:3])) <= 1e-10
 
 
+def test_reference_direct_blocks_split_at_the_crossover(monkeypatch):
+    """On the reference model at n_max 12 the direct route's S = 0 block
+    (507 states, 6 levels) lies above LANCZOS_MIN_DIM and takes the filtered
+    Lanczos path, while the S = 1 block (169 states) stays dense; the levels
+    equal those of a dense eigh of every block."""
+    ha = effective_hamiltonians(reference_model(n_max=0), 12)
+    assert sorted(ha.direct(s).shape[0] for s in ha.sectors) == [169, 507]
+    lanczos, dense = [], []
+    real_lanczos, real_eigh = eigensolver._filtered_lanczos, sla.eigh
+
+    def spy_lanczos(h, k, tol):
+        lanczos.append(h.shape[0])
+        return real_lanczos(h, k, tol)
+
+    def spy_eigh(a, **kwargs):
+        dense.append(a.shape[0])
+        return real_eigh(a, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "_filtered_lanczos", spy_lanczos)
+    monkeypatch.setattr(sla, "eigh", spy_eigh)
+    levels = ha.direct_lowest(5)
+    assert (lanczos, dense) == ([507], [169])
+    monkeypatch.setattr(eigensolver, "LANCZOS_MIN_DIM", DENSE_MAX + 1)  # every block dense
+    assert np.max(np.abs(levels - ha.direct_lowest(5))) <= 1e-12
+    assert (lanczos, sorted(dense)) == ([507], [169, 169, 507])
+
+
 # -- the Chebyshev-filtered Lanczos path against eigvalsh ----------------------
 
 

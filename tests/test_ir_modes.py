@@ -32,7 +32,7 @@ from hubbard_phonon.ir_modes import (
     weyl_state,
 )
 
-from fock_oracles import apply_weyl, quad_log_rule
+from fock_oracles import apply_weyl, quad_bilinears, quad_log_rule
 
 CHAIN2 = HoppingMatrix.chain(2)
 
@@ -327,6 +327,43 @@ def test_limit_state_resolves_a_profile_near_zero(eps):
     )
     got = limit_state(fam, CHAIN2, 2, u, alpha, np.eye(basis.dim), profiles)
     assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 10.0, 40.0])
+def test_profile_rule_matches_closed_forms_and_quad(beta):
+    """The fixed rule in ln k against the closed forms c / (p + beta) and
+    c^2 / (2p + 1) of the power profiles c k^p, and against adaptive quad
+    in k on the windowed c / sqrt(k) of (eps^2, eps), to 1e-12 relative.
+    At beta 10 and 40 the quarter decades are cut into 3 and 12 panels;
+    uncut, the half-resolution check refused <f, g> at beta 10."""
+    fam = CutoffFamily(beta=beta, big_k=1.0)
+    powers = [(1.0, 0.5), (0.9, 0.8), (0.6, 0.5)]
+    fg, ff = _continuum_bilinears(fam, [lambda k, c=c, p=p: c * k**p for c, p in powers])
+    for (c, p), got_fg, got_ff in zip(powers, fg, ff):
+        assert abs(got_fg - c / (p + beta)) <= 1e-12 * c / (p + beta)
+        assert abs(got_ff - c * c / (2 * p + 1)) <= 1e-12 * c * c / (2 * p + 1)
+    for eps in (1e-3, 1e-6):
+        c = 2.0 / np.log(1.0 / eps)
+        profiles = [lambda k: c / np.sqrt(k) if eps**2 < k < eps else 0.0]
+        got = np.ravel(_continuum_bilinears(fam, profiles))
+        want = np.array(quad_bilinears(beta, 1.0, profiles[0]))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_profile_rule_refuses_what_it_cannot_resolve():
+    """k^-0.45 at beta 1/2 integrates (k^-0.95 and k^-0.9), but 3e-4 of
+    <f, g> lies in the lowest of the rule's 160 quarter decades, so more
+    lies below them: refused, by _continuum_bilinears and by limit_state.
+    A profile cut off at k = 0.3, inside a panel, and zero on the lowest
+    panels is refused by the half-resolution check, which misses by 3e-2."""
+    fam = CutoffFamily(beta=0.5, big_k=1.0)
+    heavy = [lambda k: k**-0.45, None]
+    with pytest.raises(AccuracyError, match="<f, g> of profile 0"):
+        _continuum_bilinears(fam, heavy)
+    with pytest.raises(AccuracyError):
+        limit_state(fam, CHAIN2, 2, 1.0, 0.5, np.eye(6), heavy)
+    with pytest.raises(AccuracyError, match="on 80, 0 lowest"):
+        _continuum_bilinears(fam, [lambda k: np.sqrt(k) if 1e-3 < k < 0.3 else 0.0])
 
 
 def test_overlap_decay_curve_single_electron():
