@@ -231,6 +231,11 @@ def validate_config(cfg):
             errs.append(
                 "lattice.hopping.matrix must be an n_sites x n_sites table of numbers"
             )
+        elif n_sites is not None:  # HoppingMatrix's symmetry rule; chain and rank_one hold it
+            try:
+                HoppingMatrix(m)
+            except ValidationError as exc:
+                errs.append(f"lattice.hopping.matrix: {exc}")
     elif kind == "rank_one":
         if hop.get("t0") == 0:
             errs.append("lattice.hopping.t0 must be a nonzero number")
@@ -330,11 +335,14 @@ def _fmt(x) -> str:
 def write_csv(path: Path, meta, header, rows):
     """``# key: value`` metadata lines, then the header and rows, each field
     quoted where it holds a comma, quote or line break."""
-    with path.open("w", newline="") as f:
-        f.writelines(f"# {k}: {v}\n" for k, v in meta.items())
-        out = csv.writer(f, lineterminator="\n")
-        out.writerow(header)
-        out.writerows([_fmt(v) for v in row] for row in rows)
+    try:
+        with path.open("w", newline="") as f:
+            f.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+            out = csv.writer(f, lineterminator="\n")
+            out.writerow(header)
+            out.writerows([_fmt(v) for v in row] for row in rows)
+    except OSError as exc:  # a directory or an unwritable file of that name, a full disk
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _meta(cfg, extra=None):

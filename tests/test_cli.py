@@ -476,11 +476,21 @@ def test_sweep_csv_and_flip(tmp_path):
     assert float(rows[i - 1]["alpha"]) < crit < float(rows[i]["alpha"])
 
 
-def test_ferro6_sweep_reruns_are_byte_identical(tmp_path):
+def _seeded_amplitudes(seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [_seeded_amplitudes(1), [1.0, -0.8, 1.2, 0.9, -1.1, 0.7]],
+    ids=["seed-1", "fixed"],
+)
+def test_ferro6_sweep_reruns_are_byte_identical(tmp_path, amps):
     """The benchmark's seed-1 ferro6 sweep (spin spaces of 210, 84 and 6
-    states, solved for a few levels each) writes the same bytes twice."""
-    rng = np.random.default_rng(1)
-    amps = rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
+    states, solved for a few levels each) writes the same bytes twice, and
+    so does a fixed 6-site rank-one lattice; neither writes an Error row,
+    which --strict would turn into exit 3."""
     cfg = tmp_path / "ferro6.yaml"
     cfg.write_text(yaml.safe_dump({
         "lattice": {
@@ -491,7 +501,7 @@ def test_ferro6_sweep_reruns_are_byte_identical(tmp_path):
     }))
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
-        assert main(["--config", str(cfg), "--out", str(out), "sweep"]) == 0
+        assert main(["--config", str(cfg), "--out", str(out), "--strict", "sweep"]) == 0
     first, second = ((out / "sweep.csv").read_bytes() for out in runs)
     assert first == second
     _, rows = _read_csv(runs[0] / "sweep.csv")
@@ -502,8 +512,7 @@ def test_ferro6_sweep_screens_the_empty_spins(tmp_path, monkeypatch):
     """The seed-1 ferro6 sweep solves each point's lead spin and screens the
     others with a Cholesky factorization: at most 110 eigensolves over its
     91 points and three spin spaces, where solving every space took 273."""
-    rng = np.random.default_rng(1)
-    amps = rng.uniform(0.5, 1.5, 6) * rng.choice([-1.0, 1.0], 6)
+    amps = _seeded_amplitudes(1)
     cfg = tmp_path / "ferro6.yaml"
     cfg.write_text(yaml.safe_dump({
         "lattice": {
@@ -538,9 +547,16 @@ def test_sweep_csv_quotes_a_message_with_a_comma(tmp_path):
     assert rows[1][-1] == flags
 
 
-def test_verify_passes_and_is_deterministic(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text", [FAST_VERIFY, "modes: {n_max: 16}\n"], ids=["n_max-8", "n_max-16"]
+)
+def test_verify_passes_and_is_deterministic(tmp_path, capsys, text):
+    """Two runs agree byte for byte and pass: at n_max 8 on loose
+    tolerances, and at n_max 16, the annihilation check's setting, on the
+    default ones, where verify maps the trials' support boxes (side 4 of
+    17) to whole rows."""
     cfg = tmp_path / "c.yaml"
-    cfg.write_text(FAST_VERIFY)
+    cfg.write_text(text)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     rc1 = main(["--config", str(cfg), "--out", str(out1), "verify"])
     text1 = capsys.readouterr().out
@@ -676,6 +692,7 @@ BAD_CONFIGS = [
     ("modes: {per_site: true}\n", "modes.per_site"),
     ("solver: {levels: true}\n", "solver.levels"),
     ("electrons: {n_e: 0}\n", "electrons.n_e"),
+    ("lattice: {hopping: {kind: matrix, matrix: [[0, 1], [2, 0]]}}\n", "lattice.hopping.matrix"),
 ]
 
 
@@ -1194,6 +1211,19 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(out) in err
     assert "Traceback" not in err and out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "sweep", "ir"])
+def test_a_csv_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    """A directory in the place of the command's CSV ends the run in one
+    config error line that names the path, not in a traceback."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("modes: {n_max: 2}\n")
+    taken = tmp_path / "o" / f"{command}.csv"
+    taken.mkdir(parents=True)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {taken}: ") and err.count("\n") == 1
 
 
 # -- spectra the spin-resolved solve must refuse or resolve -------------------
